@@ -21,6 +21,7 @@ from .core import (
     make_stratified_folds,
 )
 from .balance import (
+    BalanceBoostedPS,
     BalanceReport,
     MatchResult,
     PsFit,
@@ -37,6 +38,7 @@ from .estimators import (
     AteResult,
     DmlConfig,
     NuisanceFits,
+    SingleArmFoldError,
     aiptw_ate,
     bootstrap_ci,
     dml_ate,

@@ -9,14 +9,13 @@ adjustment methods.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
-from .core import Dataset, LearnerSpec
-from .learners import _boost_stage, fit_learner, tree_predict
-from .superlearner import SLLibrary, fit_super_learner
+from .core import Dataset, Learner
+from .learners import BoostModel, fit_boost
 
 __all__ = [
     "PsFit",
@@ -24,6 +23,7 @@ __all__ = [
     "MatchResult",
     "BalanceReport",
     "BoostedBalanceResult",
+    "BalanceBoostedPS",
     "estimate_ps",
     "iptw_weights",
     "smd",
@@ -92,34 +92,28 @@ class MatchResult:
 
 
 def estimate_ps(
-    spec: LearnerSpec | SLLibrary,
+    learner: Learner,
     dataset: Dataset,
     trim: float = 0.01,
     *,
-    v_folds: int = 10,
     seed: int = 0,
 ) -> PsFit:
     """Fit P(A=1 | X) on the full sample and clip into [trim, 1 - trim].
 
-    A clipped fraction above 10% raises a positivity flag: the model is
-    pushing mass against the bounds, so weighting estimators downstream
-    deserve suspicion.
+    Any ``Learner`` serves, fitted as ``learner.fit(X, A, "probability",
+    seed)``; its model's ``meta`` (and ``flags``, as ``learner_flags``)
+    becomes the fit's ``meta``. A clipped fraction above 10% raises a
+    positivity flag: the model is pushing mass against the bounds, so
+    weighting estimators downstream deserve suspicion.
     """
     if not (0.0 < trim < 0.5):
         raise ValueError("trim must be in (0, 0.5)")
     X, A = dataset.covariates, dataset.treatment.astype(float)
-    meta: dict = {}
-    if isinstance(spec, SLLibrary):
-        sl = fit_super_learner(spec, X, A, V=v_folds, seed=seed, target_kind="probability")
-        raw = sl.predict(X)
-        meta["sl_weights"] = sl.weight_table()
-        meta["learner"] = "super_learner"
-    else:
-        model = fit_learner(spec, X, A, target_kind="probability")
-        raw = model.predict(X)
-        meta["learner"] = spec.describe()
-        if model.flags:
-            meta["learner_flags"] = list(model.flags)
+    model = learner.fit(X, A, "probability", seed)
+    raw = model.predict(X)
+    meta = dict(model.meta)
+    if model.flags:
+        meta["learner_flags"] = list(model.flags)
     ps = np.clip(raw, trim, 1.0 - trim)
     clipped = float(np.mean((raw < trim) | (raw > 1.0 - trim)))
     flags = ("positivity_warning",) if clipped > 0.1 else ()
@@ -197,6 +191,44 @@ class BoostedBalanceResult:
     trace: tuple[tuple[int, float], ...]  # (iteration, weighted ASAM)
 
 
+@dataclass(frozen=True)
+class BalanceBoostedPS:
+    """Boosted treatment log-odds stopped where IPTW balance is best; a
+    ``Learner`` for the propensity role.
+
+    ``fit(X, A)`` boosts ``max_trees`` Bernoulli stages, records the ASAM of
+    the covariates under IPTW weights (scores clipped at ``trim``) at stage
+    0, every ``stride`` stages and the last, and returns the model truncated
+    at the ASAM-minimising stage, ties toward fewer trees. Its ``meta``
+    holds that stage and the (stage, ASAM) trace.
+    """
+
+    max_trees: int = 5000
+    max_depth: int = 2
+    shrinkage: float = 0.005
+    trim: float = 0.01
+    stride: int = 10
+    min_leaf: int = 10
+
+    def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "probability",
+            seed: int = 0) -> BoostModel:
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
+        trace = []
+
+        def record(t, F):
+            if t % self.stride == 0 or t == self.max_trees:
+                p = np.clip(expit(F), self.trim, 1.0 - self.trim)
+                trace.append((t, asam(X, y, iptw_weights(p, y))))
+
+        model = fit_boost(X, y, self.max_trees, self.max_depth, self.shrinkage, "bernoulli",
+                          min_leaf=self.min_leaf, callback=record)
+        best = trace[int(np.argmin([a for _, a in trace]))][0]
+        meta = {"learner": "boosted_balance", "chosen_iteration": best,
+                "asam_trace": tuple(trace)}
+        return replace(model, trees=model.trees[:best], meta=meta)
+
+
 def boosted_balance_ps(
     dataset: Dataset,
     max_trees: int = 5000,
@@ -207,44 +239,12 @@ def boosted_balance_ps(
     stride: int = 10,
     min_leaf: int = 10,
 ) -> BoostedBalanceResult:
-    """Boost the treatment log-odds, stopping where IPTW balance is best.
-
-    Every ``stride`` iterations (plus iteration 0, the no-tree baseline) the
-    ASAM of the IPTW-weighted covariates is recorded; the returned score is
-    the one at the ASAM-minimising iteration, ties resolved toward fewer
-    trees.
-    """
-    if not 0 < shrinkage <= 1:
-        raise ValueError("shrinkage must be in (0, 1]")
-    if max_trees < 1 or max_depth < 1 or stride < 1:
-        raise ValueError("max_trees, max_depth and stride must be >= 1")
-    X, A = dataset.covariates, dataset.treatment.astype(float)
-
-    def weighted_asam(F):
-        raw = expit(F)
-        p = np.clip(raw, trim, 1.0 - trim)
-        return asam(X, A, iptw_weights(p, A))
-
-    f0 = float(logit(np.clip(A.mean(), 1e-12, 1 - 1e-12)))
-    F = np.full(dataset.n, f0)
-    trace = [(0, weighted_asam(F))]
-    best_iter, best_asam, best_F = 0, trace[0][1], F.copy()
-    for t in range(1, max_trees + 1):
-        p = expit(F)
-        stage = _boost_stage(X, A - p, p * (1.0 - p), max_depth, min_leaf)
-        F += shrinkage * tree_predict(stage, X)
-        if t % stride == 0 or t == max_trees:
-            a = weighted_asam(F)
-            trace.append((t, a))
-            if a < best_asam:
-                best_iter, best_asam, best_F = t, a, F.copy()
-    raw = expit(best_F)
-    ps = np.clip(raw, trim, 1.0 - trim)
-    clipped = float(np.mean((raw < trim) | (raw > 1.0 - trim)))
-    flags = ("positivity_warning",) if clipped > 0.1 else ()
-    fit = PsFit(ps, raw, float(trim), clipped, flags,
-                {"learner": "boosted_balance", "chosen_iteration": best_iter})
-    return BoostedBalanceResult(fit, best_iter, tuple(trace))
+    """Boost the treatment log-odds, stopping where IPTW balance is best:
+    ``estimate_ps`` with a ``BalanceBoostedPS`` of these settings, returned
+    with the chosen iteration and the (iteration, ASAM) trace."""
+    learner = BalanceBoostedPS(max_trees, max_depth, shrinkage, trim, stride, min_leaf)
+    fit = estimate_ps(learner, dataset, trim)
+    return BoostedBalanceResult(fit, fit.meta["chosen_iteration"], fit.meta["asam_trace"])
 
 
 def ps_match(ps, A: np.ndarray) -> MatchResult:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import Dataset, LearnerSpec, OutcomeKind
-from .balance import balance_table, boosted_balance_ps, estimate_ps, iptw_weights, ps_match
+from .core import Dataset, Learner, LearnerSpec, OutcomeKind
+from .balance import BalanceBoostedPS, balance_table, estimate_ps, iptw_weights, ps_match
 from .dgp import McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
     AteResult,
@@ -55,7 +55,7 @@ ESTIMATORS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one `run` needs; round-trips through the flat text format."""
+    """Everything one `run` needs; parses from the flat text format."""
 
     data: str = ""
     treatment: str = "treatment"
@@ -73,18 +73,6 @@ class RunConfig:
     dml_aggregate: str = "median"
     pd_method: str = "aiptw"
     out: str = "report.json"
-    threads: int = 0
-
-    def serialize(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if f.name == "covariates":
-                v = ",".join(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -114,7 +102,7 @@ class RunConfig:
                 elif val is not None:
                     val = tuple(val)
                 typed[key] = val
-            elif key in ("v_folds", "seed", "bootstrap", "dml_k", "dml_s", "threads"):
+            elif key in ("v_folds", "seed", "bootstrap", "dml_k", "dml_s"):
                 typed[key] = int(val)
             elif key == "trim":
                 typed[key] = float(val)
@@ -216,11 +204,22 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
 # ---------------------------------------------------------------------------
 
 
-def parse_learner(name: str, d: int, outcome_binary: bool = False):
-    """Map a learner id from the command line to a spec or library."""
-    name = name.strip()
+# Learners that need a 0/1 target, and learners for the propensity role only.
+_BINARY_TARGET_ONLY = ("logistic", "logistic_interactions", "sl", "sl_small")
+_PS_ONLY = ("twang",)
+
+
+def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = False) -> Learner:
+    """Map the learner id configured for ``role`` ("ps" or "outcome") to a
+    ``Learner``; libraries take ``v_folds`` folds, twang takes ``trim``. An
+    outcome learner that cannot model the outcome is rejected before any fit.
+    """
+    name = (config.ps_learner if role == "ps" else config.outcome_learner).strip()
     if name == "auto":
         return LearnerSpec("logistic") if outcome_binary else LearnerSpec("ols")
+    if role == "outcome" and (name in _PS_ONLY
+                              or (name in _BINARY_TARGET_ONLY and not outcome_binary)):
+        raise ValueError(f"{name!r} cannot be the outcome learner for this outcome")
     table = {
         "logistic": LearnerSpec("logistic"),
         "logistic_interactions": LearnerSpec("logistic", {"interactions": True}),
@@ -229,41 +228,19 @@ def parse_learner(name: str, d: int, outcome_binary: bool = False):
         "tree": LearnerSpec("tree"),
         "forest": LearnerSpec("forest", {"n_trees": 200, "seed": 0}),
         "boost": LearnerSpec("boost", {"n_trees": 200, "nu": 0.05, "max_depth": 2}),
-    }
-    if name in table:
-        return table[name]
-    if name == "sl":
-        return demo_library(d)
-    if name == "sl_small":
-        return SLLibrary(
+        "sl": replace(demo_library(d), V=config.v_folds),
+        "sl_small": SLLibrary(
             (LearnerSpec("logistic"),
              LearnerSpec("tree", {"max_depth": 3, "min_leaf": 10}),
              LearnerSpec("boost", {"n_trees": 100, "nu": 0.1, "max_depth": 2})),
             ("logistic", "tree", "boost"),
-        )
-    if name == "twang":
-        return "twang"
-    raise ValueError(f"unknown learner {name!r}")
-
-
-def _collect_flags(*objs) -> list[str]:
-    out = []
-    for o in objs:
-        for fl in getattr(o, "flags", ()) or ():
-            out.append(str(fl))
-    return out
-
-
-def _estimate_ps_for(config: RunConfig, ds: Dataset, warns: list[str]):
-    spec = parse_learner(config.ps_learner, ds.d)
-    if spec == "twang":
-        boosted = boosted_balance_ps(ds, max_trees=500, max_depth=2, shrinkage=0.05,
-                                     trim=config.trim)
-        ps_fit = boosted.ps_fit
-    else:
-        ps_fit = estimate_ps(spec, ds, config.trim, v_folds=config.v_folds, seed=config.seed)
-    warns.extend(_collect_flags(ps_fit))
-    return ps_fit
+            V=config.v_folds,
+        ),
+        "twang": BalanceBoostedPS(max_trees=500, max_depth=2, shrinkage=0.05, trim=config.trim),
+    }
+    if name not in table:
+        raise ValueError(f"unknown learner {name!r}")
+    return table[name]
 
 
 def _balance_summary(ds: Dataset, label: str, adjustment) -> dict:
@@ -281,57 +258,47 @@ def _execute(config: RunConfig, ds: Dataset) -> tuple[AteResult, dict]:
     extras: dict = {"balance": None, "sl_weights": None, "ctmle_trace": None}
     warns: list[str] = []
     est = config.estimator
-    binary = ds.outcome_kind.is_binary
-    out_spec = parse_learner(config.outcome_learner, ds.d, binary)
-    ps_spec = parse_learner(config.ps_learner, ds.d)
+    out_spec = parse_learner(config, ds.d, "outcome", ds.outcome_kind.is_binary)
+    ps_spec = parse_learner(config, ds.d, "ps")
 
     if est == "naive":
         res = naive_ate(ds)
     elif est == "reg":
-        nuis = fit_nuisances(ds, None, out_spec, trim=config.trim,
-                             seed=config.seed, v_folds=config.v_folds)
+        nuis = fit_nuisances(ds, None, out_spec, trim=config.trim, seed=config.seed)
         res = reg_ate(ds, nuis)
         if config.bootstrap:
             def rerun(d2, s2):
-                nz = fit_nuisances(d2, None, out_spec, trim=config.trim, seed=s2,
-                                   v_folds=config.v_folds)
+                nz = fit_nuisances(d2, None, out_spec, trim=config.trim, seed=s2)
                 return reg_ate(d2, nz).estimate
             se, ci = bootstrap_ci(rerun, ds, B=config.bootstrap, seed=config.seed)
             res = AteResult(res.estimate, se, ci, None, res.method,
                             {**res.diagnostics, "se_method": "bootstrap"})
     elif est == "iptw":
-        ps_fit = _estimate_ps_for(config, ds, warns)
+        ps_fit = estimate_ps(ps_spec, ds, config.trim, seed=config.seed)
+        warns.extend(ps_fit.flags)
         res = iptw_ate(ds, ps_fit)
         extras["balance"] = _balance_summary(ds, "iptw", iptw_weights(ps_fit, ds.treatment))
-        if isinstance(ps_fit.meta.get("sl_weights"), dict):
+        if "sl_weights" in ps_fit.meta:
             extras["sl_weights"] = {"ps": ps_fit.meta["sl_weights"]}
     elif est == "match":
-        ps_fit = _estimate_ps_for(config, ds, warns)
+        ps_fit = estimate_ps(ps_spec, ds, config.trim, seed=config.seed)
+        warns.extend(ps_fit.flags)
         matches = ps_match(ps_fit, ds.treatment)
         res = match_ate(ds, matches)
         extras["balance"] = _balance_summary(ds, "match", matches)
         if config.bootstrap:
             def rerun(d2, s2):
-                cfg2 = replace(config, seed=s2)
-                pf = _estimate_ps_for(cfg2, d2, [])
+                pf = estimate_ps(ps_spec, d2, config.trim, seed=s2)
                 return match_ate(d2, ps_match(pf, d2.treatment)).estimate
             se, ci = bootstrap_ci(rerun, ds, B=config.bootstrap, seed=config.seed)
             res = AteResult(res.estimate, se, ci, None, res.method,
                             {**res.diagnostics, "se_method": "bootstrap"})
     elif est in ("aiptw", "tmle"):
-        if parse_learner(config.ps_learner, ds.d) == "twang":
-            ps_fit = _estimate_ps_for(config, ds, warns)
-            nuis = fit_nuisances(ds, None, out_spec, trim=config.trim,
-                                 seed=config.seed, v_folds=config.v_folds)
-            nuis = replace_ps(nuis, ps_fit.ps)
-        else:
-            nuis = fit_nuisances(ds, ps_spec, out_spec, trim=config.trim,
-                                 seed=config.seed, v_folds=config.v_folds)
+        nuis = fit_nuisances(ds, ps_spec, out_spec, trim=config.trim, seed=config.seed)
         res = aiptw_ate(ds, nuis) if est == "aiptw" else tmle_ate(ds, nuis)
         extras["balance"] = _balance_summary(ds, "iptw", iptw_weights(nuis.ps, ds.treatment))
-        sl_meta = nuis.meta.get("ps", {}) if isinstance(nuis.meta.get("ps"), dict) else {}
-        if isinstance(sl_meta.get("sl_weights"), dict):
-            extras["sl_weights"] = {"ps": sl_meta["sl_weights"]}
+        if "sl_weights" in nuis.meta["ps"]:
+            extras["sl_weights"] = {"ps": nuis.meta["ps"]["sl_weights"]}
         if "ps_flags" in nuis.meta:
             warns.extend(nuis.meta["ps_flags"])
     elif est == "dml":
@@ -344,8 +311,7 @@ def _execute(config: RunConfig, ds: Dataset) -> tuple[AteResult, dict]:
                                   v_folds=min(config.v_folds, 5), seed=config.seed)
         res = post_double_ate(ds, sel, config.pd_method, trim=config.trim, seed=config.seed)
     elif est.startswith("ctmle"):
-        initial = fit_nuisances(ds, None, out_spec, trim=config.trim,
-                                seed=config.seed, v_folds=config.v_folds)
+        initial = fit_nuisances(ds, None, out_spec, trim=config.trim, seed=config.seed)
         fn = {
             "ctmle_greedy": ctmle_greedy,
             "ctmle_logistic": ctmle_preorder_logistic,
@@ -353,7 +319,7 @@ def _execute(config: RunConfig, ds: Dataset) -> tuple[AteResult, dict]:
             "ctmle_lasso": ctmle_lasso,
         }[est]
         v = max(2, min(config.v_folds, 5))
-        res, trace = fn(ds, initial, v, trim=config.trim, seed=config.seed)
+        res, trace = fn(ds, initial, V=v, trim=config.trim, seed=config.seed)
         extras["ctmle_trace"] = [
             {"candidate": k,
              "covariates_or_lambda": (c.lam if c.lam is not None
@@ -367,13 +333,6 @@ def _execute(config: RunConfig, ds: Dataset) -> tuple[AteResult, dict]:
         raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATORS}")
     extras["warnings"] = warns
     return res, extras
-
-
-def replace_ps(nuis, ps):
-    from .estimators import NuisanceFits
-
-    return NuisanceFits(np.asarray(ps, dtype=float), nuis.mu1, nuis.mu0,
-                        nuis.provenance, nuis.fold_of, nuis.meta)
 
 
 def run(config: RunConfig) -> dict:
@@ -436,37 +395,22 @@ BALANCE_ADJUSTMENTS = ("iptw_logistic", "iptw_boosted", "iptw_sl", "match_logist
 def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 500) -> str:
     """Balance table CSV for the requested adjustments (may be empty)."""
     ds, _ = ingest_csv(config.data, config)
+    learners = {
+        "logistic": LearnerSpec("logistic"),
+        "boosted": BalanceBoostedPS(max_trees=boost_trees, max_depth=2, shrinkage=0.05,
+                                    trim=config.trim),
+        "sl": replace(demo_library(ds.d), V=config.v_folds),
+    }
+    fits: dict = {}
     pairs = []
-    cache: dict = {}
-
-    def logistic_ps():
-        if "logistic" not in cache:
-            cache["logistic"] = estimate_ps(LearnerSpec("logistic"), ds, config.trim,
-                                            v_folds=config.v_folds, seed=config.seed)
-        return cache["logistic"]
-
-    def boosted_ps():
-        if "boosted" not in cache:
-            cache["boosted"] = boosted_balance_ps(
-                ds, max_trees=boost_trees, max_depth=2, shrinkage=0.05, trim=config.trim
-            ).ps_fit
-        return cache["boosted"]
-
     for adj in adjustments:
-        if adj == "iptw_logistic":
-            pairs.append((adj, iptw_weights(logistic_ps(), ds.treatment)))
-        elif adj == "iptw_boosted":
-            pairs.append((adj, iptw_weights(boosted_ps(), ds.treatment)))
-        elif adj == "iptw_sl":
-            fit = estimate_ps(demo_library(ds.d), ds, config.trim,
-                              v_folds=config.v_folds, seed=config.seed)
-            pairs.append((adj, iptw_weights(fit, ds.treatment)))
-        elif adj == "match_logistic":
-            pairs.append((adj, ps_match(logistic_ps(), ds.treatment)))
-        elif adj == "match_boosted":
-            pairs.append((adj, ps_match(boosted_ps(), ds.treatment)))
-        else:
+        if adj not in BALANCE_ADJUSTMENTS:
             raise ValueError(f"unknown adjustment {adj!r}; choose from {BALANCE_ADJUSTMENTS}")
+        method, _, name = adj.partition("_")
+        if name not in fits:
+            fits[name] = estimate_ps(learners[name], ds, config.trim, seed=config.seed)
+        adjust = iptw_weights if method == "iptw" else ps_match
+        pairs.append((adj, adjust(fits[name], ds.treatment)))
     report = balance_table(ds, pairs)
     return report.to_csv()
 
@@ -533,9 +477,7 @@ def export_dgp(spec_name: str, n: int | None, seed: int, out: str) -> str:
         )
     spec = catalogue[spec_name]
     if n is not None:
-        from dataclasses import replace as dc_replace
-
-        spec = dc_replace(spec, n=n)
+        spec = replace(spec, n=n)
     draw = gen_dataset(spec, seed)
     ds = draw.dataset
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -571,7 +513,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dml-s", dest="dml_s", type=int)
     p.add_argument("--pd-method", dest="pd_method", choices=("reg", "iptw", "aiptw"))
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

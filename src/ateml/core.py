@@ -9,7 +9,7 @@ global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "FoldAssignment",
     "make_folds",
     "make_stratified_folds",
+    "Learner",
     "LearnerSpec",
     "FittedModel",
     "loss_mse",
@@ -242,13 +243,24 @@ def make_stratified_folds(strata: np.ndarray, V: int, seed: int) -> FoldAssignme
     return FoldAssignment(fold_of, V, int(seed))
 
 
+class Learner(Protocol):
+    """What the nuisance fitters accept: ``fit(X, y, target_kind, seed)``
+    returns a model with ``predict(X)``, ``flags`` and a ``meta`` dict.
+    Implemented by ``LearnerSpec``, ``superlearner.SLLibrary`` and
+    ``balance.BalanceBoostedPS``."""
+
+    def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str, seed: int): ...
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Declarative learner configuration.
+    """Declarative single-learner configuration; a ``Learner``.
 
     ``family`` is one of ols | logistic | lasso | tree | forest | boost;
     ``params`` holds the family-specific hyperparameters (validated at fit
-    time against the data dimensions).
+    time against the data dimensions). ``fit`` ignores its ``seed``
+    argument: a seeded family draws from its own ``seed`` param, so a spec
+    reproduces the same model wherever it is fitted.
     """
 
     family: str
@@ -266,6 +278,12 @@ class LearnerSpec:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})"
 
+    def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "regression",
+            seed: int = 0) -> "FittedModel":
+        from . import learners  # deferred to avoid a module cycle
+
+        return learners.fit_learner(self, X, y, target_kind=target_kind)
+
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -277,11 +295,8 @@ class FittedModel:
 
     predict_fn: Callable[[np.ndarray], np.ndarray]
     target_kind: str
-    spec: LearnerSpec | None
-    n: int
-    d: int
-    seed: int | None = None
     flags: tuple[str, ...] = ()
+    meta: dict = field(default_factory=dict)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -342,7 +357,7 @@ def cv_risk(
         te = folds.test_mask(v)
         try:
             model = learners.fit_learner(spec, X[tr], y[tr], target_kind=kind)
-        except Exception as exc:  # noqa: BLE001 - context added, then re-raised
+        except (ValueError, RuntimeError) as exc:  # data failures get fold context
             raise FitError(f"{spec.describe()} failed to fit in fold {v}: {exc}") from exc
         fold_losses.append(loss_fn(model.predict(X[te]), y[te]))
     return float(np.mean(fold_losses))

@@ -251,8 +251,9 @@ def mc_eval(
     """Apply the estimator to R independent draws and summarise.
 
     The closure receives (draw, replicate seed) and returns an AteResult-like
-    object with ``estimate`` and optional ``ci95``. Failing replications are
-    excluded from the aggregates and counted.
+    object with ``estimate`` and optional ``ci95``. Replications failing
+    with a data error, a ValueError or RuntimeError, are excluded from the
+    aggregates and counted; any other exception propagates.
     """
     if R < 2:
         raise ValueError("need R >= 2 replications")
@@ -268,7 +269,7 @@ def mc_eval(
                 raise ValueError("non-finite estimate")
             estimates.append(est)
             cis.append(getattr(res, "ci95", None))
-        except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
+        except (ValueError, RuntimeError) as exc:
             failures.append(str(exc))
     if not estimates:
         raise RuntimeError(f"all {R} replications failed; first: {failures[0]}")

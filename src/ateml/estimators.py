@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,20 +20,20 @@ from scipy.special import expit, logit
 from .core import (
     Dataset,
     FoldAssignment,
+    Learner,
     LearnerSpec,
     Z95,
     child_seeds,
     make_stratified_folds,
     rng_from,
 )
-from .balance import MatchResult, PsFit, estimate_ps
-from .learners import fit_learner
-from .superlearner import SLLibrary, fit_super_learner
+from .balance import MatchResult, _as_ps, estimate_ps
 
 __all__ = [
     "NuisanceFits",
     "AteResult",
     "DmlConfig",
+    "SingleArmFoldError",
     "fit_nuisances",
     "naive_ate",
     "reg_ate",
@@ -47,6 +48,8 @@ __all__ = [
 
 # Bound applied to outcome-regression values before logit-scale fluctuation.
 Q_BOUND = 1e-6
+# tmle_ate's contract on the mean score of its fluctuation.
+SCORE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,31 +109,29 @@ def _if_result(est: float, phi: np.ndarray, method: str, diagnostics: dict) -> A
 # ---------------------------------------------------------------------------
 
 
-def _fit_outcome_predictor(spec, X, y, kind, v_folds, seed):
-    if isinstance(spec, SLLibrary):
-        return fit_super_learner(spec, X, y, V=v_folds, seed=seed, target_kind=kind)
-    return fit_learner(spec, X, y, target_kind=kind)
+class SingleArmFoldError(ValueError):
+    """A cross-fitting training block holds units of one treatment arm only."""
 
 
 def fit_nuisances(
     dataset: Dataset,
-    ps_spec: LearnerSpec | SLLibrary | None = None,
-    outcome_spec: LearnerSpec | SLLibrary | None = None,
+    ps_spec: Learner | None = None,
+    outcome_spec: Learner | None = None,
     *,
     fold_of: FoldAssignment | None = None,
     trim: float = 0.01,
     seed: int = 0,
-    v_folds: int = 10,
-    separate_arms: bool = True,
     ps_cols=None,
     outcome_cols=None,
 ) -> NuisanceFits:
     """Fit the requested nuisance models, full-sample or cross-fitted.
 
-    ``separate_arms`` fits the outcome model once per treatment arm (the
-    default); the alternative is a single joint fit on (X, A). ``ps_cols`` and
-    ``outcome_cols`` restrict each model to a covariate subset, which is also
-    the hook used to misspecify a nuisance by design in simulations.
+    Both are ``Learner`` objects fitted as ``learner.fit(X, y, target_kind,
+    seed)``: the propensity model on (X, A) as a probability, the outcome
+    model once per treatment arm. ``ps_cols`` and ``outcome_cols`` restrict
+    each model to a covariate subset, which is also the hook used to
+    misspecify a nuisance by design in simulations. A cross-fitting training
+    block with a single treatment arm raises ``SingleArmFoldError``.
     """
     X, A, y = dataset.covariates, dataset.treatment, dataset.outcome
     n = dataset.n
@@ -141,24 +142,16 @@ def fit_nuisances(
     meta: dict = {"trim": trim}
 
     def outcome_pair(X_tr, A_tr, y_tr, X_pred):
-        """(mu1, mu0) predictions for X_pred from fits on the training block."""
-        if separate_arms:
-            m1 = _fit_outcome_predictor(outcome_spec, X_tr[A_tr == 1], y_tr[A_tr == 1], kind, v_folds, seed)
-            m0 = _fit_outcome_predictor(outcome_spec, X_tr[A_tr == 0], y_tr[A_tr == 0], kind, v_folds, seed)
-            return m1.predict(X_pred), m0.predict(X_pred)
-        XA = np.column_stack([X_tr, A_tr.astype(float)])
-        m = _fit_outcome_predictor(outcome_spec, XA, y_tr, kind, v_folds, seed)
-        ones = np.ones(X_pred.shape[0])
-        return (
-            m.predict(np.column_stack([X_pred, ones])),
-            m.predict(np.column_stack([X_pred, 0.0 * ones])),
-        )
+        """Clipped (mu1, mu0) predictions for X_pred from fits on the training block."""
+        m1 = outcome_spec.fit(X_tr[A_tr == 1], y_tr[A_tr == 1], kind, seed)
+        m0 = outcome_spec.fit(X_tr[A_tr == 0], y_tr[A_tr == 0], kind, seed)
+        return np.clip(m1.predict(X_pred), lo, hi), np.clip(m0.predict(X_pred), lo, hi)
 
     if fold_of is None:
         ps = None
         if ps_spec is not None:
             sub = dataset if ps_cols is None else dataset.select_covariates(ps_cols)
-            fit = estimate_ps(ps_spec, sub, trim, v_folds=v_folds, seed=seed)
+            fit = estimate_ps(ps_spec, sub, trim, seed=seed)
             ps = fit.ps
             meta["ps"] = fit.meta
             meta["clipped_fraction"] = fit.clipped_fraction
@@ -167,8 +160,6 @@ def fit_nuisances(
         mu1 = mu0 = None
         if outcome_spec is not None:
             mu1, mu0 = outcome_pair(Xo, A, y, Xo)
-            mu1 = np.clip(mu1, lo, hi)
-            mu0 = np.clip(mu0, lo, hi)
         return NuisanceFits(ps, mu1, mu0, "full_sample", None, meta)
 
     folds = fold_of
@@ -179,14 +170,12 @@ def fit_nuisances(
         tr = folds.train_mask(v)
         te = folds.test_mask(v)
         if A[tr].min() == A[tr].max():
-            raise ValueError(f"training block for fold {v} has a single treatment arm")
+            raise SingleArmFoldError(f"training block for fold {v} has a single treatment arm")
         if ps is not None:
-            pm = _fit_outcome_predictor(ps_spec, Xp[tr], A[tr].astype(float), "probability", v_folds, seed)
+            pm = ps_spec.fit(Xp[tr], A[tr].astype(float), "probability", seed)
             ps[te] = np.clip(pm.predict(Xp[te]), trim, 1.0 - trim)
         if mu1 is not None:
-            m1, m0 = outcome_pair(Xo[tr], A[tr], y[tr], Xo[te])
-            mu1[te] = np.clip(m1, lo, hi)
-            mu0[te] = np.clip(m0, lo, hi)
+            mu1[te], mu0[te] = outcome_pair(Xo[tr], A[tr], y[tr], Xo[te])
     return NuisanceFits(ps, mu1, mu0, "cross_fitted", folds.fold_of.copy(), meta)
 
 
@@ -225,7 +214,7 @@ def iptw_ate(dataset: Dataset, ps) -> AteResult:
     The influence-function variance treats the propensity score as known,
     which leans conservative when the score was in fact estimated.
     """
-    p = np.asarray(ps.ps if isinstance(ps, PsFit) else ps, dtype=float)
+    p = _as_ps(ps)
     y, A = dataset.outcome, dataset.treatment.astype(float)
     contrib = A * y / p - (1.0 - A) * y / (1.0 - p)
     est = float(contrib.mean())
@@ -305,63 +294,94 @@ def _solve_fluctuation(h: np.ndarray, y01: np.ndarray, logit_mu: np.ndarray,
     return eps, score, it
 
 
-def tmle_ate(dataset: Dataset, nuisance: NuisanceFits, ps=None) -> AteResult:
+def _scaled(dataset: Dataset, mu1: np.ndarray, mu0: np.ndarray):
+    """(span, Y, mu1, mu0) with the outcome bounds mapped affinely to [0, 1]
+    and the fits kept Q_BOUND inside it, as the logit fluctuation needs."""
+    lo, hi = dataset.outcome_kind.bounds
+    span = hi - lo
+    return (span, (dataset.outcome - lo) / span,
+            np.clip((mu1 - lo) / span, Q_BOUND, 1.0 - Q_BOUND),
+            np.clip((mu0 - lo) / span, Q_BOUND, 1.0 - Q_BOUND))
+
+
+class _Targeted:
+    """Scaled outcome fits fluctuated on the logit scale along the clever
+    covariate h = A/p - (1-A)/(1-p), eps solved on these rows unless given
+    (then ``score`` is None). mu*(A, X), mu*(1, X), mu*(0, X), the contrast
+    mean(mu*1 - mu*0) and its influence values h (Y - mu*A) + (mu*1 - mu*0)
+    - contrast are computed on first use, on the scale of ``ys``."""
+
+    def __init__(self, A, ys, mu1s, mu0s, p, eps=None):
+        self.ys, self.mu1s, self.mu0s = ys, mu1s, mu0s
+        self.h1, self.h0 = 1.0 / p, -1.0 / (1.0 - p)
+        self.h = np.where(A == 1.0, self.h1, self.h0)
+        self.logit_muA = logit(np.where(A == 1.0, mu1s, mu0s))
+        self.score, self.iterations = None, 0
+        if eps is None:
+            eps, self.score, self.iterations = _solve_fluctuation(self.h, ys, self.logit_muA)
+        self.eps = float(eps)
+
+    @cached_property
+    def muA(self) -> np.ndarray:
+        return expit(self.logit_muA + self.eps * self.h)
+
+    @cached_property
+    def mu1(self) -> np.ndarray:
+        return expit(logit(self.mu1s) + self.eps * self.h1)
+
+    @cached_property
+    def mu0(self) -> np.ndarray:
+        return expit(logit(self.mu0s) + self.eps * self.h0)
+
+    @cached_property
+    def estimate(self) -> float:
+        return float(np.mean(self.mu1 - self.mu0))
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.h * (self.ys - self.muA) + (self.mu1 - self.mu0) - self.estimate
+
+
+def tmle_ate(dataset: Dataset, nuisance: NuisanceFits) -> AteResult:
     """One-step targeted update of the outcome regression.
 
     Bounded-continuous outcomes are affinely mapped to [0, 1], fluctuated on
     the logit scale along the clever covariate h = A/p - (1-A)/(1-p), and the
     contrast is mapped back. The fluctuation solves its score equation to
-    |mean h (Y - mu*)| below 1e-6 or fails loudly.
+    |mean h (Y - mu*)| below 1e-6 or raises RuntimeError.
     """
     if nuisance.mu1 is None or nuisance.mu0 is None:
         raise ValueError("tmle_ate needs initial outcome predictions")
-    p = nuisance.ps if ps is None else np.asarray(ps.ps if isinstance(ps, PsFit) else ps, dtype=float)
-    if p is None:
+    if nuisance.ps is None:
         raise ValueError("tmle_ate needs a propensity score")
-    y, A = dataset.outcome, dataset.treatment.astype(float)
-    lo, hi = dataset.outcome_kind.bounds
-    span = hi - lo
-    ys = (y - lo) / span
-    mu1s = np.clip((nuisance.mu1 - lo) / span, Q_BOUND, 1.0 - Q_BOUND)
-    mu0s = np.clip((nuisance.mu0 - lo) / span, Q_BOUND, 1.0 - Q_BOUND)
-    muAs = np.where(A == 1.0, mu1s, mu0s)
-
-    h1 = 1.0 / p
-    h0 = -1.0 / (1.0 - p)
-    h = np.where(A == 1.0, h1, h0)
-    eps, score, iters = _solve_fluctuation(h, ys, logit(muAs))
-    mu1_star = expit(logit(mu1s) + eps * h1)
-    mu0_star = expit(logit(mu0s) + eps * h0)
-    est_s = float(np.mean(mu1_star - mu0_star))
-    muA_star = np.where(A == 1.0, mu1_star, mu0_star)
-    phi = span * (h * (ys - muA_star) + (mu1_star - mu0_star) - est_s)
-    est = span * est_s
+    span, ys, mu1s, mu0s = _scaled(dataset, nuisance.mu1, nuisance.mu0)
+    t = _Targeted(dataset.treatment.astype(float), ys, mu1s, mu0s, nuisance.ps)
+    if not abs(t.score) < SCORE_TOL:
+        raise RuntimeError(
+            f"targeting fluctuation left the score at {t.score:.3g} after "
+            f"{t.iterations} Newton steps (tolerance {SCORE_TOL:g})"
+        )
     diagnostics = {
-        "epsilon": float(eps),
-        "score_residual": float(score),
-        "newton_iterations": int(iters),
+        "epsilon": t.eps,
+        "score_residual": float(t.score),
+        "newton_iterations": int(t.iterations),
         "provenance": nuisance.provenance,
     }
-    return _if_result(est, phi, "tmle", diagnostics)
+    return _if_result(span * t.estimate, span * t.phi, "tmle", diagnostics)
 
 
 @dataclass(frozen=True)
 class DmlConfig:
-    """Cross-fitting configuration: K folds, S split repetitions, aggregation.
-
-    ``cross_fit=False`` is a test hook that skips splitting entirely, which
-    collapses the estimator onto the full-sample augmented estimator.
-    """
+    """Cross-fitting configuration: K folds, S split repetitions, aggregation,
+    and the two nuisance ``Learner`` objects."""
 
     k: int = 2
     s: int = 11
     aggregate: str = "median"
-    ps_spec: LearnerSpec | SLLibrary = field(default_factory=lambda: LearnerSpec("logistic"))
-    outcome_spec: LearnerSpec | SLLibrary = field(default_factory=lambda: LearnerSpec("ols"))
+    ps_spec: Learner = field(default_factory=lambda: LearnerSpec("logistic"))
+    outcome_spec: Learner = field(default_factory=lambda: LearnerSpec("ols"))
     trim: float = 0.01
     seed: int = 0
-    separate_arms: bool = True
-    cross_fit: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -379,37 +399,23 @@ def dml_ate(dataset: Dataset, config: DmlConfig) -> AteResult:
     training side, applies the augmented form to the held-out predictions,
     and records an influence-function variance. Repetitions are combined by
     the configured aggregate; the variance adds the split spread
-    (se_s^2 + (psi_s - psi)^2) before aggregation.
+    (se_s^2 + (psi_s - psi)^2) before aggregation. A fold draw is redrawn,
+    up to ten times, only when a training block loses a treatment arm.
     """
-    if not config.cross_fit:
-        nuis = fit_nuisances(
-            dataset, config.ps_spec, config.outcome_spec,
-            trim=config.trim, seed=config.seed, separate_arms=config.separate_arms,
-        )
-        res = aiptw_ate(dataset, nuis)
-        diag = dict(res.diagnostics)
-        diag.update({"provenance": "full_sample", "k": config.k, "s": 0})
-        return AteResult(res.estimate, res.se, res.ci95, res.if_values, "dml", diag)
-
-    A = dataset.treatment
     rep_seeds = child_seeds(config.seed, config.s)
     estimates, ses, phis = [], [], []
     for s_i, rep_seed in enumerate(rep_seeds):
-        attempt_seeds = child_seeds(rep_seed, 10)
-        last_err: Exception | None = None
-        for att in attempt_seeds:
-            folds = make_stratified_folds(A, config.k, att)
+        for att in child_seeds(rep_seed, 10):
+            folds = make_stratified_folds(dataset.treatment, config.k, att)
             try:
                 nuis = fit_nuisances(
                     dataset, config.ps_spec, config.outcome_spec,
                     fold_of=folds, trim=config.trim, seed=att,
-                    separate_arms=config.separate_arms,
                 )
-                last_err = None
                 break
-            except ValueError as exc:
+            except SingleArmFoldError as exc:
                 last_err = exc
-        if last_err is not None:
+        else:
             raise ValueError(
                 f"could not form usable folds in repetition {s_i + 1}: {last_err}"
             )
@@ -444,8 +450,9 @@ def bootstrap_ci(
     The closure receives (resampled dataset, replicate seed) and must redo
     everything data-dependent, nuisance fits included. Returns the standard
     deviation of the replicate estimates and the percentile interval.
-    Replicates may fail (e.g. a resample loses a treatment arm); more than
-    10% failures aborts.
+    Replicates may fail with a data error, a ValueError or RuntimeError
+    (e.g. a resample loses a treatment arm); more than 10% failures aborts.
+    Any other exception propagates.
     """
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
@@ -462,7 +469,7 @@ def bootstrap_ci(
             if not np.isfinite(est):
                 raise ValueError("non-finite replicate estimate")
             estimates.append(est)
-        except Exception as exc:  # noqa: BLE001 - failures are data, not bugs
+        except (ValueError, RuntimeError) as exc:
             failures.append(str(exc))
     if len(failures) > 0.1 * B:
         sample = "; ".join(sorted(set(failures))[:3])

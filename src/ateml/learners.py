@@ -317,11 +317,6 @@ def lasso_cv(
 # ---------------------------------------------------------------------------
 
 
-def logistic_lasso_lambda_max(features: np.ndarray, target: np.ndarray) -> float:
-    """Null-model gradient bound: penalties above it give slope-free fits."""
-    return lasso_lambda_max(features, target)
-
-
 def fit_logistic_lasso(
     features: np.ndarray,
     target: np.ndarray,
@@ -396,7 +391,7 @@ def logistic_lasso_cv(
 
     X, y = _check_matrix(features, target)
     if lambda_grid is None:
-        lmax = logistic_lasso_lambda_max(X, y)
+        lmax = lasso_lambda_max(X, y)
         lambda_grid = np.geomspace(lmax, lmax * 1e-3, n_lambda) if lmax > 0 else np.array([0.0])
     lams = np.asarray(lambda_grid, dtype=float)
     if folds is None:
@@ -588,6 +583,8 @@ class BoostModel:
     trees: tuple[TreeNode, ...]
     nu: float
     loss: str  # "squared" | "bernoulli"
+    flags: tuple[str, ...] = ()
+    meta: dict = field(default_factory=dict)
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -623,12 +620,15 @@ def fit_boost(
     loss: str = "squared",
     *,
     min_leaf: int = 1,
+    callback=None,
 ) -> BoostModel:
     """Gradient boosting with shrinkage.
 
     Squared loss fits each stage to the current residuals. Bernoulli loss
     works on the log-odds scale: f0 = logit(mean(target)), stages fit the
     negative gradient (y - p) with one Newton leaf update per stage.
+    ``callback(t, F)``, if given, sees the training-row raw scores after
+    t = 0, 1, ..., n_trees stages; F is overwritten by later stages.
     """
     X, y = _check_matrix(features, target)
     if not 0 < shrinkage <= 1:
@@ -640,24 +640,22 @@ def fit_boost(
     if loss == "bernoulli" and not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("bernoulli boosting needs a binary 0/1 target")
 
-    if loss == "squared":
-        f0 = float(y.mean())
-        F = np.full(X.shape[0], f0)
-        trees = []
-        for _ in range(n_trees):
-            stage = _boost_stage(X, y - F, None, max_depth, min_leaf)
-            F += shrinkage * tree_predict(stage, X)
-            trees.append(stage)
-        return BoostModel(f0, tuple(trees), float(shrinkage), loss)
-
-    f0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
+    bernoulli = loss == "bernoulli"
+    f0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12))) if bernoulli else float(y.mean())
     F = np.full(X.shape[0], f0)
     trees = []
-    for _ in range(n_trees):
-        p = expit(F)
-        stage = _boost_stage(X, y - p, p * (1.0 - p), max_depth, min_leaf)
+    if callback is not None:
+        callback(0, F)
+    for t in range(1, n_trees + 1):
+        if bernoulli:
+            p = expit(F)
+            stage = _boost_stage(X, y - p, p * (1.0 - p), max_depth, min_leaf)
+        else:
+            stage = _boost_stage(X, y - F, None, max_depth, min_leaf)
         F += shrinkage * tree_predict(stage, X)
         trees.append(stage)
+        if callback is not None:
+            callback(t, F)
     return BoostModel(f0, tuple(trees), float(shrinkage), loss)
 
 
@@ -680,8 +678,8 @@ _ALLOWED_PARAMS = {
     "logistic": {"ridge", "interactions"},
     "lasso": {"lam", "n_lambda", "v", "seed"},
     "tree": {"max_depth", "min_leaf"},
-    "forest": {"n_trees", "mtry", "min_leaf", "max_depth", "seed", "bootstrap"},
-    "boost": {"n_trees", "max_depth", "nu", "min_leaf", "loss"},
+    "forest": {"n_trees", "mtry", "min_leaf", "max_depth", "seed"},
+    "boost": {"n_trees", "max_depth", "nu", "min_leaf"},
 }
 
 
@@ -704,7 +702,7 @@ def fit_learner(
     unknown = set(p) - _ALLOWED_PARAMS[spec.family]
     if unknown:
         raise ValueError(f"unknown {spec.family} hyperparameters: {sorted(unknown)}")
-    n, d = X.shape
+    d = X.shape[1]
     flags: tuple[str, ...] = ()
     seed = p.get("seed", 0)
 
@@ -747,21 +745,17 @@ def fit_learner(
             min_leaf=p.get("min_leaf", 5),
             seed=seed,
             max_depth=p.get("max_depth"),
-            bootstrap=p.get("bootstrap", True),
         )
         predict = model.predict
     else:  # boost
-        loss = p.get("loss") or ("bernoulli" if target_kind == "probability" else "squared")
         model = fit_boost(
             X, y,
             n_trees=p.get("n_trees", 100),
             max_depth=p.get("max_depth", 3),
             shrinkage=p.get("nu", 0.1),
-            loss=loss,
+            loss="bernoulli" if target_kind == "probability" else "squared",
             min_leaf=p.get("min_leaf", 1),
         )
         predict = model.predict
-        if loss == "bernoulli":
-            target_kind = "probability"
 
-    return FittedModel(predict, target_kind, spec, n, d, seed=seed, flags=flags)
+    return FittedModel(predict, target_kind, flags, {"learner": spec.describe()})

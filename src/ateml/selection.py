@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .core import Dataset, LearnerSpec, child_seeds, make_folds, make_stratified_folds
+from .core import Dataset, LearnerSpec, make_folds, make_stratified_folds
 from .estimators import (
     AteResult,
     NuisanceFits,
     Q_BOUND,
-    _solve_fluctuation,
+    _scaled,
+    _Targeted,
     _z_interval,
     aiptw_ate,
     fit_nuisances,
@@ -101,13 +101,11 @@ def double_lasso_select(
     n_lambda: int = 100,
     v_folds: int = 5,
     seed: int = 0,
-    treatment_model: str = "linear",
 ) -> SelectionResult:
     """Union of the l1-active sets from a Y-on-X and an A-on-X regression.
 
-    Both penalties are chosen by cross-validation. The treatment step uses a
-    linear fit by default (the partially-linear convention); set
-    ``treatment_model="logistic"`` for an l1 logit instead.
+    Both penalties are chosen by cross-validation; the treatment step is a
+    linear fit (the partially-linear convention).
     """
     X = np.asarray(X, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -115,16 +113,8 @@ def double_lasso_select(
     if folds is None:
         folds = make_folds(X.shape[0], v_folds, seed)
     _, fit_y = lasso_cv(X, Y, default_lambda_grid(X, Y, n_lambda), folds)
-    outcome_sel = fit_y.active_set
-    if treatment_model == "linear":
-        _, fit_a = lasso_cv(X, A, default_lambda_grid(X, A, n_lambda), folds)
-        treatment_sel = fit_a.active_set
-    elif treatment_model == "logistic":
-        _, fit_a = logistic_lasso_cv(X, A, folds=folds, n_lambda=min(n_lambda, 30))
-        treatment_sel = tuple(int(j) for j in np.flatnonzero(fit_a.coef != 0.0))
-    else:
-        raise ValueError(f"unknown treatment_model {treatment_model!r}")
-    return SelectionResult(outcome_sel, treatment_sel, tuple(int(j) for j in forced_in))
+    _, fit_a = lasso_cv(X, A, default_lambda_grid(X, A, n_lambda), folds)
+    return SelectionResult(fit_y.active_set, fit_a.active_set, tuple(int(j) for j in forced_in))
 
 
 def post_double_ate(
@@ -193,13 +183,6 @@ class CtmleTrace:
     candidate_evals_per_round: tuple[int, ...] = ()
     flags: tuple[str, ...] = ()
 
-    def to_csv(self) -> str:
-        lines = ["candidate,covariates_or_lambda,cv_loss,chosen"]
-        for k, c in enumerate(self.candidates):
-            desc = repr(c.lam) if c.lam is not None else "+".join(str(j) for j in c.covariates) or "intercept"
-            lines.append(f"{k},{desc},{c.cv_loss!r},{int(k == self.chosen_index)}")
-        return "\n".join(lines) + "\n"
-
 
 class _TargetingEngine:
     """Shared mechanics: scaled outcome, propensity refits, fluctuations.
@@ -217,22 +200,11 @@ class _TargetingEngine:
         self.dataset = dataset
         self.X = dataset.covariates
         self.A = dataset.treatment.astype(float)
-        lo, hi = dataset.outcome_kind.bounds
-        self.span = hi - lo
-        self.ys = (dataset.outcome - lo) / self.span
+        self.span, self.ys, mu1s, mu0s = _scaled(dataset, initial.mu1, initial.mu0)
+        self.q = (mu1s, mu0s)
         self.trim = float(trim)
         self.folds = make_stratified_folds(dataset.treatment, V, seed)
-        self.q = self._scale_q(initial.mu1, initial.mu0)
         self.n_ps_model_evals = 0
-
-    def _scale_q(self, mu1, mu0):
-        lo, _ = self.dataset.outcome_kind.bounds
-        mu1s = np.clip((mu1 - lo) / self.span, Q_BOUND, 1.0 - Q_BOUND)
-        mu0s = np.clip((mu0 - lo) / self.span, Q_BOUND, 1.0 - Q_BOUND)
-        return mu1s, mu0s
-
-    def set_q_scaled(self, mu1s, mu0s):
-        self.q = (np.clip(mu1s, Q_BOUND, 1.0 - Q_BOUND), np.clip(mu0s, Q_BOUND, 1.0 - Q_BOUND))
 
     # -- propensity refits ---------------------------------------------------
 
@@ -252,22 +224,15 @@ class _TargetingEngine:
 
     # -- targeted evaluation ---------------------------------------------------
 
-    def _fluctuate(self, p, mask):
-        """Fit the fluctuation on ``mask`` rows given propensity p (all rows)."""
-        A, ys = self.A[mask], self.ys[mask]
-        mu1s, mu0s = self.q
-        muAs = np.where(A == 1.0, mu1s[mask], mu0s[mask])
-        h = np.where(A == 1.0, 1.0 / p[mask], -1.0 / (1.0 - p[mask]))
-        eps, _, _ = _solve_fluctuation(h, ys, logit(muAs))
-        return eps
+    def _update(self, p, rows, eps=None, q=None):
+        """Targeted update on ``rows`` given propensity p (all rows); solves
+        the fluctuation there unless ``eps`` is given. ``q`` pins the
+        initial-fit arrays (default: the working ones)."""
+        mu1s, mu0s = self.q if q is None else q
+        return _Targeted(self.A[rows], self.ys[rows], mu1s[rows], mu0s[rows], p[rows], eps)
 
-    def _loss_on(self, p, eps, mask):
-        A, ys = self.A[mask], self.ys[mask]
-        mu1s, mu0s = self.q
-        muAs = np.where(A == 1.0, mu1s[mask], mu0s[mask])
-        h = np.where(A == 1.0, 1.0 / p[mask], -1.0 / (1.0 - p[mask]))
-        mA = expit(logit(muAs) + eps * h)
-        return float(np.mean((ys - mA) ** 2))
+    def _loss(self, targeted, rows):
+        return float(np.mean((self.ys[rows] - targeted.muA) ** 2))
 
     def evaluate(self, model_desc):
         """Full-sample fluctuation plus the cross-validated loss of the
@@ -275,8 +240,7 @@ class _TargetingEngine:
         self.n_ps_model_evals += 1
         all_rows = np.ones(self.dataset.n, dtype=bool)
         p_full = self._ps_predict(model_desc, all_rows, self.X)
-        eps = self._fluctuate(p_full, all_rows)
-        emp = self._loss_on(p_full, eps, all_rows)
+        full = self._update(p_full, all_rows)
         cv_losses = []
         for v in range(1, self.folds.V + 1):
             tr = self.folds.train_mask(v)
@@ -284,9 +248,9 @@ class _TargetingEngine:
             p = np.empty(self.dataset.n)
             p[tr] = self._ps_predict(model_desc, tr, self.X[tr])
             p[te] = self._ps_predict(model_desc, tr, self.X[te])
-            eps_v = self._fluctuate(p, tr)
-            cv_losses.append(self._loss_on(p, eps_v, te))
-        return float(np.mean(cv_losses)), emp, eps, p_full
+            eps_v = self._update(p, tr).eps
+            cv_losses.append(self._loss(self._update(p, te, eps_v), te))
+        return float(np.mean(cv_losses)), self._loss(full, all_rows), full.eps
 
     def q_loss(self):
         """Squared-error loss of the current initial fit, before targeting."""
@@ -294,8 +258,8 @@ class _TargetingEngine:
         muAs = np.where(self.A == 1.0, mu1s, mu0s)
         return float(np.mean((self.ys - muAs) ** 2))
 
-    def mu_star(self, model_desc, eps, q=None):
-        """Fluctuated potential-outcome fits on the scaled scale.
+    def targeted(self, model_desc, eps, q=None):
+        """Full-sample targeted fit of a candidate at a given fluctuation.
 
         ``q`` pins the initial-fit arrays the fluctuation applies to; the
         greedy variant replaces the working q mid-run, so results must be
@@ -303,18 +267,12 @@ class _TargetingEngine:
         """
         all_rows = np.ones(self.dataset.n, dtype=bool)
         p = self._ps_predict(model_desc, all_rows, self.X)
-        mu1s, mu0s = self.q if q is None else q
-        mu1_star = expit(logit(mu1s) + eps / p)
-        mu0_star = expit(logit(mu0s) - eps / (1.0 - p))
-        return p, eps, mu1_star, mu0_star
+        return self._update(p, all_rows, eps, q)
 
     def result(self, model_desc, eps, method: str, diagnostics: dict, q=None) -> AteResult:
-        p, eps, mu1_star, mu0_star = self.mu_star(model_desc, eps, q)
-        est_s = float(np.mean(mu1_star - mu0_star))
-        muA_star = np.where(self.A == 1.0, mu1_star, mu0_star)
-        h = np.where(self.A == 1.0, 1.0 / p, -1.0 / (1.0 - p))
-        phi = self.span * (h * (self.ys - muA_star) + (mu1_star - mu0_star) - est_s)
-        est = self.span * est_s
+        t = self.targeted(model_desc, eps, q)
+        est = self.span * t.estimate
+        phi = self.span * t.phi
         se = if_se(phi)
         return AteResult(est, se, _z_interval(est, se), phi, method, diagnostics)
 
@@ -350,7 +308,7 @@ def ctmle_greedy(
     evals_per_round: list[int] = []
 
     base_desc = ((), None)
-    cv0, emp0, eps0, _ = eng.evaluate(base_desc)
+    cv0, emp0, eps0 = eng.evaluate(base_desc)
     candidates.append(CtmleCandidate("intercept", (), None, cv0, emp0, eps0))
     details.append((base_desc, eps0, eng.q))
 
@@ -363,7 +321,7 @@ def ctmle_greedy(
             best = None
             for j in remaining:
                 desc = (current + (j,), None)
-                cv, emp, eps, _ = eng.evaluate(desc)
+                cv, emp, eps = eng.evaluate(desc)
                 round_evals += 1
                 if best is None or cv < best[0]:
                     best = (cv, emp, eps, j)
@@ -374,9 +332,8 @@ def ctmle_greedy(
                 break
             # replace the initial estimator with the last accepted targeted
             # fit, close the round, and rerun the stage once
-            last_desc, last_eps, last_q = details[-1]
-            _, _, mu1_star, mu0_star = eng.mu_star(last_desc, last_eps, last_q)
-            eng.set_q_scaled(mu1_star, mu0_star)
+            last = eng.targeted(*details[-1])
+            eng.q = tuple(np.clip(m, Q_BOUND, 1.0 - Q_BOUND) for m in (last.mu1, last.mu0))
             evals_per_round.append(round_evals)
             round_evals = 0
             restarted = True
@@ -399,43 +356,28 @@ def ctmle_greedy(
     return res, trace
 
 
-def _ctmle_from_order(
-    dataset: Dataset,
-    initial: NuisanceFits,
-    order,
-    V: int,
-    trim: float,
-    seed: int,
-    method: str,
-    *,
-    patience: int = 1,
-) -> tuple[AteResult, CtmleTrace]:
+def _ctmle_from_order(eng: _TargetingEngine, order, method: str) -> tuple[AteResult, CtmleTrace]:
     """Grow nested propensity models in a fixed covariate order.
 
     Candidates are added while the full-sample loss of the targeted fit keeps
-    strictly decreasing; ``patience`` non-improving extensions are tolerated
-    before stopping (the default stops at the first).
+    strictly decreasing; the first non-improving extension stops the
+    sequence.
     """
-    eng = _TargetingEngine(dataset, initial, V, trim, seed)
+    dataset = eng.dataset
     candidates: list[CtmleCandidate] = []
     details: list[tuple] = []
-    cv0, emp0, eps0, _ = eng.evaluate(((), None))
+    cv0, emp0, eps0 = eng.evaluate(((), None))
     candidates.append(CtmleCandidate("intercept", (), None, cv0, emp0, eps0))
     details.append((((), None), eps0))
     best_emp = emp0
-    misses = 0
     current: tuple[int, ...] = ()
     for j in order:
         current = current + (int(j),)
         desc = (current, None)
-        cv, emp, eps, _ = eng.evaluate(desc)
-        if emp < best_emp:
-            misses = 0
-            best_emp = emp
-        else:
-            misses += 1
-            if misses >= patience:
-                break
+        cv, emp, eps = eng.evaluate(desc)
+        if not emp < best_emp:
+            break
+        best_emp = emp
         label = "+".join(dataset.names[k] for k in current)
         candidates.append(CtmleCandidate(label, current, None, cv, emp, eps))
         details.append((desc, eps))
@@ -459,7 +401,6 @@ def ctmle_preorder_logistic(
     *,
     trim: float = 0.01,
     seed: int = 0,
-    patience: int = 1,
 ) -> tuple[AteResult, CtmleTrace]:
     """Scalable variant: rank covariates by their one-variable targeting loss.
 
@@ -472,13 +413,9 @@ def ctmle_preorder_logistic(
     all_rows = np.ones(dataset.n, dtype=bool)
     losses = np.empty(dataset.d)
     for j in range(dataset.d):
-        desc = ((j,), None)
-        p = eng._ps_predict(desc, all_rows, eng.X)
-        eps = eng._fluctuate(p, all_rows)
-        losses[j] = eng._loss_on(p, eps, all_rows)
-    order = np.argsort(losses, kind="stable")
-    return _ctmle_from_order(dataset, initial, order, V, trim, seed,
-                             "ctmle_logistic", patience=patience)
+        p = eng._ps_predict(((j,), None), all_rows, eng.X)
+        losses[j] = eng._loss(eng._update(p, all_rows), all_rows)
+    return _ctmle_from_order(eng, np.argsort(losses, kind="stable"), "ctmle_logistic")
 
 
 def ctmle_preorder_correlation(
@@ -488,12 +425,10 @@ def ctmle_preorder_correlation(
     *,
     trim: float = 0.01,
     seed: int = 0,
-    patience: int = 1,
 ) -> tuple[AteResult, CtmleTrace]:
     """Scalable variant: rank covariates by |correlation| with the residual
     between the outcome and the initial fit; constants rank last (corr 0)."""
-    if initial.mu1 is None or initial.mu0 is None:
-        raise ValueError("collaborative targeting needs initial outcome predictions")
+    eng = _TargetingEngine(dataset, initial, V, trim, seed)
     A = dataset.treatment
     muA = np.where(A == 1, initial.mu1, initial.mu0)
     resid = dataset.outcome - muA
@@ -506,9 +441,7 @@ def ctmle_preorder_correlation(
             corr[j] = 0.0
         else:
             corr[j] = float(np.mean((X[:, j] - X[:, j].mean()) * (resid - resid.mean())) / (x_sd * r_sd))
-    order = np.argsort(-np.abs(corr), kind="stable")
-    return _ctmle_from_order(dataset, initial, order, V, trim, seed,
-                             "ctmle_correlation", patience=patience)
+    return _ctmle_from_order(eng, np.argsort(-np.abs(corr), kind="stable"), "ctmle_correlation")
 
 
 def ctmle_lasso(
@@ -544,7 +477,7 @@ def ctmle_lasso(
     details: list[tuple] = []
     for lam in path:
         desc = (None, float(lam))
-        cv, emp, eps, _ = eng.evaluate(desc)
+        cv, emp, eps = eng.evaluate(desc)
         candidates.append(CtmleCandidate(f"lambda={lam:.6g}", None, float(lam), cv, emp, eps))
         details.append((desc, eps))
     chosen = _choose(candidates)

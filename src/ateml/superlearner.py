@@ -41,10 +41,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SLLibrary:
-    """Ordered candidate list with unique display names."""
+    """Ordered candidate list with unique display names; a ``Learner``.
+
+    ``fit`` runs ``fit_super_learner`` with the library's own ``V`` folds,
+    drawn from the seed it is given, and returns the ``SLModel``, whose
+    ``meta`` carries the candidate weights.
+    """
 
     candidates: tuple[LearnerSpec, ...]
     names: tuple[str, ...]
+    V: int = 10
 
     def __post_init__(self) -> None:
         if len(self.candidates) < 1:
@@ -54,17 +60,12 @@ class SLLibrary:
         if len(set(self.names)) != len(self.names):
             raise ValueError("candidate names must be unique")
 
-    @classmethod
-    def from_specs(cls, specs) -> "SLLibrary":
-        specs = tuple(specs)
-        names = []
-        for k, s in enumerate(specs):
-            base = s.describe()
-            names.append(base if base not in names else f"{base}#{k}")
-        return cls(specs, tuple(names))
-
     def __len__(self) -> int:
         return len(self.candidates)
+
+    def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "regression",
+            seed: int = 0) -> "SLModel":
+        return fit_super_learner(self, X, y, V=self.V, seed=seed, target_kind=target_kind)
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,10 @@ class SLModel:
     def weight_table(self) -> dict[str, float]:
         return {n: float(w) for n, w in zip(self.library.names, self.weights)}
 
+    @property
+    def meta(self) -> dict:
+        return {"learner": "super_learner", "sl_weights": self.weight_table()}
+
 
 def level_one(
     library: SLLibrary,
@@ -149,7 +154,7 @@ def level_one(
             te = folds.test_mask(v)
             try:
                 model = fit_learner(spec, X[tr], y[tr], target_kind=target_kind)
-            except Exception as exc:  # noqa: BLE001
+            except (ValueError, RuntimeError) as exc:
                 raise FitError(
                     f"candidate {library.names[k]!r} failed to fit in fold {v}: {exc}"
                 ) from exc
@@ -270,7 +275,6 @@ def fit_super_learner(
     seed: int = 0,
     loss: str = "mse",
     target_kind: str = "regression",
-    folds: FoldAssignment | None = None,
 ) -> SLModel:
     """Level-one fit, meta-weights, full-data refits, all in one pass.
 
@@ -279,11 +283,10 @@ def fit_super_learner(
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
-    if folds is None:
-        if target_kind == "probability":
-            folds = make_stratified_folds(y, V, seed)
-        else:
-            folds = make_folds(X.shape[0], V, seed)
+    if target_kind == "probability":
+        folds = make_stratified_folds(y, V, seed)
+    else:
+        folds = make_folds(X.shape[0], V, seed)
     Z = level_one(library, X, y, folds, target_kind=target_kind)
     w, flags = meta_weights(Z, y, loss=loss)
     loss_fn = LOSSES[loss]

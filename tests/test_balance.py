@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ateml.core import Dataset, LearnerSpec, OutcomeKind, rng_from
 from ateml.balance import (
+    BalanceBoostedPS,
     WeightVector,
     asam,
     balance_table,
@@ -191,6 +192,16 @@ class TestBoostedBalance:
             out = boosted_balance_ps(ds, max_trees=50, max_depth=2, shrinkage=0.1, stride=10)
             baseline = out.trace[0][1]
             assert dict(out.trace)[out.chosen_iteration] <= baseline + 0.01
+
+    def test_kept_model_is_truncated_at_the_chosen_iteration(self):
+        ds, _ = make_confounded(n=300, seed=3)
+        out = boosted_balance_ps(ds, max_trees=60, max_depth=2, shrinkage=0.1, stride=10)
+        learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
+        model = learner.fit(ds.covariates, ds.treatment.astype(float))
+        assert len(model.trees) == out.chosen_iteration == model.meta["chosen_iteration"]
+        assert np.array_equal(model.predict(ds.covariates), out.ps_fit.raw_ps)
+        held_out = model.predict(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -2.0]]))
+        assert ((held_out > 0) & (held_out < 1)).all()
 
     def test_confounded_improves_balance(self):
         wins = 0

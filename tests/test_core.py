@@ -140,6 +140,12 @@ class TestCvRisk:
         spec = LearnerSpec("forest", {"n_trees": 5, "seed": 11})
         assert cv_risk(spec, X, y, folds) == cv_risk(spec, X, y, folds)
 
+    def test_programming_error_is_not_wrapped(self):
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        with pytest.raises(TypeError):
+            cv_risk(LearnerSpec("tree", {"max_depth": "deep"}), np.zeros((4, 1)),
+                    np.array([1.0, 2.0, 0.0, 1.0]), folds)
+
     def test_fit_failure_names_fold(self):
         X = np.zeros((4, 1))
         y = np.array([1.0, 1.0, 0.0, 0.0])

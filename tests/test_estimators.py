@@ -7,6 +7,7 @@ from ateml.estimators import (
     AteResult,
     DmlConfig,
     NuisanceFits,
+    SingleArmFoldError,
     aiptw_ate,
     bootstrap_ci,
     dml_ate,
@@ -213,6 +214,17 @@ class TestTmle:
         with pytest.raises(RuntimeError, match="diverged"):
             _solve_fluctuation(h, y01, np.zeros(30))
 
+    def test_unsolved_score_raises(self, monkeypatch):
+        import ateml.estimators as est_mod
+
+        real = est_mod._solve_fluctuation
+        monkeypatch.setattr(est_mod, "_solve_fluctuation",
+                            lambda h, y01, logit_mu: real(h, y01, logit_mu, max_iter=0))
+        ds, _ = make_confounded(n=150, seed=7)
+        nuis = fit_nuisances(ds, LearnerSpec("logistic"), LearnerSpec("ols"))
+        with pytest.raises(RuntimeError, match="score"):
+            tmle_ate(ds, nuis)
+
     def test_deterministic_outcome_still_solves_score(self):
         # y identical to A puts the fluctuation MLE at infinity, but the ATE
         # direction has |h| >= 1 so the score hits tolerance at finite epsilon
@@ -228,14 +240,33 @@ class TestTmle:
 
 
 class TestDml:
-    def test_no_split_hook_equals_aiptw(self):
-        ds, _ = make_confounded(n=200, seed=8)
-        full = dml_ate(ds, DmlConfig(cross_fit=False, seed=3))
-        nuis = fit_nuisances(ds, LearnerSpec("logistic"), LearnerSpec("ols"), seed=3)
-        direct = aiptw_ate(ds, nuis)
-        assert full.estimate == direct.estimate
-        assert full.se == direct.se
-        assert full.diagnostics["provenance"] == "full_sample"
+    def test_config_error_is_not_retried(self, monkeypatch):
+        # only a single-arm training block is retried; a bad hyperparameter
+        # surfaces at once with its own message
+        import ateml.learners as learners_mod
+
+        calls = []
+        real = learners_mod.fit_learner
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learners_mod, "fit_learner", counted)
+        ds, _ = make_confounded(n=120, seed=8)
+        cfg = DmlConfig(k=2, s=1, outcome_spec=LearnerSpec("ols", {"bogus": 1}))
+        with pytest.raises(ValueError, match="^unknown ols hyperparameters"):
+            dml_ate(ds, cfg)
+        assert len(calls) == 2  # the propensity fit, then the failing outcome fit
+
+    def test_single_arm_training_block_is_its_own_error(self):
+        from ateml.core import FoldAssignment
+
+        ds = _tiny([1, 1, 0, 0], [1.0, 2.0, 0.0, 1.0])
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, 0)
+        with pytest.raises(SingleArmFoldError, match="single treatment arm"):
+            fit_nuisances(ds, LearnerSpec("logistic"), None, fold_of=folds)
+        assert issubclass(SingleArmFoldError, ValueError)
 
     def test_identical_repetition_seeds_collapse(self, monkeypatch):
         ds, _ = make_confounded(n=200, seed=9)
@@ -343,6 +374,17 @@ class TestBootstrap:
 
         with pytest.raises(RuntimeError, match="replicates failed"):
             bootstrap_ci(flaky, ds, B=100, seed=0)
+
+    def test_programming_error_propagates(self):
+        ds, _ = make_confounded(n=80, seed=17)
+
+        def broken(d, s):
+            return d.no_such_attribute + s
+
+        with pytest.raises(AttributeError):
+            bootstrap_ci(broken, ds, B=100, seed=0)
+        with pytest.raises(TypeError):
+            bootstrap_ci(lambda d, s: naive_ate(d, s), ds, B=100, seed=0)
 
     def test_minimum_replicates(self):
         ds, _ = make_confounded(n=80, seed=18)

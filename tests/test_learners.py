@@ -337,6 +337,20 @@ class TestBoost:
         with pytest.raises(ValueError):
             fit_boost(np.zeros((4, 1)), np.zeros(4), shrinkage=0.0)
 
+    @pytest.mark.parametrize("loss", ["squared", "bernoulli"])
+    def test_callback_sees_each_stage_of_the_kept_model(self, loss):
+        from dataclasses import replace
+
+        rng = rng_from(23)
+        X = rng.standard_normal((60, 2))
+        y = (rng.random(60) < expit(X[:, 0])).astype(float)
+        seen = []
+        boost = fit_boost(X, y, n_trees=5, max_depth=2, shrinkage=0.3, loss=loss,
+                          callback=lambda t, F: seen.append((t, F.copy())))
+        assert [t for t, _ in seen] == list(range(6))
+        for t, F in seen:
+            assert np.array_equal(F, replace(boost, trees=boost.trees[:t]).predict_raw(X))
+
 
 class TestLogisticLasso:
     def test_heavy_penalty_is_intercept_only(self):

@@ -45,6 +45,14 @@ class TestLevelOne:
         Z = level_one(lib, X, y, folds)
         assert np.array_equal(Z[:, 0], Z[:, 1])
 
+    def test_programming_error_is_not_wrapped(self):
+        X = np.zeros((4, 1))
+        y = np.array([1.0, 2.0, 0.0, 1.0])
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        lib = SLLibrary((LearnerSpec("tree", {"max_depth": "deep"}),), ("tree",))
+        with pytest.raises(TypeError):
+            level_one(lib, X, y, folds)
+
     def test_failure_names_candidate_and_fold(self):
         from ateml.core import FitError
 
@@ -148,6 +156,18 @@ class TestFitSuperLearner:
         sl = fit_super_learner(lib, X, y, V=4, seed=0, target_kind="probability")
         pred = sl.predict(X * 50)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
+
+
+    def test_library_fit_uses_its_own_fold_count(self):
+        rng = rng_from(30)
+        X = rng.standard_normal((60, 2))
+        y = X[:, 0] + rng.standard_normal(60)
+        lib = SLLibrary((LearnerSpec("ols"), _intercept_only()), ("ols", "mean"), V=4)
+        model = lib.fit(X, y, "regression", 5)
+        direct = fit_super_learner(lib, X, y, V=4, seed=5)
+        assert model.folds.V == 4
+        assert np.array_equal(model.weights, direct.weights)
+        assert model.meta["sl_weights"] == direct.weight_table()
 
 
 class TestDiscreteSl:
