@@ -247,6 +247,35 @@ def boosted_balance_ps(
     return BoostedBalanceResult(fit, fit.meta["chosen_iteration"], fit.meta["asam_trace"])
 
 
+def _nearest(query: np.ndarray, pool: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
+    """For each query value, the index in ``pool_idx`` of the pool value at the
+    smallest |query - value|, the lowest index among ties.
+
+    O((n + m) log m): the nearest values below and above a query are found by
+    binary search in the sorted pool. The distance rounded to a float can tie
+    over several distinct values only in a contiguous run of sorted values;
+    a query whose run extends past its two neighbours falls back to a scan.
+    """
+    order = np.argsort(pool, kind="stable")  # equal values keep ascending index
+    vals, idx = pool[order], pool_idx[order]
+    m = vals.size
+    hi = np.searchsorted(vals, query, side="left")  # first value >= query
+    lo = np.maximum(hi - 1, 0)
+    lo = np.searchsorted(vals, vals[lo], side="left")  # first of the run below
+    hi_c = np.minimum(hi, m - 1)
+    d_lo = np.where(hi > 0, np.abs(query - vals[lo]), np.inf)
+    d_hi = np.where(hi < m, np.abs(query - vals[hi_c]), np.inf)
+    best = np.minimum(d_lo, d_hi)
+    out = np.where(d_lo < d_hi, idx[lo], np.where(d_hi < d_lo, idx[hi_c],
+                                                   np.minimum(idx[lo], idx[hi_c])))
+    end = np.searchsorted(vals, vals[hi_c], side="right")  # past the run above
+    wider = ((hi > 0) & (lo > 0) & (np.abs(query - vals[np.maximum(lo - 1, 0)]) == best)) | (
+        (hi < m) & (end < m) & (np.abs(query - vals[np.minimum(end, m - 1)]) == best))
+    for i in np.flatnonzero(wider):
+        out[i] = pool_idx[np.argmin(np.abs(query[i] - pool))]
+    return out
+
+
 def ps_match(ps, A: np.ndarray) -> MatchResult:
     """Nearest opposite-arm unit by |ps difference|; ties take the lowest
     index; matching is with replacement and uses no caliper."""
@@ -258,11 +287,8 @@ def ps_match(ps, A: np.ndarray) -> MatchResult:
     if t_idx.size == 0 or c_idx.size == 0:
         raise ValueError("both treatment arms must be non-empty")
     match = np.empty(n, dtype=np.int64)
-    # argmin over |p_i - p_pool| returns the first (lowest-index) minimiser
-    d_tc = np.abs(p[t_idx][:, None] - p[c_idx][None, :])
-    match[t_idx] = c_idx[np.argmin(d_tc, axis=1)]
-    d_ct = np.abs(p[c_idx][:, None] - p[t_idx][None, :])
-    match[c_idx] = t_idx[np.argmin(d_ct, axis=1)]
+    match[t_idx] = _nearest(p[t_idx], p[c_idx], c_idx)
+    match[c_idx] = _nearest(p[c_idx], p[t_idx], t_idx)
     counts = np.bincount(match, minlength=n)
     return MatchResult(match, counts, np.asarray(A, dtype=np.int64))
 

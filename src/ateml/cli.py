@@ -496,23 +496,38 @@ def export_dgp(spec_name: str, n: int | None, seed: int, out: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--data")
-    p.add_argument("--treatment")
-    p.add_argument("--outcome")
-    p.add_argument("--covariates", help="comma-separated covariate columns (default: all others)")
-    p.add_argument("--estimator", choices=ESTIMATORS)
-    p.add_argument("--ps-learner", dest="ps_learner")
-    p.add_argument("--outcome-learner", dest="outcome_learner")
-    p.add_argument("--v-folds", dest="v_folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bootstrap", type=int)
-    p.add_argument("--trim", type=float)
-    p.add_argument("--dml-k", dest="dml_k", type=int)
-    p.add_argument("--dml-s", dest="dml_s", type=int)
-    p.add_argument("--pd-method", dest="pd_method", choices=("reg", "iptw", "aiptw"))
-    p.add_argument("--out")
+_FLAGS = {
+    "config": (("--config",), {"help": "flat key = value config file"}),
+    "data": (("--data",), {}),
+    "treatment": (("--treatment",), {}),
+    "outcome": (("--outcome",), {}),
+    "covariates": (("--covariates",),
+                   {"help": "comma-separated covariate columns (default: all others)"}),
+    "estimator": (("--estimator",), {"choices": ESTIMATORS}),
+    "ps_learner": (("--ps-learner",), {}),
+    "outcome_learner": (("--outcome-learner",), {}),
+    "v_folds": (("--v-folds",), {"type": int}),
+    "seed": (("--seed",), {"type": int}),
+    "bootstrap": (("--bootstrap",), {"type": int}),
+    "trim": (("--trim",), {"type": float}),
+    "dml_k": (("--dml-k",), {"type": int}),
+    "dml_s": (("--dml-s",), {"type": int}),
+    "pd_method": (("--pd-method",), {"choices": ("reg", "iptw", "aiptw")}),
+    "out": (("--out",), {}),
+}
+# The RunConfig flags each command reads; any other flag is an argparse error.
+_COMMAND_FLAGS = {
+    "run": tuple(_FLAGS),
+    "balance": ("config", "data", "treatment", "outcome", "covariates", "v_folds", "seed",
+                "trim", "out"),
+    "simulate": ("config", "seed", "trim", "dml_k", "dml_s", "out"),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for name in _COMMAND_FLAGS[command]:
+        flags, kwargs = _FLAGS[name]
+        p.add_argument(*flags, dest=name, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -534,16 +549,16 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="estimate an ATE from a CSV file")
-    _add_common_flags(p_run)
+    _add_config_flags(p_run, "run")
 
     p_bal = sub.add_parser("balance", help="covariate balance table across adjustments")
-    _add_common_flags(p_bal)
+    _add_config_flags(p_bal, "balance")
     p_bal.add_argument("--adjust", default="",
                        help=f"comma-separated adjustments from {BALANCE_ADJUSTMENTS}")
     p_bal.add_argument("--boost-trees", type=int, default=500)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo over a built-in generator")
-    _add_common_flags(p_sim)
+    _add_config_flags(p_sim, "simulate")
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--estimators", default="naive",
                        help="comma-separated subset of naive,reg,iptw,aiptw,tmle,dml")

@@ -9,6 +9,35 @@ Conventions shared by the penalised fits: columns are standardised internally
 to mean zero and unit population standard deviation, the intercept is never
 penalised, the squared-error part of the objective carries a 1/(2n) factor,
 and coefficients are reported on the original scale.
+
+Trees, forests and boosting stages grow on one exact greedy engine
+(``_Grower``). A fit sorts each column once, stably; every node keeps its
+samples in that order through stable partitions, and one kernel scores the
+splits of many nodes at a time. The engine's contract is exactness: bit for
+bit the splits, thresholds, leaf values and predictions of a per-node,
+depth-first grower that argsorts each node's columns (kept as the reference
+in the tests). Three rules keep it:
+
+- Prefix sums run along each node's own padded row of a block, so they
+  restart at the node and add in that node's order.
+- Leaf values and the parent's squared error are pairwise (numpy) sums over
+  the node's samples in sample order. Nodes of equal length are summed as
+  rows of one C-contiguous block, which numpy reduces exactly as it reduces
+  each row alone. The split test uses the parent SSE from prefix sums only
+  where its rounding error cannot change the decision.
+- A forest tree draws its ``mtry`` features from its own generator, once per
+  node, in depth-first, right-child-first order; a node that stays a leaf on
+  depth, size or a constant target draws nothing, and one that then finds
+  no split still uses its draw. Because the draws fix the trees, a forest
+  cannot grow level by level: its trees advance in lockstep, each step
+  taking the top node of every tree's stack. Without draws (boosting
+  stages, ``fit_tree``, forests with ``mtry = d``) every open node is ready
+  at once and the trees grow level by level.
+
+Fitted trees are flat arrays (``_Nodes``) seen through ``TreeNode`` views;
+prediction walks every tree of a model at once. Scratch memory is bounded
+by ``_BLOCK`` entries per step and ``_FOREST_SAMPLES`` samples per group of
+forest trees.
 """
 
 from __future__ import annotations
@@ -413,83 +442,424 @@ def logistic_lasso_cv(
 # trees, forests, boosting
 # ---------------------------------------------------------------------------
 
+# Largest number of elements in one padded scoring or partition block. It
+# bounds the engine's scratch memory however many nodes a step handles.
+_BLOCK = 1 << 15
+# Padding a scoring block may carry beyond its real entries (an entry costs
+# about as much as a numpy call's overhead over a few hundred entries).
+_PAD = 1 << 12
+# Largest number of bootstrap samples a forest grows at once; trees beyond
+# it are grown in further groups, which bounds the per-sample buffers.
+_FOREST_SAMPLES = 1 << 17
+_EPS = np.finfo(float).eps
 
-@dataclass
+
+def _reserve(a: np.ndarray, need: int, fill) -> np.ndarray:
+    """``a`` itself, or a copy with room for ``need`` entries (new ones = fill)."""
+    if need <= a.size:
+        return a
+    out = np.full(max(need, 2 * a.size, 64), fill, dtype=a.dtype)
+    out[:a.size] = a
+    return out
+
+
+class _Nodes:
+    """Flat node table shared by the trees of one fit.
+
+    The children of internal node ``i`` are ``left[i]`` and ``left[i] + 1``.
+    Leaves have ``left == feature == -1``; ``value`` holds leaf values and is
+    nan on internal nodes.
+    """
+
+    def __init__(self) -> None:
+        self.size = 0
+        self.feature = np.empty(0, np.int32)
+        self.left = np.empty(0, np.int32)
+        self.threshold = np.empty(0)
+        self.value = np.empty(0)
+
+    def add(self, k: int) -> int:
+        """Append ``k`` leaves; returns the id of the first."""
+        first, self.size = self.size, self.size + k
+        self.feature = _reserve(self.feature, self.size, -1)
+        self.left = _reserve(self.left, self.size, -1)
+        self.threshold = _reserve(self.threshold, self.size, 0.0)
+        self.value = _reserve(self.value, self.size, np.nan)
+        return first
+
+    def trim(self) -> None:
+        for name in ("feature", "left", "threshold", "value"):
+            setattr(self, name, getattr(self, name)[:self.size].copy())
+
+
 class TreeNode:
-    """Binary regression-tree node; leaves carry the training-mean value."""
+    """View of one node of a fitted tree; a leaf has ``left is None``.
 
-    value: float = 0.0
-    n_samples: int = 0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    ``value`` is the leaf's fitted value (nan on internal nodes); an internal
+    node sends a row left when ``x[feature] <= threshold``.
+    """
+
+    __slots__ = ("_nodes", "_id")
+
+    def __init__(self, nodes: _Nodes, node_id: int) -> None:
+        self._nodes = nodes
+        self._id = node_id
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return bool(self._nodes.left[self._id] < 0)
+
+    @property
+    def left(self) -> "TreeNode | None":
+        c = int(self._nodes.left[self._id])
+        return None if c < 0 else TreeNode(self._nodes, c)
+
+    @property
+    def right(self) -> "TreeNode | None":
+        c = int(self._nodes.left[self._id])
+        return None if c < 0 else TreeNode(self._nodes, c + 1)
+
+    @property
+    def feature(self) -> int:
+        return int(self._nodes.feature[self._id])
+
+    @property
+    def threshold(self) -> float:
+        return float(self._nodes.threshold[self._id])
+
+    @property
+    def value(self) -> float:
+        return float(self._nodes.value[self._id])
 
 
-def _best_split(X, y, idx, feats, min_leaf):
-    """Exhaustive search over features and midpoints of sorted distinct values.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the pairs, in order."""
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
-    Ties in impurity break toward the lowest feature index, then the lowest
-    threshold, which keeps tree construction deterministic.
+
+def _chunks(counts: np.ndarray, width: int = 1):
+    """(i, j) runs of consecutive segments with at most _BLOCK entries in
+    all (``width`` per sample), and at least one segment each."""
+    cum = np.cumsum(counts, dtype=np.int64) * width
+    i = 0
+    while i < counts.size:
+        j = max(i + 1, int(np.searchsorted(cum, _BLOCK + (cum[i - 1] if i else 0), side="right")))
+        yield i, j
+        i = j
+
+
+def _presort(X: np.ndarray, src=None, n_trees: int = 1) -> np.ndarray:
+    """(d + 1, S) int32 sample ids. Sample s is row ``src[s]`` of X (row s
+    without ``src``) and tree t owns samples [t*m, (t+1)*m). Within each
+    tree's segment, row j < d sorts the samples stably by feature j and
+    row d lists them in order."""
+    S = X.shape[0] if src is None else src.size
+    m = S // n_trees
+    order = np.empty((X.shape[1] + 1, S), np.int32)
+    order[-1] = np.arange(S)
+    for t in range(n_trees):
+        seg = slice(t * m, (t + 1) * m)
+        Xt = X if src is None else X[src[seg]]
+        order[:-1, seg] = np.argsort(Xt, axis=0, kind="stable").T + t * m
+    return order
+
+
+class _Grower:
+    """Exact greedy growth of a batch of trees over presorted columns.
+
+    Samples are numbered 0..S-1 and sample s sits in row ``src[s]`` of the
+    design (``src=None``: row s); tree ``t`` starts with the segment
+    ``[t*m, (t+1)*m)`` of every row of ``order``. Each open node owns one
+    segment, the same in all rows: row j < d lists its samples sorted by
+    (feature j, sample id) and row d in sample order. Splitting a node
+    partitions its segment stably in every row, so no node sorts again.
     """
-    n = idx.size
-    best = None  # (sse_total, feature, threshold)
-    for j in feats:
-        x = X[idx, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[idx][order]
-        if xs[0] == xs[-1]:
-            continue
-        c1 = np.cumsum(ys)
-        c2 = np.cumsum(ys * ys)
-        k = np.arange(1, n)  # left-child sizes
-        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        sse_l = c2[:-1] - c1[:-1] ** 2 / k
-        sse_r = (c2[-1] - c2[:-1]) - (c1[-1] - c1[:-1]) ** 2 / (n - k)
-        total = np.where(valid, sse_l + sse_r, np.inf)
-        i = int(np.argmin(total))
-        if best is None or total[i] < best[0]:
-            best = (float(total[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
 
+    def __init__(self, nodes, XT, y, src, order, n_trees, max_depth, min_leaf):
+        self.nodes, self.XT, self.y, self.src, self.order = nodes, XT, y, src, order
+        self.d = XT.shape[0]
+        # flat views: entry (j, s) of order is oflat[j*S + s], X[r, j] is xflat[j*n + r]
+        self.oflat, self.xflat = order.reshape(-1), XT.reshape(-1)
+        self.max_depth = np.iinfo(np.int32).max if max_depth is None else max_depth
+        self.min_leaf = min_leaf
+        self.is_left = np.zeros(y.size, bool)
+        # growth data by node id - base: segment start and length, depth, tree
+        self.base = nodes.add(n_trees)
+        m = y.size // n_trees
+        self.start = np.arange(n_trees, dtype=np.int32) * m
+        self.count = np.full(n_trees, m, np.int32)
+        self.depth = np.zeros(n_trees, np.int32)
+        self.tree = np.arange(n_trees, dtype=np.int32)
+        self.leaves: list[np.ndarray] = []
 
-def _grow_tree(X, y, max_depth, min_leaf, rng=None, mtry=None):
-    """Iterative greedy growth; returns (root, [(leaf, row_indices), ...])."""
-    n, d = X.shape
-    root = TreeNode()
-    leaves: list[tuple[TreeNode, np.ndarray]] = []
-    stack = [(root, np.arange(n), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        sub_y = y[idx]
-        node.value = float(sub_y.mean())
-        node.n_samples = int(idx.size)
-        at_depth = max_depth is not None and depth >= max_depth
-        if at_depth or idx.size < 2 * min_leaf or sub_y.min() == sub_y.max():
-            leaves.append((node, idx))
-            continue
-        if mtry is not None and mtry < d:
-            feats = np.sort(rng.choice(d, size=mtry, replace=False))
+    def grow(self, rngs=None, mtry=None):
+        """Grow every tree; returns the root ids.
+
+        Without feature draws every open node is scored in one step, so the
+        trees grow level by level. With ``mtry`` < d each tree's generator
+        must see one draw per node in depth-first, right-child-first order,
+        so each step takes the top node of every tree's stack instead.
+        """
+        n_trees = self.tree.size
+        ids = np.arange(n_trees)
+        term = self._terminal(ids)
+        self.leaves.append(ids[term])
+        open_ = ids[~term]
+        draws = rngs is not None and mtry < self.d
+        if draws:
+            stacks = [[] for _ in range(n_trees)]
+            for i in open_.tolist():
+                stacks[i].append(i)
+        while True:
+            if draws:
+                ready = np.array([s.pop() for s in stacks if s], dtype=np.int64)
+                if ready.size == 0:
+                    break
+                feats = np.sort([rngs[t].choice(self.d, size=mtry, replace=False)
+                                 for t in self.tree[ready].tolist()], axis=1)
+            else:
+                ready = open_
+                if ready.size == 0:
+                    break
+                feats = np.broadcast_to(np.arange(self.d), (ready.size, self.d))
+            split, feat, thr = self._best(ready, feats)
+            self.leaves.append(ready[~split])
+            lefts, open_ = self._split(ready[split], feat[split], thr[split])
+            if draws:
+                is_open = np.zeros(self.nodes.size - self.base, bool)
+                is_open[open_] = True
+                for lc, t in zip(lefts.tolist(), self.tree[lefts].tolist()):
+                    for c in (lc, lc + 1):  # the right child ends on top
+                        if is_open[c]:
+                            stacks[t].append(c)
+        return self.base + ids
+
+    def set_leaves(self, vecs, combine):
+        """Give every leaf the value ``combine(sums, counts)``, where ``sums``
+        holds each vector's sum over the leaf's samples in sample order.
+        Returns the leaves' (starts, counts, values).
+
+        Leaves of one length are summed as rows of one C-contiguous block,
+        which numpy reduces exactly as it reduces each leaf's own array.
+        """
+        leaves = np.concatenate(self.leaves)
+        starts, counts = self.start[leaves], self.count[leaves]
+        sums = [np.empty(leaves.size) for _ in vecs]
+        by_len = np.argsort(counts, kind="stable")
+        for same in np.split(by_len, np.flatnonzero(np.diff(counts[by_len])) + 1):
+            c = int(counts[same[0]])
+            step = max(1, _BLOCK // max(c, 1))
+            for i in range(0, same.size, step):
+                grp = same[i:i + step]
+                samp = self.order[self.d].take(starts[grp][:, None] + np.arange(c))
+                for out, v in zip(sums, vecs):
+                    out[grp] = v.take(samp).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = combine(sums, counts)
+        self.nodes.value[leaves + self.base] = values
+        return starts, counts, values
+
+    # -- per step ------------------------------------------------------------
+
+    def _terminal(self, ids):
+        """Nodes that stay leaves without a draw: at depth, too small, or with
+        a constant target."""
+        term = (self.depth[ids] >= self.max_depth) | (self.count[ids] < 2 * self.min_leaf)
+        rest = ~term
+        if rest.any():
+            term[rest] = self._pure(ids[rest])
+        return term
+
+    def _pure(self, ids):
+        """Whether each node's target is constant over its samples."""
+        out = np.empty(ids.size, bool)
+        starts, counts = self.start[ids], self.count[ids]
+        for i, j in _chunks(counts):
+            c = counts[i:j]
+            vals = self.y.take(self.order[self.d].take(_ranges(starts[i:j], c)))
+            if not vals.size:
+                out[i:j] = True
+                continue
+            rel = np.cumsum(c) - c
+            first = vals[np.minimum(rel, vals.size - 1)]
+            differs = np.concatenate(([0], np.cumsum(vals != np.repeat(first, c))))
+            out[i:j] = differs[rel + c] == differs[rel]
+        return out
+
+    def _best(self, ready, feats):
+        """Best split of each ready node and whether it is taken."""
+        counts = self.count[ready]
+        k, f = feats.shape
+        best, sse, scale = np.empty(k), np.empty(k), np.empty(k)
+        feat, thr = np.empty(k, np.int64), np.empty(k)
+        # Blocks of nodes padded to the longest one: a block takes the next
+        # longest nodes while its padding stays within _PAD entries.
+        by_size = np.argsort(-counts, kind="stable")
+        sizes = counts[by_size].astype(np.int64)
+        real = np.cumsum(sizes)
+        i = 0
+        while i < k:
+            mb = int(sizes[i])
+            pad = (np.arange(1, k - i + 1) * mb - (real[i:] - (real[i - 1] if i else 0))) * f
+            j = i + int(np.searchsorted(pad, _PAD, side="right"))
+            j = min(j, i + max(1, _BLOCK // (f * mb)))
+            blk = by_size[i:j]
+            best[blk], sse[blk], scale[blk], feat[blk], thr[blk] = self._score(
+                ready[blk], feats[blk], counts[blk])
+            i = j
+        # The parent SSE from prefix sums can differ from the pairwise one by
+        # rounding; decide with it only when the margin covers that, else
+        # compute the exact value the way a per-node fit would.
+        gap = best - (sse - 1e-12)
+        margin = 8.0 * (counts + 2) * _EPS * scale
+        split = gap < -margin
+        for u in np.flatnonzero((np.abs(gap) <= margin) & np.isfinite(best)):
+            a = self.start[ready[u]]
+            sub = self.y[self.order[self.d, a:a + counts[u]]]
+            mean = float(sub.mean())
+            split[u] = not best[u] >= float(np.sum((sub - mean) ** 2)) - 1e-12
+        return split, feat, thr
+
+    def _score(self, ids, feats, counts):
+        """Score every split of a block of nodes.
+
+        Returns the best total child SSE (inf if none is valid), the parent
+        SSE from prefix sums with the sum of squares that bounds its error,
+        and the feature and midpoint threshold of the best split. Ties go to
+        the lowest feature, then the lowest threshold.
+        """
+        k, f = feats.shape
+        mb = int(counts.max())
+        off = np.arange(mb)
+        feats = feats[:, :, None]
+        if k == 1:
+            a = int(self.start[ids[0]])
+            samp = self.order[feats[0, :, 0], a:a + mb][None]
         else:
-            feats = np.arange(d)
-        sse_parent = float(np.sum((sub_y - node.value) ** 2))
-        best = _best_split(X, y, idx, feats, min_leaf)
-        if best is None or best[0] >= sse_parent - 1e-12:
-            leaves.append((node, idx))
-            continue
-        _, node.feature, node.threshold = best
-        go_left = X[idx, node.feature] <= node.threshold
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.left, idx[go_left], depth + 1))
-        stack.append((node.right, idx[~go_left], depth + 1))
-    return root, leaves
+            # padding repeats a node's last sample, so no split is valid there
+            pos = self.start[ids][:, None] + np.minimum(off, counts[:, None] - 1)
+            samp = self.oflat.take(feats * self.y.size + pos[:, None, :])
+        rows = samp if self.src is None else self.src.take(samp)
+        xs = self.xflat.take(feats * self.XT.shape[1] + rows)
+        ys = self.y.take(samp)
+        c1 = ys.cumsum(axis=2)
+        c2 = (ys * ys).cumsum(axis=2)
+        rows = np.arange(k)[:, None]
+        last = (counts - 1)[:, None]
+        t1 = c1[rows, np.arange(f), last][:, :, None]
+        t2 = c2[rows, np.arange(f), last][:, :, None]
+        c1, c2 = c1[..., :-1], c2[..., :-1]
+        j = off[1:]  # left-child sizes
+        n_j = counts[:, None, None] - j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse = (c2 - c1 ** 2 / j.astype(float)) + ((t2 - c2) - (t1 - c1) ** 2 / n_j.astype(float))
+        sizes_ok = (j >= self.min_leaf) & (n_j >= self.min_leaf)
+        valid = (xs[..., 1:] > xs[..., :-1]) & sizes_ok
+        total = np.where(valid, sse, np.inf).reshape(k, -1)
+        flat = total.argmin(axis=1)
+        rows = rows[:, 0]
+        slot, p = np.divmod(flat, mb - 1)
+        thr = (xs[rows, slot, p] + xs[rows, slot, p + 1]) / 2.0
+        s1, s2 = t1[:, 0, 0], t2[:, 0, 0]
+        return total[rows, flat], s2 - s1 ** 2 / counts, s2, feats[rows, slot, 0], thr
+
+    def _split(self, ids, feat, thr):
+        """Split nodes ``ids``; returns their left children and the open ones."""
+        k = ids.size
+        if k == 0:
+            return ids, ids
+        starts, counts, d = self.start[ids], self.count[ids], self.d
+        n_left = np.empty(k, np.int32)
+        for i, j in _chunks(counts):
+            c = counts[i:j]
+            samp = self.order[d].take(_ranges(starts[i:j], c))
+            rows = samp if self.src is None else self.src.take(samp)
+            x = self.xflat.take(np.repeat(feat[i:j] * self.XT.shape[1], c) + rows)
+            goes_left = x <= np.repeat(thr[i:j], c)
+            self.is_left[samp] = goes_left
+            n_left[i:j] = np.add.reduceat(goes_left.astype(np.int32), np.cumsum(c) - c)
+        # children that can split again need every row; the others only row d
+        depth = self.depth[ids] + 1
+        deep = (depth < self.max_depth) & (np.maximum(n_left, counts - n_left) >= 2 * self.min_leaf)
+        self._partition(np.arange(d + 1) if deep.any() else np.array([d]), starts, counts, n_left)
+
+        first = self.nodes.add(2 * k) - self.base
+        new = first + 2 * k
+        for name in ("start", "count", "depth", "tree"):
+            setattr(self, name, _reserve(getattr(self, name), new, 0))
+        lefts = np.arange(first, new, 2)
+        self.start[lefts], self.start[lefts + 1] = starts, starts + n_left
+        self.count[lefts], self.count[lefts + 1] = n_left, counts - n_left
+        self.depth[first:new] = np.repeat(depth, 2)
+        self.tree[first:new] = np.repeat(self.tree[ids], 2)
+
+        g = ids + self.base
+        self.nodes.feature[g] = feat
+        self.nodes.threshold[g] = thr
+        self.nodes.left[g] = lefts + self.base
+        kids = np.arange(first, new)
+        term = self._terminal(kids)
+        self.leaves.append(kids[term])
+        return lefts, kids[~term]
+
+    def _partition(self, cols, starts, counts, n_left):
+        """Stable left/right partition of the segments in the given rows."""
+        rows = (cols * self.y.size)[:, None]
+        for i, j in _chunks(counts, cols.size):
+            a, c, nl = starts[i:j], counts[i:j], n_left[i:j]
+            if j == i + 1:  # one segment: plain slices
+                lo, mid, hi = int(a[0]), int(a[0] + nl[0]), int(a[0] + c[0])
+                samp = self.order[cols, lo:hi]
+                left = self.is_left.take(samp)
+                self.order[cols, lo:mid] = samp[left].reshape(cols.size, -1)
+                self.order[cols, mid:hi] = samp[~left].reshape(cols.size, -1)
+            else:
+                samp = self.oflat.take(rows + _ranges(a, c))
+                left = self.is_left.take(samp)
+                # each segment has the same left count in every row, so the
+                # row-major left and right runs land on fixed positions
+                self.oflat[rows + _ranges(a, nl)] = samp[left].reshape(cols.size, -1)
+                self.oflat[rows + _ranges(a + nl, c - nl)] = samp[~left].reshape(cols.size, -1)
+
+
+def _leaf_ids(nodes: _Nodes, roots, X: np.ndarray) -> np.ndarray:
+    """Leaf reached by each row of X from each root: (len(roots), n) ids."""
+    n, d = X.shape
+    if nodes.size and int(nodes.feature[:nodes.size].max()) >= d:
+        raise ValueError(f"X has {d} columns; the trees split on column "
+                         f"{int(nodes.feature[:nodes.size].max())}")
+    flat = X.ravel()
+    node = np.repeat(np.asarray(roots, dtype=np.int64), n)
+    live = np.arange(node.size)
+    while live.size:
+        cur = node[live]
+        f = nodes.feature[cur]
+        inner = f >= 0
+        live, cur, f = live[inner], cur[inner], f[inner]
+        go_right = ~(flat[(live % n) * d + f] <= nodes.threshold[cur])
+        node[live] = nodes.left[cur] + go_right
+    return node.reshape(len(roots), n)
+
+
+def _add_trees(trees, X, acc, scale=None) -> np.ndarray:
+    """acc += [scale *] tree_predict(t, X) for each tree, in tree order."""
+    X = np.ascontiguousarray(X, dtype=float)
+    step = max(1, _BLOCK // max(X.shape[0], 1))
+    i = 0
+    while i < len(trees):
+        nodes = trees[i]._nodes
+        j = i + 1
+        while j < len(trees) and j - i < step and trees[j]._nodes is nodes:
+            j += 1
+        vals = nodes.value[_leaf_ids(nodes, [t._id for t in trees[i:j]], X)]
+        if scale is not None:
+            vals *= scale
+        for v in vals:  # one tree at a time keeps the sums sequential
+            acc += v
+        i = j
+    return acc
 
 
 def fit_tree(
@@ -498,31 +868,30 @@ def fit_tree(
     max_depth: int = 6,
     min_leaf: int = 1,
 ) -> TreeNode:
-    """Greedy binary regression tree minimising child-weighted squared error."""
+    """Greedy binary regression tree minimising child-weighted squared error.
+
+    Splits sit at midpoints of sorted distinct values; ties in impurity go to
+    the lowest feature, then the lowest threshold. A node stays a leaf at
+    ``max_depth``, below ``2 * min_leaf`` rows, with a constant target, or
+    when no split lowers its squared error by more than 1e-12.
+    """
     X, y = _check_matrix(features, target)
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
-    root, _ = _grow_tree(X, y, max_depth, min_leaf)
-    return root
+    nodes = _Nodes()
+    grower = _Grower(nodes, np.ascontiguousarray(X.T), y, None, _presort(X), 1,
+                     max_depth, min_leaf)
+    root = grower.grow()[0]
+    grower.set_leaves([y], lambda s, c: s[0] / c)
+    nodes.trim()
+    return TreeNode(nodes, int(root))
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        go_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
+    X = np.ascontiguousarray(X, dtype=float)
+    return root._nodes.value[_leaf_ids(root._nodes, [root._id], X)[0]]
 
 
 @dataclass(frozen=True)
@@ -534,10 +903,7 @@ class ForestModel:
     tree_seeds: tuple[int, ...]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.zeros(X.shape[0])
-        for t in self.trees:
-            acc += tree_predict(t, X)
+        acc = _add_trees(self.trees, X, np.zeros(np.shape(X)[0]))
         return acc / len(self.trees)
 
 
@@ -554,6 +920,9 @@ def fit_forest(
 ) -> ForestModel:
     """Random forest: bootstrap rows per tree, fresh feature subset per split.
 
+    Tree i draws its bootstrap rows and then one sorted feature subset per
+    node from ``rng_from(child_seeds(seed, n_trees)[i])``. Trees are grown
+    together, in groups of at most ``_FOREST_SAMPLES`` samples.
     ``bootstrap=False`` is a test hook that makes a single tree with mtry=d
     coincide with ``fit_tree``.
     """
@@ -566,13 +935,22 @@ def fit_forest(
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     seeds = child_seeds(seed, n_trees)
-    trees = []
-    for s in seeds:
-        rng = rng_from(s)
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        root, _ = _grow_tree(X[rows], y[rows], max_depth, min_leaf, rng=rng, mtry=mtry)
-        trees.append(root)
-    return ForestModel(tuple(trees), int(mtry), tuple(seeds))
+    XT = np.ascontiguousarray(X.T)
+    nodes = _Nodes()
+    roots = []
+    n_groups = -(-n_trees * n // _FOREST_SAMPLES)
+    group = -(-n_trees // n_groups)
+    for g0 in range(0, n_trees, group):
+        rngs = [rng_from(s) for s in seeds[g0:g0 + group]]
+        src = np.concatenate([rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+                              for rng in rngs]).astype(np.int32)
+        order = _presort(X, src, len(rngs))
+        ys = y[src]
+        grower = _Grower(nodes, XT, ys, src, order, len(rngs), max_depth, min_leaf)
+        roots.extend(grower.grow(rngs, mtry).tolist())
+        grower.set_leaves([ys], lambda s, c: s[0] / c)
+    nodes.trim()
+    return ForestModel(tuple(TreeNode(nodes, r) for r in roots), int(mtry), tuple(seeds))
 
 
 @dataclass(frozen=True)
@@ -587,28 +965,29 @@ class BoostModel:
     meta: dict = field(default_factory=dict)
 
     def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        acc = np.full(X.shape[0], self.f0)
-        for t in self.trees:
-            acc += self.nu * tree_predict(t, X)
-        return acc
+        return _add_trees(self.trees, X, np.full(np.shape(X)[0], self.f0), self.nu)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         raw = self.predict_raw(X)
         return expit(raw) if self.loss == "bernoulli" else raw
 
 
-def _boost_stage(X, g, h, max_depth, min_leaf):
+def _boost_stage(nodes, XT, order, g, h, max_depth, min_leaf, fitted):
     """One boosting stage: tree grown on the gradient, Newton leaf values.
 
     h=None means squared loss, where the gradient-mean leaves are already the
-    exact minimisers.
+    exact minimisers. ``order`` is the presort of the training rows; each
+    row's leaf value is written to ``fitted``.
     """
-    root, leaves = _grow_tree(X, g, max_depth, min_leaf)
-    if h is not None:
-        for leaf, idx in leaves:
-            leaf.value = float(g[idx].sum() / max(h[idx].sum(), 1e-6))
-    return root
+    grower = _Grower(nodes, XT, g, None, order.copy(), 1, max_depth, min_leaf)
+    root = grower.grow()[0]
+    if h is None:
+        starts, counts, values = grower.set_leaves([g], lambda s, c: s[0] / c)
+    else:
+        starts, counts, values = grower.set_leaves(
+            [g, h], lambda s, c: s[0] / np.maximum(s[1], 1e-6))
+    fitted[grower.order[grower.d, _ranges(starts, counts)]] = np.repeat(values, counts)
+    return TreeNode(nodes, int(root))
 
 
 def fit_boost(
@@ -643,19 +1022,23 @@ def fit_boost(
     bernoulli = loss == "bernoulli"
     f0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12))) if bernoulli else float(y.mean())
     F = np.full(X.shape[0], f0)
+    XT, order = np.ascontiguousarray(X.T), _presort(X)
+    nodes = _Nodes()
+    fitted = np.empty(X.shape[0])
     trees = []
     if callback is not None:
         callback(0, F)
     for t in range(1, n_trees + 1):
         if bernoulli:
             p = expit(F)
-            stage = _boost_stage(X, y - p, p * (1.0 - p), max_depth, min_leaf)
+            stage = _boost_stage(nodes, XT, order, y - p, p * (1.0 - p), max_depth, min_leaf, fitted)
         else:
-            stage = _boost_stage(X, y - F, None, max_depth, min_leaf)
-        F += shrinkage * tree_predict(stage, X)
+            stage = _boost_stage(nodes, XT, order, y - F, None, max_depth, min_leaf, fitted)
+        F += shrinkage * fitted
         trees.append(stage)
         if callback is not None:
             callback(t, F)
+    nodes.trim()
     return BoostModel(f0, tuple(trees), float(shrinkage), loss)
 
 

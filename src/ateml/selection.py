@@ -208,19 +208,21 @@ class _TargetingEngine:
 
     # -- propensity refits ---------------------------------------------------
 
-    def _ps_predict(self, model_desc, train_mask, predict_X):
+    def _ps_model(self, model_desc, train_mask):
+        """Propensity model fitted on the training rows, as a function from a
+        covariate matrix to clipped scores."""
         cols, lam = model_desc
         A_tr = self.A[train_mask]
         if lam is not None:
-            fit = fit_logistic_lasso(self.X[train_mask], A_tr, lam)
-            raw = fit.predict_proba(predict_X)
+            raw = fit_logistic_lasso(self.X[train_mask], A_tr, lam).predict_proba
         elif len(cols) == 0:
-            raw = np.full(predict_X.shape[0], A_tr.mean())
+            mean = A_tr.mean()
+            raw = lambda M: np.full(M.shape[0], mean)  # noqa: E731
         else:
             sub = list(cols)
             fit = fit_logistic(self.X[train_mask][:, sub], A_tr)
-            raw = fit.predict_proba(predict_X[:, sub])
-        return np.clip(raw, self.trim, 1.0 - self.trim)
+            raw = lambda M: fit.predict_proba(M[:, sub])  # noqa: E731
+        return lambda M: np.clip(raw(M), self.trim, 1.0 - self.trim)
 
     # -- targeted evaluation ---------------------------------------------------
 
@@ -239,15 +241,16 @@ class _TargetingEngine:
         targeted fit; one candidate evaluation for the instrumented count."""
         self.n_ps_model_evals += 1
         all_rows = np.ones(self.dataset.n, dtype=bool)
-        p_full = self._ps_predict(model_desc, all_rows, self.X)
+        p_full = self._ps_model(model_desc, all_rows)(self.X)
         full = self._update(p_full, all_rows)
         cv_losses = []
         for v in range(1, self.folds.V + 1):
             tr = self.folds.train_mask(v)
             te = self.folds.test_mask(v)
+            model = self._ps_model(model_desc, tr)
             p = np.empty(self.dataset.n)
-            p[tr] = self._ps_predict(model_desc, tr, self.X[tr])
-            p[te] = self._ps_predict(model_desc, tr, self.X[te])
+            p[tr] = model(self.X[tr])
+            p[te] = model(self.X[te])
             eps_v = self._update(p, tr).eps
             cv_losses.append(self._loss(self._update(p, te, eps_v), te))
         return float(np.mean(cv_losses)), self._loss(full, all_rows), full.eps
@@ -266,7 +269,7 @@ class _TargetingEngine:
         rebuilt against the snapshot the candidate was evaluated under.
         """
         all_rows = np.ones(self.dataset.n, dtype=bool)
-        p = self._ps_predict(model_desc, all_rows, self.X)
+        p = self._ps_model(model_desc, all_rows)(self.X)
         return self._update(p, all_rows, eps, q)
 
     def result(self, model_desc, eps, method: str, diagnostics: dict, q=None) -> AteResult:
@@ -413,7 +416,7 @@ def ctmle_preorder_logistic(
     all_rows = np.ones(dataset.n, dtype=bool)
     losses = np.empty(dataset.d)
     for j in range(dataset.d):
-        p = eng._ps_predict(((j,), None), all_rows, eng.X)
+        p = eng._ps_model(((j,), None), all_rows)(eng.X)
         losses[j] = eng._loss(eng._update(p, all_rows), all_rows)
     return _ctmle_from_order(eng, np.argsort(losses, kind="stable"), "ctmle_logistic")
 

@@ -246,6 +246,32 @@ class TestPsMatch:
         assert m.match_counts[A == 1].sum() == n0
         assert np.all(m.match_counts >= 0)
 
+    @staticmethod
+    def dense_match(ps, A):
+        t, c = np.flatnonzero(A == 1), np.flatnonzero(A == 0)
+        match = np.empty(ps.size, dtype=np.int64)
+        match[t] = c[np.argmin(np.abs(ps[t][:, None] - ps[c][None, :]), axis=1)]
+        match[c] = t[np.argmin(np.abs(ps[c][:, None] - ps[t][None, :]), axis=1)]
+        return match
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.booleans()), min_size=2, max_size=40),
+           st.sampled_from([0.125, 0.1, 1.0 / 3.0]))
+    @settings(max_examples=200)
+    def test_equals_dense_argmin_with_ties(self, units, step):
+        # a coarse grid makes repeated scores and equidistant neighbours common
+        ps = np.array([0.01 + step * g for g, _ in units]) % 1.0
+        A = np.array([int(a) for _, a in units])
+        if A.min() == A.max():
+            A[0] = 1 - A[0]
+        assert np.array_equal(ps_match(ps, A).match_index, self.dense_match(ps, A))
+
+    def test_distinct_scores_at_one_rounded_distance(self):
+        # 0.5 - v rounds to the same double for all these tiny v
+        ps = np.array([0.5, 0.0, 3e-20, 1e-20, 2e-20])
+        A = np.array([1, 0, 0, 0, 0])
+        assert np.array_equal(ps_match(ps, A).match_index, self.dense_match(ps, A))
+        assert ps_match(ps, A).match_index[0] == 1
+
 
 class TestBalanceTable:
     def test_no_adjustments(self):

@@ -166,6 +166,21 @@ def test_dml_with_twang_ps(data):
     assert report["result"]["estimate"] == diag["split_estimates"][0]
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("simulate", ("--spec", "confounded_linear", "--ps-learner", "no_such_learner")),
+    ("simulate", ("--spec", "confounded_linear", "--bootstrap", "10")),
+    ("simulate", ("--spec", "confounded_linear", "--data", "x.csv")),
+    ("balance", ("--data", "x.csv", "--outcome-learner", "boost")),
+    ("balance", ("--data", "x.csv", "--dml-k", "3")),
+])
+def test_commands_reject_flags_they_do_not_read(tmp_path, command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                'se': 0.1678946823235498,
                'balance': None,

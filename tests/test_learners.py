@@ -299,6 +299,13 @@ class TestForest:
         with pytest.raises(ValueError):
             fit_forest(np.zeros((5, 2)), np.zeros(5), mtry=3)
 
+    def test_predict_rejects_too_few_columns(self):
+        rng = rng_from(19)
+        X = rng.standard_normal((40, 3))
+        forest = fit_forest(X, X[:, 2] + rng.standard_normal(40), n_trees=3, mtry=3, seed=1)
+        with pytest.raises(ValueError, match="columns"):
+            forest.predict(X[:, :2])
+
 
 class TestBoost:
     def test_single_stage_is_centred_stump(self):
