@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
@@ -167,7 +168,7 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
             v = float(row[ix])
         except (ValueError, IndexError):
             return None
-        return v if np.isfinite(v) else None
+        return v if math.isfinite(v) else None
 
     X_rows, a_vals, y_vals = [], [], []
     dropped = 0

@@ -10,6 +10,25 @@ to mean zero and unit population standard deviation, the intercept is never
 penalised, the squared-error part of the objective carries a 1/(2n) factor,
 and coefficients are reported on the original scale.
 
+The logistic and lasso solvers are exact too: ``fit_logistic`` and a stack
+of logistic fits (``_irls``, used by greedy collaborative targeting for all
+the candidates of a stage) return bit for bit the coefficients and flags of
+the plain per-problem IRLS, and the coordinate-descent lassos those of a
+numpy-scalar loop (both kept as the reference in the tests). The rules that
+keep them so, checked by ``tests/test_numeric_stack.py``:
+
+- Python float arithmetic equals numpy float64 scalar arithmetic, so the
+  coordinate loops run on Python floats; ``_soft`` reproduces numpy's signed
+  zeros.
+- A stacked ``np.matmul`` (also in matrix-vector form), stacked
+  ``np.linalg.solve`` and ``np.sum(axis=1)`` over a C-contiguous (K, n)
+  block give each slice what the 2-D call gives it, provided every slice
+  has the memory layout the per-problem design would have.
+- Whatever changes what is summed, or in which order, breaks exactness and
+  is not used: ``einsum``, BLAS ``daxpy`` (fused multiply-add), covariance
+  updates, active-set cycling, and warm starts for fits that start from
+  zero (``_lasso_path`` has always warm-started along its grid).
+
 Trees, forests and boosting stages grow on one exact greedy engine
 (``_Grower``). A fit sorts each column once, stably; every node keeps its
 samples in that order through stable partitions, and one kernel scores the
@@ -70,6 +89,9 @@ __all__ = [
 ]
 
 KKT_TOL = 1e-7  # inner tolerance; the documented contract is 1e-6
+# Largest number of design entries in one stack of logistic fits; the scratch
+# memory of the stacked IRLS is a few times this.
+_STACK = 1 << 19
 
 
 def _check_matrix(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +140,13 @@ def fit_ols(features: np.ndarray, target: np.ndarray) -> LinearModel:
     return LinearModel(ym - float(xm @ coef), coef)
 
 
+def _check_binary(y: np.ndarray) -> None:
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("logistic target must be binary 0/1")
+    if y.min() == y.max():
+        raise ValueError("logistic target must contain both classes")
+
+
 def fit_logistic(
     features: np.ndarray,
     target: np.ndarray,
@@ -133,49 +162,139 @@ def fit_logistic(
     X, y = _check_matrix(features, target)
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("logistic target must be binary 0/1")
-    if y.min() == y.max():
-        raise ValueError("logistic target must contain both classes")
+    _check_binary(y)
+    M = np.column_stack([np.ones(X.shape[0]), X])
+    beta, separated = _irls(M[None], y, float(ridge))
+    return _logistic_model(beta[0], separated[0])
 
-    n, d = X.shape
-    M = np.column_stack([np.ones(n), X])
-    pen = np.full(d + 1, float(ridge))
+
+def _fit_logistic_candidates(features: np.ndarray, target: np.ndarray, base, extra) -> list[LinearModel]:
+    """``fit_logistic(features[:, base + (j,)], target)`` for each j in
+    ``extra``, bit for bit, fitted as stacks of at most ``_STACK`` design
+    entries."""
+    X, y = _check_matrix(features, target)
+    _check_binary(y)
+    n, p = X.shape[0], len(base) + 2
+    # BLAS results depend on the memory layout of the design fit_logistic
+    # builds: C order from one column, Fortran order from a column subset
+    c_order = np.column_stack([np.ones(n), X[:, list(base) + [extra[0]]]]).flags.c_contiguous
+    size = max(1, _STACK // (n * p))
+    models = []
+    for i in range(0, len(extra), size):
+        cols = list(extra[i:i + size])
+        MT = np.empty((len(cols), p, n))
+        MT[:, 0] = 1.0
+        MT[:, 1:-1] = X[:, list(base)].T
+        MT[:, -1] = X[:, cols].T
+        M = MT.transpose(0, 2, 1)
+        beta, separated = _irls(np.ascontiguousarray(M) if c_order else M, y, 0.0)
+        models += [_logistic_model(b, s) for b, s in zip(beta, separated)]
+    return models
+
+
+def _logistic_model(beta: np.ndarray, separated: bool) -> LinearModel:
+    return LinearModel(float(beta[0]), beta[1:], ("separation_ridge",) if separated else ())
+
+
+def _penalised_loglik(M, y, pen, beta):
+    """Linear predictors and penalised log-likelihoods of a stack of problems."""
+    eta = np.matmul(M, beta[:, :, None])[:, :, 0]
+    # log(1 + e^eta) - y*eta, computed stably
+    ll = np.sum(y * eta - np.logaddexp(0.0, eta), axis=1)
+    return eta, ll - 0.5 * np.matmul((beta * beta)[:, None, :], pen[:, None])[:, 0, 0]
+
+
+def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """IRLS for each design of a (K, n, p) stack against one 0/1 target.
+
+    Every problem follows its own sequence: convergence test, step halvings,
+    the least-squares step when its Hessian is singular, separation and the
+    iteration cap. Finished problems leave the stack. Returns the (K, p)
+    coefficients (intercept first) and which problems separated at ridge 0;
+    those are refitted with ridge 1e-6.
+    """
+    K, n, p = M.shape
+    pen = np.full(p, ridge)
     pen[0] = 0.0
-    beta = np.zeros(d + 1)
-    beta[0] = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
+    pen_diag = np.diag(pen)
+    out = np.empty((K, p))
+    separated = np.zeros(K, bool)
+    live = np.arange(K)
+    beta = np.zeros((K, p))
+    beta[:, 0] = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
+    eta, ll = _penalised_loglik(M, y, pen, beta)
 
-    def penalised_loglik(b: np.ndarray) -> float:
-        eta = M @ b
-        # log(1 + e^eta) - y*eta, computed stably
-        ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-        return ll - 0.5 * float(pen @ (b * b))
+    def drop(gone):
+        nonlocal M, live, beta, eta, ll
+        keep = ~gone
+        M, live, beta, eta, ll = M[keep], live[keep], beta[keep], eta[keep], ll[keep]
 
-    ll = penalised_loglik(beta)
     for _ in range(100):
-        p = expit(M @ beta)
-        score = M.T @ (y - p) - pen * beta
-        if np.max(np.abs(score)) < 1e-8:
-            break
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        H = M.T @ (M * w[:, None]) + np.diag(pen)
+        p_hat = expit(eta)
+        MT = M.transpose(0, 2, 1)
+        score = np.matmul(MT, (y - p_hat)[:, :, None])[:, :, 0] - pen * beta
+        done = np.abs(score).max(axis=1) < 1e-8
+        if done.any():
+            out[live[done]] = beta[done]
+            drop(done)
+            if not live.size:
+                return out, separated
+            p_hat, score, MT = p_hat[~done], score[~done], M.transpose(0, 2, 1)
+        w = np.maximum(p_hat * (1.0 - p_hat), 1e-10)
+        H = np.matmul(MT, M * w[:, :, None]) + pen_diag
         try:
-            step = np.linalg.solve(H, score)
+            step = np.linalg.solve(H, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, score, rcond=None)
-        # step halving keeps IRLS monotone on awkward designs
-        for _ in range(30):
-            cand = beta + step
-            ll_new = penalised_loglik(cand)
-            if ll_new >= ll - 1e-12:
-                break
-            step = step / 2.0
-        beta = beta + step
-        ll = penalised_loglik(beta)
-        if ridge == 0.0 and float(np.linalg.norm(beta[1:])) > 1e3:
-            refit = fit_logistic(X, y, ridge=1e-6)
-            return LinearModel(refit.intercept, refit.coef, refit.flags + ("separation_ridge",))
-    return LinearModel(float(beta[0]), beta[1:])
+            step = np.stack([_newton_step(h, s) for h, s in zip(H, score)])
+        # an accepted step keeps its eta and log-likelihood
+        cand = beta + step
+        eta_c, ll_c = _penalised_loglik(M, y, pen, cand)
+        ok = ll_c >= ll - 1e-12
+        if not ok.all():
+            _halve(M, y, pen, beta, step, ll, ok, cand, eta_c, ll_c)
+        beta, eta, ll = cand, eta_c, ll_c
+        if ridge == 0.0:
+            norm = np.sqrt(np.matmul(beta[:, None, 1:], beta[:, 1:, None])[:, 0, 0])
+            gone = norm > 1e3
+            if gone.any():
+                separated[live[gone]] = True
+                out[live[gone]] = _irls(M[gone], y, 1e-6)[0]
+                drop(gone)
+                if not live.size:
+                    return out, separated
+    out[live] = beta
+    return out, separated
+
+
+def _halve(M, y, pen, beta, step, ll, ok, cand, eta_c, ll_c):
+    """Step halving, which keeps IRLS monotone on awkward designs: each
+    problem whose full step was rejected (``ok`` false) tries up to 29
+    halved steps; if all fail, it moves by the step halved a 30th time
+    without testing it. Writes the results into the rows of ``cand``,
+    ``eta_c`` and ``ll_c``."""
+    todo = np.flatnonzero(~ok)
+    M, beta, step, ll = M[todo], beta[todo], step[todo], ll[todo]
+    for _ in range(29):
+        step = step / 2.0
+        c = beta + step
+        e, lc = _penalised_loglik(M, y, pen, c)
+        acc = lc >= ll - 1e-12
+        cand[todo[acc]], eta_c[todo[acc]], ll_c[todo[acc]] = c[acc], e[acc], lc[acc]
+        if acc.all():
+            return
+        if acc.any():
+            keep = ~acc
+            todo, M, beta, step, ll = todo[keep], M[keep], beta[keep], step[keep], ll[keep]
+    c = beta + step / 2.0
+    cand[todo] = c
+    eta_c[todo], ll_c[todo] = _penalised_loglik(M, y, pen, c)
+
+
+def _newton_step(H: np.ndarray, score: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(H, score)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(H, score, rcond=None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +325,21 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return Xs, mu, sd, ok
 
 
-def _soft(z: np.ndarray | float, t: float):
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+def _soft(z: float, t: float) -> float:
+    """``np.sign(z) * np.maximum(np.abs(z) - t, 0.0)`` on Python floats, signed
+    zeros and nan included (``np.sign`` of either zero is +0.0)."""
+    m = abs(z) - t
+    if m > 0.0:
+        return m if z > 0.0 else -m if z < 0.0 else 0.0 * m
+    if m <= 0.0:
+        return -0.0 if z < 0.0 else 0.0
+    return m
+
+
+def _py_floats(a: np.ndarray, ok: np.ndarray) -> list:
+    """``a`` as Python floats, or as numpy scalars when a live entry is zero:
+    dividing by it must give numpy's inf or nan, not ZeroDivisionError."""
+    return a.tolist() if a[ok].all() else list(a)
 
 
 def lasso_lambda_max(features: np.ndarray, target: np.ndarray) -> float:
@@ -227,16 +359,20 @@ def _cd_lasso(G: np.ndarray, c: np.ndarray, lam: float, ok: np.ndarray,
     G = Xs'Xs/n (unit diagonal on live columns), c = Xs'(y - ybar)/n.
     Iterates until the KKT residual drops below KKT_TOL.
     """
-    idx = np.flatnonzero(ok)
+    idx = np.flatnonzero(ok).tolist()
+    GF = np.asfortranarray(G)
+    cols = [GF[:, j] for j in idx]
+    diag, cl, b = _py_floats(np.diagonal(G), ok), c.tolist(), beta.tolist()
     q = G @ beta
     for _ in range(max_pass):
-        for j in idx:
-            rho = c[j] - q[j] + G[j, j] * beta[j]
-            b_new = _soft(rho, lam) / G[j, j]
-            delta = b_new - beta[j]
+        for j, g_j in zip(idx, cols):
+            rho = cl[j] - q.item(j) + diag[j] * b[j]
+            b_new = _soft(rho, lam) / diag[j]
+            delta = b_new - b[j]
             if delta != 0.0:
-                beta[j] = b_new
-                q += G[:, j] * delta
+                b[j] = b_new
+                q += g_j * delta
+        beta[:] = b
         g = c - q
         inactive = ok & (beta == 0.0)
         active = ok & (beta != 0.0)
@@ -352,7 +488,6 @@ def fit_logistic_lasso(
     lam: float,
     *,
     max_outer: int = 50,
-    warm: tuple[float, np.ndarray] | None = None,
 ) -> LinearModel:
     """l1-penalised logistic regression via proximal coordinate descent.
 
@@ -368,36 +503,39 @@ def fit_logistic_lasso(
         raise ValueError("target must be binary 0/1")
     n = X.shape[0]
     Xs, mu, sd, ok = _standardize(X)
-    idx = np.flatnonzero(ok)
-    if warm is not None:
-        b0, beta = float(warm[0]), warm[1].copy()
-    else:
-        b0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
-        beta = np.zeros(X.shape[1])
+    XsF = np.asfortranarray(Xs)
+    idx = np.flatnonzero(ok).tolist()
+    cols = [XsF[:, j] for j in idx]
+    b0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
+    beta = np.zeros(X.shape[1])
     for _ in range(max_outer):
-        b0_old, beta_old = b0, beta.copy()
-        p = np.clip(expit(b0 + Xs @ beta), 1e-8, 1 - 1e-8)
+        b0_old, beta_old = b0, beta
+        lin = Xs @ beta
+        p = np.clip(expit(b0 + lin), 1e-8, 1 - 1e-8)
         w = p * (1.0 - p)
-        z = (b0 + Xs @ beta) + (y - p) / w
-        denom = (Xs * Xs * w[:, None]).sum(axis=0) / n
-        r = z - b0 - Xs @ beta
+        z = (b0 + lin) + (y - p) / w
+        denom = _py_floats((Xs * Xs * w[:, None]).sum(axis=0) / n, ok)
+        r = z - b0 - lin
         w_sum = float(w.sum())
+        WX = XsF * w[:, None]  # column j is w * Xs[:, j]
+        wcols = [WX[:, j] for j in idx]
+        b = beta.tolist()
         for _ in range(200):
-            max_step = 0.0
             b0_new = b0 + float(w @ r) / w_sum
             r -= b0_new - b0
             max_step = abs(b0_new - b0)
             b0 = b0_new
-            for j in idx:
-                rho = float((w * Xs[:, j]) @ r) / n + denom[j] * beta[j]
+            for j, x_j, wx_j in zip(idx, cols, wcols):
+                rho = float(wx_j @ r) / n + denom[j] * b[j]
                 b_new = _soft(rho, lam) / denom[j]
-                delta = b_new - beta[j]
+                delta = b_new - b[j]
                 if delta != 0.0:
-                    r -= Xs[:, j] * delta
-                    beta[j] = b_new
+                    r -= x_j * delta
+                    b[j] = b_new
                     max_step = max(max_step, abs(delta))
             if max_step < 1e-10:
                 break
+        beta = np.array(b)
         if abs(b0 - b0_old) + float(np.max(np.abs(beta - beta_old), initial=0.0)) < 1e-8:
             break
     coef = np.zeros(X.shape[1])
@@ -727,8 +865,10 @@ class _Grower:
 
         Returns the best total child SSE (inf if none is valid), the parent
         SSE from prefix sums with the sum of squares that bounds its error,
-        and the feature and midpoint threshold of the best split. Ties go to
-        the lowest feature, then the lowest threshold.
+        and the feature and threshold of the best split: the midpoint of the
+        two values it falls between, or the lower one when the midpoint is not
+        below the upper. Ties go to the lowest feature, then the lowest
+        threshold.
         """
         k, f = feats.shape
         mb = int(counts.max())
@@ -761,7 +901,12 @@ class _Grower:
         flat = total.argmin(axis=1)
         rows = rows[:, 0]
         slot, p = np.divmod(flat, mb - 1)
-        thr = (xs[rows, slot, p] + xs[rows, slot, p + 1]) / 2.0
+        lo, hi = xs[rows, slot, p], xs[rows, slot, p + 1]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        # a midpoint that rounds up to (or overflows past) the upper value
+        # would send every row left; the lower value splits the same rows
+        thr = np.where(mid < hi, mid, lo)
         s1, s2 = t1[:, 0, 0], t2[:, 0, 0]
         return total[rows, flat], s2 - s1 ** 2 / counts, s2, feats[rows, slot, 0], thr
 
@@ -870,7 +1015,8 @@ def fit_tree(
 ) -> TreeNode:
     """Greedy binary regression tree minimising child-weighted squared error.
 
-    Splits sit at midpoints of sorted distinct values; ties in impurity go to
+    Splits sit at midpoints of sorted distinct values (at the lower value
+    where the midpoint rounds up to the upper one); ties in impurity go to
     the lowest feature, then the lowest threshold. A node stays a leaf at
     ``max_depth``, below ``2 * min_leaf`` rows, with a constant target, or
     when no split lowers its squared error by more than 1e-12.

@@ -30,6 +30,7 @@ from .estimators import (
     reg_ate,
 )
 from .learners import (
+    _fit_logistic_candidates,
     fit_logistic,
     fit_logistic_lasso,
     lasso_cv,
@@ -219,10 +220,18 @@ class _TargetingEngine:
             mean = A_tr.mean()
             raw = lambda M: np.full(M.shape[0], mean)  # noqa: E731
         else:
-            sub = list(cols)
-            fit = fit_logistic(self.X[train_mask][:, sub], A_tr)
-            raw = lambda M: fit.predict_proba(M[:, sub])  # noqa: E731
+            return self._clipped(fit_logistic(self.X[train_mask][:, list(cols)], A_tr), cols)
         return lambda M: np.clip(raw(M), self.trim, 1.0 - self.trim)
+
+    def _clipped(self, fit, cols):
+        sub = list(cols)
+        return lambda M: np.clip(fit.predict_proba(M[:, sub]), self.trim, 1.0 - self.trim)
+
+    def _stage_models(self, current, remaining, train_mask):
+        """The propensity models of ``current + (j,)`` for each j in
+        ``remaining``, fitted on the training rows as stacks."""
+        fits = _fit_logistic_candidates(self.X[train_mask], self.A[train_mask], current, remaining)
+        return [self._clipped(fit, current + (j,)) for fit, j in zip(fits, remaining)]
 
     # -- targeted evaluation ---------------------------------------------------
 
@@ -239,21 +248,34 @@ class _TargetingEngine:
     def evaluate(self, model_desc):
         """Full-sample fluctuation plus the cross-validated loss of the
         targeted fit; one candidate evaluation for the instrumented count."""
-        self.n_ps_model_evals += 1
-        all_rows = np.ones(self.dataset.n, dtype=bool)
-        p_full = self._ps_model(model_desc, all_rows)(self.X)
-        full = self._update(p_full, all_rows)
-        cv_losses = []
+        return self._evaluate(lambda rows: [self._ps_model(model_desc, rows)])[0]
+
+    def evaluate_stage(self, current, remaining):
+        """``evaluate((current + (j,), None))`` for each j in ``remaining``,
+        with all the stage's propensity models on the same rows fitted at
+        once."""
+        return self._evaluate(lambda rows: self._stage_models(current, remaining, rows))
+
+    def _evaluate(self, models):
+        """(cv loss, full-sample loss, epsilon) of each candidate; ``models``
+        maps training rows to the candidates' fitted propensity models."""
+        n = self.dataset.n
+        all_rows = np.ones(n, dtype=bool)
+        fulls = [self._update(model(self.X), all_rows) for model in models(all_rows)]
+        self.n_ps_model_evals += len(fulls)
+        cv_losses = [[] for _ in fulls]
         for v in range(1, self.folds.V + 1):
             tr = self.folds.train_mask(v)
             te = self.folds.test_mask(v)
-            model = self._ps_model(model_desc, tr)
-            p = np.empty(self.dataset.n)
-            p[tr] = model(self.X[tr])
-            p[te] = model(self.X[te])
-            eps_v = self._update(p, tr).eps
-            cv_losses.append(self._loss(self._update(p, te, eps_v), te))
-        return float(np.mean(cv_losses)), self._loss(full, all_rows), full.eps
+            X_tr, X_te = self.X[tr], self.X[te]
+            for losses, model in zip(cv_losses, models(tr)):
+                p = np.empty(n)
+                p[tr] = model(X_tr)
+                p[te] = model(X_te)
+                eps_v = self._update(p, tr).eps
+                losses.append(self._loss(self._update(p, te, eps_v), te))
+        return [(float(np.mean(cv)), self._loss(full, all_rows), full.eps)
+                for cv, full in zip(cv_losses, fulls)]
 
     def q_loss(self):
         """Squared-error loss of the current initial fit, before targeting."""
@@ -322,9 +344,7 @@ def ctmle_greedy(
         restarted = False
         while True:
             best = None
-            for j in remaining:
-                desc = (current + (j,), None)
-                cv, emp, eps = eng.evaluate(desc)
+            for j, (cv, emp, eps) in zip(remaining, eng.evaluate_stage(current, remaining)):
                 round_evals += 1
                 if best is None or cv < best[0]:
                     best = (cv, emp, eps, j)

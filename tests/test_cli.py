@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from ateml.cli import ESTIMATORS, RunConfig, main, run
+from ateml.cli import ESTIMATORS, RunConfig, ingest_csv, main, run
 
 EXPORTS = {
     "lin": ("confounded_linear", 300, 7),
@@ -164,6 +164,19 @@ def test_dml_with_twang_ps(data):
     diag = report["result"]["diagnostics"]
     assert diag["provenance"] == "cross_fitted"
     assert report["result"]["estimate"] == diag["split_estimates"][0]
+
+
+def test_ingest_drops_and_counts_rows_with_a_bad_cell(tmp_path):
+    good = [f"{t},{0.5 * k},{k},{-k}" for k, t in enumerate([0, 1] * 5)]
+    bad = ["1,nan,1,2", "0,1.0,inf,2", "1,1.0,3,-inf", "0,1.0,,2", "1,1.0,3,abc",
+           ",1.0,3,2", "1,NaN,1,2", "0,1.0,Infinity,2", "1,1.0,3"]
+    path = tmp_path / "cells.csv"
+    path.write_text("\n".join(["treatment,outcome,x1,x2"] + good[:5] + bad + good[5:]) + "\n")
+    ds, info = ingest_csv(str(path), RunConfig(data=str(path)))
+    assert info["rows_dropped"] == len(bad)
+    assert ds.n == len(good)
+    assert ds.covariates.tolist() == [[k, -k] for k in range(10)]
+    assert ds.outcome.tolist() == [0.5 * k for k in range(10)]
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -151,12 +151,26 @@ def test_no_gain_split_decided_by_exact_parent_sse(offset):
     assert_same_tree(new, old)
 
 
-def test_midpoint_rounding_to_the_upper_value_leaves_an_empty_right_child():
-    # (a + b) / 2 rounds up to b for these adjacent floats, so both rows go
-    # left and the right child is empty, with a nan value, as before.
-    X = np.array([[1.0 - 2.0**-53], [1.0]])
+def test_midpoint_rounding_to_the_upper_value_splits_at_the_lower_value():
+    # (a + b) / 2 rounds up to b for these adjacent floats; splitting there
+    # would send both rows left and leave an empty right child. The lower
+    # value splits the rows apart instead, into two finite leaves.
+    lo = 1.0 - 2.0**-53
+    X = np.array([[lo], [1.0]])
     y = np.array([0.0, 1.0])
-    new = fit_tree(X, y, max_depth=3, min_leaf=1)
-    old = oracle.fit_tree(X, y, max_depth=3, min_leaf=1)
-    assert new.threshold == 1.0 and np.isnan(new.right.value)
-    assert_same_tree(new, old)
+    for depth in (3, None):  # unlimited depth used to grow without end
+        new = fit_tree(X, y, max_depth=depth, min_leaf=1)
+        old = oracle.fit_tree(X, y, max_depth=depth, min_leaf=1)
+        assert new.threshold == lo
+        assert (new.left.is_leaf, new.right.is_leaf) == (True, True)
+        assert (new.left.value, new.right.value) == (0.0, 1.0)
+        assert_same_tree(new, old)
+        assert tree_predict(new, np.array([[0.5], [lo], [1.0], [2.0]])).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_midpoint_overflowing_to_inf_splits_at_the_lower_value():
+    X = np.array([[1.5e308], [1.7e308]])
+    y = np.array([0.0, 1.0])
+    new = fit_tree(X, y, max_depth=None, min_leaf=1)
+    assert new.threshold == 1.5e308
+    assert_same_tree(new, oracle.fit_tree(X, y, max_depth=None, min_leaf=1))

@@ -55,7 +55,9 @@ def _best_split(X, y, idx, feats, min_leaf):
         total = np.where(valid, sse_l + sse_r, np.inf)
         i = int(np.argmin(total))
         if best is None or total[i] < best[0]:
-            best = (float(total[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
+            with np.errstate(over="ignore"):
+                mid = (xs[i] + xs[i + 1]) / 2.0
+            best = (float(total[i]), j, float(mid if mid < xs[i + 1] else xs[i]))
     return best
 
 
