@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "gen_dataset",
     "mc_eval",
     "builtin_specs",
-    "naive_bias",
 ]
 
 PS_LO, PS_HI = 0.05, 0.95
@@ -169,41 +167,6 @@ def gen_dataset(spec: DgpSpec, seed: int | None = None) -> DgpDraw:
     ate, ate_se = true_ate(spec)
     dataset = Dataset(X, A, y, kind)
     return DgpDraw(dataset, ate, ate_se, ps, y0, y1)
-
-
-def naive_bias(spec: DgpSpec) -> float:
-    """Exact omitted-everything bias of the raw mean contrast (linear case).
-
-    The treatment score only involves Bernoulli columns, so the needed
-    conditional means come from enumerating that finite support; columns
-    independent of the score contribute nothing.
-    """
-    if spec.outcome_kind != "continuous":
-        raise ValueError("closed-form bias is defined for the linear outcome")
-    gamma = np.asarray(spec.ps_coefficients, dtype=float)
-    active = [j for j in range(spec.d) if gamma[j] != 0.0]
-    beta = np.asarray(spec.outcome_coefficients, dtype=float) + spec.quadratic()
-    # quadratic adds to the linear coefficient on {0,1} columns since x^2 = x
-    if not active:
-        return 0.0
-    e_p = 0.0
-    e_xp = np.zeros(len(active))
-    e_x = np.array([spec.bernoulli_p[j] for j in active])
-    for config in product((0.0, 1.0), repeat=len(active)):
-        prob = 1.0
-        eta = spec.ps_intercept
-        for x, j in zip(config, active):
-            pj = spec.bernoulli_p[j]
-            prob *= pj if x == 1.0 else (1.0 - pj)
-            eta += gamma[j] * x
-        p = float(expit(eta))
-        e_p += prob * p
-        e_xp += prob * p * np.asarray(config)
-    bias = 0.0
-    for k, j in enumerate(active):
-        gap = e_xp[k] / e_p - (e_x[k] - e_xp[k]) / (1.0 - e_p)
-        bias += beta[j] * gap
-    return float(bias)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ Trees, forests and boosting stages grow on one exact greedy engine
 (``_Grower``). A fit sorts each column once, stably; every node keeps its
 samples in that order through stable partitions, and one kernel scores the
 splits of many nodes at a time. The engine's contract is exactness: bit for
-bit the splits, thresholds, leaf values and predictions of a per-node,
-depth-first grower that argsorts each node's columns (kept as the reference
-in the tests). Three rules keep it:
+bit the splits, thresholds, leaf values and predictions of a grower that
+argsorts each node's columns and grows one tree at a time, level by level
+(kept as the reference in the tests). Three rules keep it:
 
 - Prefix sums run along each node's own padded row of a block, so they
   restart at the node and add in that node's order.
@@ -44,14 +44,13 @@ in the tests). Three rules keep it:
   rows of one C-contiguous block, which numpy reduces exactly as it reduces
   each row alone. The split test uses the parent SSE from prefix sums only
   where its rounding error cannot change the decision.
-- A forest tree draws its ``mtry`` features from its own generator, once per
-  node, in depth-first, right-child-first order; a node that stays a leaf on
-  depth, size or a constant target draws nothing, and one that then finds
-  no split still uses its draw. Because the draws fix the trees, a forest
-  cannot grow level by level: its trees advance in lockstep, each step
-  taking the top node of every tree's stack. Without draws (boosting
-  stages, ``fit_tree``, forests with ``mtry = d``) every open node is ready
-  at once and the trees grow level by level.
+- Every tree grows level by level. A forest tree with ``mtry`` < d draws
+  the features of all its open nodes of a level from its own generator in
+  one call, one row per node in level order (parents in order, left child
+  first); a tree with no open node makes no call, a node that stays a leaf
+  on depth, size or a constant target gets no row, and one that then finds
+  no split still uses its row. The draws therefore do not depend on which
+  trees grow together.
 
 Fitted trees are flat arrays (``_Nodes``) seen through ``TreeNode`` views;
 prediction walks every tree of a model at once. Scratch memory is bounded
@@ -154,10 +153,11 @@ def fit_logistic(
 ) -> LinearModel:
     """Penalised Bernoulli MLE via iteratively reweighted least squares.
 
-    ``ridge`` adds an l2 penalty on the slopes (never the intercept).
-    Complete separation with ridge=0 is detected by a diverging coefficient
-    norm and triggers an automatic refit with ridge=1e-6, flagged on the
-    returned model.
+    ``ridge`` adds an l2 penalty on the slopes (never the intercept). With
+    ridge=0, a fit whose slope norm passes 1e3 is refitted with ridge=1e-6
+    and flagged ``separation_ridge``. That is the only separation test: a
+    separated design whose score falls below 1e-8 first converges unflagged,
+    with large but finite slopes.
     """
     X, y = _check_matrix(features, target)
     if ridge < 0:
@@ -733,45 +733,30 @@ class _Grower:
         self.leaves: list[np.ndarray] = []
 
     def grow(self, rngs=None, mtry=None):
-        """Grow every tree; returns the root ids.
+        """Grow every tree level by level; returns the root ids.
 
-        Without feature draws every open node is scored in one step, so the
-        trees grow level by level. With ``mtry`` < d each tree's generator
-        must see one draw per node in depth-first, right-child-first order,
-        so each step takes the top node of every tree's stack instead.
+        Open nodes stay grouped by tree, and within a tree in level order
+        (parents in order, left child first). With ``mtry`` < d each tree's
+        generator draws the feature subsets of all its open nodes of a level
+        in one call: the sorted first ``mtry`` columns of
+        ``rng.random((k, d)).argsort(axis=1)``, one row per node.
         """
-        n_trees = self.tree.size
-        ids = np.arange(n_trees)
+        ids = np.arange(self.tree.size)
         term = self._terminal(ids)
         self.leaves.append(ids[term])
-        open_ = ids[~term]
+        ready = ids[~term]
         draws = rngs is not None and mtry < self.d
-        if draws:
-            stacks = [[] for _ in range(n_trees)]
-            for i in open_.tolist():
-                stacks[i].append(i)
-        while True:
+        while ready.size:
             if draws:
-                ready = np.array([s.pop() for s in stacks if s], dtype=np.int64)
-                if ready.size == 0:
-                    break
-                feats = np.sort([rngs[t].choice(self.d, size=mtry, replace=False)
-                                 for t in self.tree[ready].tolist()], axis=1)
+                trees, k = np.unique(self.tree[ready], return_counts=True)
+                keys = np.concatenate([rngs[t].random((c, self.d))
+                                       for t, c in zip(trees.tolist(), k.tolist())])
+                feats = np.sort(keys.argsort(axis=1)[:, :mtry], axis=1)
             else:
-                ready = open_
-                if ready.size == 0:
-                    break
                 feats = np.broadcast_to(np.arange(self.d), (ready.size, self.d))
             split, feat, thr = self._best(ready, feats)
             self.leaves.append(ready[~split])
-            lefts, open_ = self._split(ready[split], feat[split], thr[split])
-            if draws:
-                is_open = np.zeros(self.nodes.size - self.base, bool)
-                is_open[open_] = True
-                for lc, t in zip(lefts.tolist(), self.tree[lefts].tolist()):
-                    for c in (lc, lc + 1):  # the right child ends on top
-                        if is_open[c]:
-                            stacks[t].append(c)
+            ready = self._split(ready[split], feat[split], thr[split])
         return self.base + ids
 
     def set_leaves(self, vecs, combine):
@@ -911,10 +896,10 @@ class _Grower:
         return total[rows, flat], s2 - s1 ** 2 / counts, s2, feats[rows, slot, 0], thr
 
     def _split(self, ids, feat, thr):
-        """Split nodes ``ids``; returns their left children and the open ones."""
+        """Split nodes ``ids``; returns their open children in order, left before right."""
         k = ids.size
         if k == 0:
-            return ids, ids
+            return ids
         starts, counts, d = self.start[ids], self.count[ids], self.d
         n_left = np.empty(k, np.int32)
         for i, j in _chunks(counts):
@@ -947,7 +932,7 @@ class _Grower:
         kids = np.arange(first, new)
         term = self._terminal(kids)
         self.leaves.append(kids[term])
-        return lefts, kids[~term]
+        return kids[~term]
 
     def _partition(self, cols, starts, counts, n_left):
         """Stable left/right partition of the segments in the given rows."""
@@ -1045,8 +1030,6 @@ class ForestModel:
     """Bagged trees; the prediction is the unweighted mean over trees."""
 
     trees: tuple[TreeNode, ...]
-    mtry: int
-    tree_seeds: tuple[int, ...]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         acc = _add_trees(self.trees, X, np.zeros(np.shape(X)[0]))
@@ -1066,11 +1049,12 @@ def fit_forest(
 ) -> ForestModel:
     """Random forest: bootstrap rows per tree, fresh feature subset per split.
 
-    Tree i draws its bootstrap rows and then one sorted feature subset per
-    node from ``rng_from(child_seeds(seed, n_trees)[i])``. Trees are grown
-    together, in groups of at most ``_FOREST_SAMPLES`` samples.
-    ``bootstrap=False`` is a test hook that makes a single tree with mtry=d
-    coincide with ``fit_tree``.
+    Tree i draws its bootstrap rows from ``rng_from(child_seeds(seed,
+    n_trees)[i])``, then grows level by level, drawing from the same
+    generator one sorted ``mtry``-subset per open node of each level (see
+    ``_Grower.grow``). Trees are grown together, in groups of at most
+    ``_FOREST_SAMPLES`` samples. ``bootstrap=False`` is a test hook that
+    makes a single tree with mtry=d coincide with ``fit_tree``.
     """
     X, y = _check_matrix(features, target)
     n, d = X.shape
@@ -1096,7 +1080,7 @@ def fit_forest(
         roots.extend(grower.grow(rngs, mtry).tolist())
         grower.set_leaves([ys], lambda s, c: s[0] / c)
     nodes.trim()
-    return ForestModel(tuple(TreeNode(nodes, r) for r in roots), int(mtry), tuple(seeds))
+    return ForestModel(tuple(TreeNode(nodes, r) for r in roots))
 
 
 @dataclass(frozen=True)

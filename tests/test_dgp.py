@@ -1,8 +1,9 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ateml.dgp import builtin_specs, mc_eval
+from ateml.dgp import builtin_specs, gen_dataset, mc_eval
 from ateml.estimators import naive_ate
 
 
@@ -27,3 +28,26 @@ def test_mc_eval_counts_data_failures():
 def test_mc_eval_propagates_programming_errors():
     with pytest.raises(TypeError):
         mc_eval(lambda draw, s: naive_ate(draw.dataset, s), _small_spec(), R=4, seed=1)
+
+
+def test_propensity_coefficient_on_a_normal_column_rejected():
+    spec = builtin_specs()["confounded_linear"]
+    gamma = list(spec.ps_coefficients)
+    gamma[3] = 0.1  # column 3 is normal
+    with pytest.raises(ValueError, match="normal"):
+        replace(spec, ps_coefficients=tuple(gamma))
+
+
+def test_scores_outside_the_positivity_band_rejected():
+    spec = builtin_specs()["confounded_linear"]
+    with pytest.raises(ValueError, match="escape"):
+        replace(spec, ps_coefficients=(3.0, -1.0, 1.0, 0.0, 0.0, 0.0))
+
+
+def test_binary_true_ate_matches_a_large_draw():
+    spec = replace(builtin_specs()["confounded_binary"], n=400_000)
+    draw = gen_dataset(spec, seed=11)
+    diff = draw.y1 - draw.y0
+    se = diff.std(ddof=1) / np.sqrt(diff.size)
+    # the truth is itself a population Monte Carlo mean with its own SE
+    assert abs(diff.mean() - draw.true_ate) < 4 * np.hypot(se, draw.true_ate_se)

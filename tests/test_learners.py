@@ -97,6 +97,16 @@ class TestLogistic:
         assert "separation_ridge" in m.flags
         assert np.isfinite(m.coef).all()
 
+    def test_separation_is_flagged_only_by_the_slope_norm(self):
+        # Perfectly separated either way; at unit scale the score falls
+        # below 1e-8 while the slope is still small, so no refit happens.
+        y = np.tile([0.0, 1.0], 20)
+        x = y + 0.01 * np.random.default_rng(6).random(40)
+        m = fit_logistic(x[:, None], y)
+        assert m.flags == ()
+        assert m.coef[0] == pytest.approx(44.43, abs=0.01)
+        assert fit_logistic(1e-3 * x[:, None], y).flags == ("separation_ridge",)
+
     def test_all_zero_covariate_intercept_only(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         m = fit_logistic(np.zeros((5, 1)), y)

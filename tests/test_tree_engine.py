@@ -103,9 +103,10 @@ def test_boost_matches_reference_stage_by_stage(data, loss, min_leaf, max_depth)
     assert np.array_equal(new.predict_raw(X), oracle.boost_predict_raw(f0, old, 0.3, X))
 
 
-def test_forest_feature_draws_follow_depth_first_order():
-    # Deep trees with mtry < d draw once per node; a draw taken out of the
-    # depth-first, right-child-first order would change later splits.
+def test_forest_feature_draws_follow_level_order():
+    # Deep trees with mtry < d draw once per tree per level, one row per open
+    # node; a row handed to a node out of level order, or a level's draw
+    # taken for the wrong tree, would change later splits.
     rng = np.random.default_rng(7)
     X = rng.standard_normal((120, 5))
     X[:, 3] = np.round(X[:, 3])

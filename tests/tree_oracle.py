@@ -1,8 +1,9 @@
 """Reference tree grower for the engine tests.
 
-This is the depth-first grower ``ateml.learners`` used before its batched
-engine: it argsorts every feature at every node and keeps one Python object
-per node. It stays here only as the oracle the engine must match exactly.
+A per-node grower: it argsorts every feature at every node, keeps one Python
+object per node, and grows one tree at a time, level by level, taking a
+forest tree's feature draws in the order ``ateml.learners`` documents. It
+stays here only as the oracle the engine must match exactly.
 """
 
 from __future__ import annotations
@@ -62,34 +63,46 @@ def _best_split(X, y, idx, feats, min_leaf):
 
 
 def grow_tree(X, y, max_depth, min_leaf, rng=None, mtry=None):
-    """Iterative greedy growth; returns (root, [(leaf, row_indices), ...])."""
+    """Greedy growth one level at a time; returns (root, [(leaf, row_indices), ...]).
+
+    With ``mtry`` < d, ``rng`` draws the feature subsets of a level's open
+    nodes in one call: the sorted first ``mtry`` columns of
+    ``rng.random((k, d)).argsort(axis=1)``, one row per node in level order.
+    """
     n, d = X.shape
     root = TreeNode()
     leaves = []
-    stack = [(root, np.arange(n), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        sub_y = y[idx]
-        node.value = float(sub_y.mean()) if idx.size else float("nan")
-        node.n_samples = int(idx.size)
-        at_depth = max_depth is not None and depth >= max_depth
-        if at_depth or idx.size < 2 * min_leaf or sub_y.min() == sub_y.max():
-            leaves.append((node, idx))
-            continue
+    level = [(root, np.arange(n))]  # parents in order, left child first
+    depth = 0
+    while level:
+        open_ = []
+        for node, idx in level:
+            sub_y = y[idx]
+            node.value = float(sub_y.mean()) if idx.size else float("nan")
+            node.n_samples = int(idx.size)
+            at_depth = max_depth is not None and depth >= max_depth
+            if at_depth or idx.size < 2 * min_leaf or sub_y.min() == sub_y.max():
+                leaves.append((node, idx))
+            else:
+                open_.append((node, idx))
+        if not open_:
+            break
         if mtry is not None and mtry < d:
-            feats = np.sort(rng.choice(d, size=mtry, replace=False))
+            draws = np.sort(rng.random((len(open_), d)).argsort(axis=1)[:, :mtry], axis=1)
         else:
-            feats = np.arange(d)
-        sse_parent = float(np.sum((sub_y - node.value) ** 2))
-        best = _best_split(X, y, idx, feats, min_leaf)
-        if best is None or best[0] >= sse_parent - 1e-12:
-            leaves.append((node, idx))
-            continue
-        _, node.feature, node.threshold = best
-        go_left = X[idx, node.feature] <= node.threshold
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.left, idx[go_left], depth + 1))
-        stack.append((node.right, idx[~go_left], depth + 1))
+            draws = [np.arange(d)] * len(open_)
+        level = []
+        for (node, idx), feats in zip(open_, draws):
+            sse_parent = float(np.sum((y[idx] - node.value) ** 2))
+            best = _best_split(X, y, idx, feats, min_leaf)
+            if best is None or best[0] >= sse_parent - 1e-12:
+                leaves.append((node, idx))
+                continue
+            _, node.feature, node.threshold = best
+            go_left = X[idx, node.feature] <= node.threshold
+            node.left, node.right = TreeNode(), TreeNode()
+            level += [(node.left, idx[go_left]), (node.right, idx[~go_left])]
+        depth += 1
     return root, leaves
 
 
