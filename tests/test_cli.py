@@ -123,6 +123,38 @@ def test_golden_balance_table(data, tmp_path):
     assert out.read_text(encoding="utf-8") == BALANCE_CSV
 
 
+# Written by the command line before `simulate` shared `run`'s estimator
+# dispatch; every simulated number must stay as it was.
+SIMULATE_CSV = {
+    "confounded_linear": """\
+estimator,spec,R,failures,true_ate,bias,mc_se,rmse,coverage,mean_ci_width
+naive,confounded_linear,4,0,1.0,-0.18795562538409294,0.019214947426482814,0.19087943767554688,0.0,0.2480215665908329
+reg,confounded_linear,4,0,1.0,-0.019247012645581374,0.026874299939411327,0.05036994627235075,,
+iptw,confounded_linear,4,0,1.0,-0.03433727772091044,0.025154850161059675,0.0554738506069213,1.0,0.4006874657373173
+aiptw,confounded_linear,4,0,1.0,-0.019457570999649842,0.024891793876158155,0.0473011762678884,1.0,0.1952366872388038
+tmle,confounded_linear,4,0,1.0,-0.019522799296384452,0.024907704659185383,0.047353151389686085,1.0,0.19521016934048196
+dml,confounded_linear,4,0,1.0,-0.016259721657911008,0.02687891863486278,0.04931335873099153,1.0,0.20010451953914127
+""",
+    "confounded_binary": """\
+estimator,spec,R,failures,true_ate,bias,mc_se,rmse,coverage,mean_ci_width
+naive,confounded_binary,4,0,0.1658972591156202,-0.02501180287377522,0.008799020827571993,0.029289223027740553,1.0,0.08503260476813113
+reg,confounded_binary,4,0,0.1658972591156202,-0.014088620129307838,0.008938273887517492,0.020932449388754524,,
+iptw,confounded_binary,4,0,0.1658972591156202,-0.01261544475984,0.008749981842516437,0.019718924748111294,1.0,0.14588768577370514
+aiptw,confounded_binary,4,0,0.1658972591156202,-0.01381527056802559,0.00919834546298483,0.02108768310263115,1.0,0.08505203879240951
+tmle,confounded_binary,4,0,0.1658972591156202,-0.013808936866335775,0.009199784037835758,0.021085417150412265,1.0,0.08505035576617083
+dml,confounded_binary,4,0,0.1658972591156202,-0.0142250089024194,0.009605550975263971,0.02188951134422821,1.0,0.08785174983957941
+""",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SIMULATE_CSV))
+def test_golden_simulate_table(tmp_path, spec):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", spec, "--estimators", "naive,reg,iptw,aiptw,tmle,dml",
+                 "-R", "4", "--seed", "5", "--dml-s", "3", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == SIMULATE_CSV[spec]
+
+
 # The CLI's learner table, with sl_small standing in for the 15-candidate sl.
 TABLE = ("logistic", "logistic_interactions", "ols", "lasso", "tree", "forest",
          "boost", "sl_small", "twang")
