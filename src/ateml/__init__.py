@@ -59,7 +59,6 @@ from .selection import (
     ctmle_preorder_correlation,
     ctmle_preorder_logistic,
     double_lasso_select,
-    expand_interactions,
     post_double_ate,
 )
 from .superlearner import (

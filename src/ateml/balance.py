@@ -60,10 +60,9 @@ def _as_ps(ps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive per-unit weights, optionally mean-one within each arm."""
+    """Positive per-unit weights."""
 
     w: np.ndarray
-    normalization: str = "none"
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
@@ -120,18 +119,11 @@ def estimate_ps(
     return PsFit(ps, raw, float(trim), clipped, flags, meta)
 
 
-def iptw_weights(ps, A: np.ndarray, normalization: str = "none") -> WeightVector:
-    """w_i = A_i / ps_i + (1 - A_i) / (1 - ps_i), optionally mean-one per arm."""
+def iptw_weights(ps, A: np.ndarray) -> WeightVector:
+    """w_i = A_i / ps_i + (1 - A_i) / (1 - ps_i)."""
     p = _as_ps(ps)
     A = np.asarray(A, dtype=float)
-    w = A / p + (1.0 - A) / (1.0 - p)
-    if normalization == "mean_one_per_arm":
-        for arm in (0.0, 1.0):
-            mask = A == arm
-            w[mask] = w[mask] / w[mask].mean()
-    elif normalization != "none":
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return WeightVector(w, normalization)
+    return WeightVector(A / p + (1.0 - A) / (1.0 - p))
 
 
 def smd(x: np.ndarray, A: np.ndarray, w: WeightVector | np.ndarray | None = None):

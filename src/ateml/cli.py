@@ -3,8 +3,11 @@
 Subcommands: ``run`` (one estimator on one CSV, JSON report out), ``balance``
 (SMD table across weighting/matching adjustments), ``simulate`` (Monte Carlo
 over the built-in generators), and ``export-dgp`` (write a generated dataset
-as CSV). Configuration can come from a flat key = value file; any flag given
-on the command line wins over the file.
+as CSV). ``run`` and ``simulate`` share one estimator dispatch and accept the
+same estimators: naive, reg, iptw, match, aiptw, tmle, dml, double_lasso,
+ctmle_greedy, ctmle_logistic, ctmle_correlation and ctmle_lasso.
+Configuration can come from a flat key = value file; any flag given on the
+command line wins over the file.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import Dataset, Learner, LearnerSpec, OutcomeKind
-from .balance import BalanceBoostedPS, balance_table, estimate_ps, iptw_weights, ps_match
-from .dgp import McReport, builtin_specs, gen_dataset, mc_eval
+from .balance import BalanceBoostedPS, PsFit, balance_table, estimate_ps, iptw_weights, ps_match
+from .dgp import DgpSpec, McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
     AteResult,
     DmlConfig,
@@ -37,6 +40,7 @@ from .estimators import (
     tmle_ate,
 )
 from .selection import (
+    CtmleTrace,
     ctmle_greedy,
     ctmle_lasso,
     ctmle_preorder_correlation,
@@ -100,7 +104,7 @@ class RunConfig:
             if key == "covariates":
                 if isinstance(val, str):
                     val = tuple(s.strip() for s in val.split(",") if s.strip()) or None
-                elif val is not None:
+                else:
                     val = tuple(val)
                 typed[key] = val
             elif key in ("v_folds", "seed", "bootstrap", "dml_k", "dml_s"):
@@ -206,14 +210,27 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
 
 
 # Learners that need a 0/1 target, and learners for the propensity role only.
-_BINARY_TARGET_ONLY = ("logistic", "logistic_interactions", "sl", "sl_small")
+_BINARY_TARGET_ONLY = ("logistic", "logistic_interactions")
 _PS_ONLY = ("twang",)
+
+
+def _regression_form(library: SLLibrary) -> SLLibrary:
+    """``library`` for a continuous target: each logistic candidate becomes
+    ``ols`` with the same params, and "logistic" in its name becomes "ols"."""
+    return replace(
+        library,
+        candidates=tuple(replace(c, family="ols") if c.family == "logistic" else c
+                         for c in library.candidates),
+        names=tuple(name.replace("logistic", "ols") for name in library.names),
+    )
 
 
 def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = False) -> Learner:
     """Map the learner id configured for ``role`` ("ps" or "outcome") to a
     ``Learner``; libraries take ``v_folds`` folds, twang takes ``trim``. An
-    outcome learner that cannot model the outcome is rejected before any fit.
+    outcome learner that cannot model the outcome is rejected before any fit;
+    for a continuous outcome ``sl`` and ``sl_small`` take their regression
+    form (``ols`` in place of every logistic candidate).
     """
     name = (config.ps_learner if role == "ps" else config.outcome_learner).strip()
     if name == "auto":
@@ -241,6 +258,8 @@ def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = F
     }
     if name not in table:
         raise ValueError(f"unknown learner {name!r}")
+    if role == "outcome" and not outcome_binary and name in ("sl", "sl_small"):
+        return _regression_form(table[name])
     return table[name]
 
 
@@ -254,86 +273,77 @@ def _balance_summary(ds: Dataset, label: str, adjustment) -> dict:
     }
 
 
-def _execute(config: RunConfig, ds: Dataset) -> tuple[AteResult, dict]:
-    """Run the configured estimator; returns (result, report extras)."""
-    extras: dict = {"balance": None, "sl_weights": None, "ctmle_trace": None}
-    warns: list[str] = []
-    est = config.estimator
-    out_spec = parse_learner(config, ds.d, "outcome", ds.outcome_kind.is_binary)
-    ps_spec = parse_learner(config, ds.d, "ps")
+def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
+              outcome_learner: Learner) -> tuple[AteResult, object]:
+    """Run the configured estimator on ``ds``: the one estimator dispatch,
+    shared by ``run``, its bootstrap replicates and ``simulate``.
 
+    Returns (result, fit), where ``fit`` is what a report describes: the
+    ``PsFit`` (iptw), the ``(PsFit, MatchResult)`` pair (match), the
+    ``NuisanceFits`` (aiptw, tmle), the ``CtmleTrace`` (ctmle_*), or None.
+    """
+    est, trim, seed = config.estimator, config.trim, config.seed
     if est == "naive":
-        res = naive_ate(ds)
-    elif est == "reg":
-        nuis = fit_nuisances(ds, None, out_spec, trim=config.trim, seed=config.seed)
-        res = reg_ate(ds, nuis)
-        if config.bootstrap:
-            def rerun(d2, s2):
-                nz = fit_nuisances(d2, None, out_spec, trim=config.trim, seed=s2)
-                return reg_ate(d2, nz).estimate
-            se, ci = bootstrap_ci(rerun, ds, B=config.bootstrap, seed=config.seed)
-            res = AteResult(res.estimate, se, ci, None, res.method,
-                            {**res.diagnostics, "se_method": "bootstrap"})
-    elif est == "iptw":
-        ps_fit = estimate_ps(ps_spec, ds, config.trim, seed=config.seed)
-        warns.extend(ps_fit.flags)
-        res = iptw_ate(ds, ps_fit)
-        extras["balance"] = _balance_summary(ds, "iptw", iptw_weights(ps_fit, ds.treatment))
-        if "sl_weights" in ps_fit.meta:
-            extras["sl_weights"] = {"ps": ps_fit.meta["sl_weights"]}
-    elif est == "match":
-        ps_fit = estimate_ps(ps_spec, ds, config.trim, seed=config.seed)
-        warns.extend(ps_fit.flags)
+        return naive_ate(ds), None
+    if est == "reg":
+        return reg_ate(ds, fit_nuisances(ds, None, outcome_learner, trim=trim, seed=seed)), None
+    if est in ("iptw", "match"):
+        ps_fit = estimate_ps(ps_learner, ds, trim, seed=seed)
+        if est == "iptw":
+            return iptw_ate(ds, ps_fit), ps_fit
         matches = ps_match(ps_fit, ds.treatment)
-        res = match_ate(ds, matches)
-        extras["balance"] = _balance_summary(ds, "match", matches)
-        if config.bootstrap:
-            def rerun(d2, s2):
-                pf = estimate_ps(ps_spec, d2, config.trim, seed=s2)
-                return match_ate(d2, ps_match(pf, d2.treatment)).estimate
-            se, ci = bootstrap_ci(rerun, ds, B=config.bootstrap, seed=config.seed)
-            res = AteResult(res.estimate, se, ci, None, res.method,
-                            {**res.diagnostics, "se_method": "bootstrap"})
-    elif est in ("aiptw", "tmle"):
-        nuis = fit_nuisances(ds, ps_spec, out_spec, trim=config.trim, seed=config.seed)
-        res = aiptw_ate(ds, nuis) if est == "aiptw" else tmle_ate(ds, nuis)
-        extras["balance"] = _balance_summary(ds, "iptw", iptw_weights(nuis.ps, ds.treatment))
-        if "sl_weights" in nuis.meta["ps"]:
-            extras["sl_weights"] = {"ps": nuis.meta["ps"]["sl_weights"]}
-        if "ps_flags" in nuis.meta:
-            warns.extend(nuis.meta["ps_flags"])
-    elif est == "dml":
+        return match_ate(ds, matches), (ps_fit, matches)
+    if est in ("aiptw", "tmle"):
+        nuis = fit_nuisances(ds, ps_learner, outcome_learner, trim=trim, seed=seed)
+        return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis
+    if est == "dml":
         cfg = DmlConfig(k=config.dml_k, s=config.dml_s, aggregate=config.dml_aggregate,
-                        ps_spec=ps_spec, outcome_spec=out_spec,
-                        trim=config.trim, seed=config.seed)
-        res = dml_ate(ds, cfg)
-    elif est == "double_lasso":
+                        ps_spec=ps_learner, outcome_spec=outcome_learner, trim=trim, seed=seed)
+        return dml_ate(ds, cfg), None
+    if est == "double_lasso":
         sel = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
-                                  v_folds=min(config.v_folds, 5), seed=config.seed)
-        res = post_double_ate(ds, sel, config.pd_method, trim=config.trim, seed=config.seed)
-    elif est.startswith("ctmle"):
-        initial = fit_nuisances(ds, None, out_spec, trim=config.trim, seed=config.seed)
-        fn = {
-            "ctmle_greedy": ctmle_greedy,
-            "ctmle_logistic": ctmle_preorder_logistic,
-            "ctmle_correlation": ctmle_preorder_correlation,
-            "ctmle_lasso": ctmle_lasso,
-        }[est]
-        v = max(2, min(config.v_folds, 5))
-        res, trace = fn(ds, initial, V=v, trim=config.trim, seed=config.seed)
+                                  v_folds=min(config.v_folds, 5), seed=seed)
+        return post_double_ate(ds, sel, config.pd_method, trim=trim, seed=seed), None
+    fn = {
+        "ctmle_greedy": ctmle_greedy,
+        "ctmle_logistic": ctmle_preorder_logistic,
+        "ctmle_correlation": ctmle_preorder_correlation,
+        "ctmle_lasso": ctmle_lasso,
+    }.get(est)
+    if fn is None:
+        raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATORS}")
+    initial = fit_nuisances(ds, None, outcome_learner, trim=trim, seed=seed)
+    return fn(ds, initial, V=max(2, min(config.v_folds, 5)), trim=trim, seed=seed)
+
+
+def _report_extras(ds: Dataset, fit) -> dict:
+    """The balance summary, SL weights, CTMLE path and warnings that a report
+    gives for the ``fit`` returned by ``_estimate``."""
+    extras: dict = {"balance": None, "sl_weights": None, "ctmle_trace": None, "warnings": []}
+    if isinstance(fit, CtmleTrace):
         extras["ctmle_trace"] = [
             {"candidate": k,
              "covariates_or_lambda": (c.lam if c.lam is not None
                                       else "+".join(str(j) for j in c.covariates) or "intercept"),
              "cv_loss": c.cv_loss,
-             "chosen": k == trace.chosen_index}
-            for k, c in enumerate(trace.candidates)
+             "chosen": k == fit.chosen_index}
+            for k, c in enumerate(fit.candidates)
         ]
-        warns.extend(trace.flags)
-    else:
-        raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATORS}")
-    extras["warnings"] = warns
-    return res, extras
+        extras["warnings"] = list(fit.flags)
+    elif isinstance(fit, tuple):
+        ps_fit, matches = fit
+        extras["balance"] = _balance_summary(ds, "match", matches)
+        extras["warnings"] = list(ps_fit.flags)
+    elif fit is not None:
+        if isinstance(fit, PsFit):
+            ps, meta, flags = fit.ps, fit.meta, fit.flags
+        else:
+            ps, meta, flags = fit.ps, fit.meta["ps"], fit.meta.get("ps_flags", ())
+        extras["balance"] = _balance_summary(ds, "iptw", iptw_weights(ps, ds.treatment))
+        if "sl_weights" in meta:
+            extras["sl_weights"] = {"ps": meta["sl_weights"]}
+        extras["warnings"] = list(flags)
+    return extras
 
 
 def run(config: RunConfig) -> dict:
@@ -341,16 +351,26 @@ def run(config: RunConfig) -> dict:
 
     Returns the report dict; the caller writes it and decides the exit code.
     Identical config and seed produce identical reports apart from timings.
+    ``reg`` and ``match`` take their standard error from ``config.bootstrap``
+    replicates when it is set.
     """
     t0 = time.time()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ds, ingest_info = ingest_csv(config.data, config)
         t1 = time.time()
-        res, extras = _execute(config, ds)
+        out_learner = parse_learner(config, ds.d, "outcome", ds.outcome_kind.is_binary)
+        ps_learner = parse_learner(config, ds.d, "ps")
+        res, fit = _estimate(config, ds, ps_learner, out_learner)
+        if config.bootstrap and config.estimator in ("reg", "match"):
+            se, ci = bootstrap_ci(
+                lambda d2, s2: _estimate(replace(config, seed=s2), d2, ps_learner, out_learner)[0],
+                ds, B=config.bootstrap, seed=config.seed)
+            res = replace(res, se=se, ci95=ci,
+                          diagnostics={**res.diagnostics, "se_method": "bootstrap"})
+        extras = _report_extras(ds, fit)
         t2 = time.time()
-    warns = list(extras.pop("warnings", []))
-    warns.extend(str(w.message) for w in caught)
+    warns = extras["warnings"] + [str(w.message) for w in caught]
     report = {
         "schema": SCHEMA_VERSION,
         "config": _jsonable({f.name: getattr(config, f.name) for f in fields(config)}),
@@ -394,14 +414,12 @@ BALANCE_ADJUSTMENTS = ("iptw_logistic", "iptw_boosted", "iptw_sl", "match_logist
 
 
 def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 500) -> str:
-    """Balance table CSV for the requested adjustments (may be empty)."""
+    """Balance table CSV for the requested adjustments (may be empty).
+
+    The propensity models are the ``logistic``, ``twang`` ("boosted", with
+    ``boost_trees`` trees at most) and ``sl`` learners of ``run``.
+    """
     ds, _ = ingest_csv(config.data, config)
-    learners = {
-        "logistic": LearnerSpec("logistic"),
-        "boosted": BalanceBoostedPS(max_trees=boost_trees, max_depth=2, shrinkage=0.05,
-                                    trim=config.trim),
-        "sl": replace(demo_library(ds.d), V=config.v_folds),
-    }
     fits: dict = {}
     pairs = []
     for adj in adjustments:
@@ -409,74 +427,55 @@ def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 50
             raise ValueError(f"unknown adjustment {adj!r}; choose from {BALANCE_ADJUSTMENTS}")
         method, _, name = adj.partition("_")
         if name not in fits:
-            fits[name] = estimate_ps(learners[name], ds, config.trim, seed=config.seed)
+            learner = parse_learner(
+                replace(config, ps_learner="twang" if name == "boosted" else name), ds.d, "ps")
+            if name == "boosted":
+                learner = replace(learner, max_trees=boost_trees)
+            fits[name] = estimate_ps(learner, ds, config.trim, seed=config.seed)
         adjust = iptw_weights if method == "iptw" else ps_match
         pairs.append((adj, adjust(fits[name], ds.treatment)))
     report = balance_table(ds, pairs)
     return report.to_csv()
 
 
-def _sim_estimator(est_id: str, config: RunConfig):
-    """Closure factory for the simulation driver; parametric nuisances."""
-
-    def nuisances(ds, seed, need_ps=True, need_mu=True):
-        binary = ds.outcome_kind.is_binary
-        return fit_nuisances(
-            ds,
-            LearnerSpec("logistic") if need_ps else None,
-            (LearnerSpec("logistic") if binary else LearnerSpec("ols")) if need_mu else None,
-            trim=config.trim, seed=seed,
-        )
-
-    if est_id == "naive":
-        return lambda draw, s: naive_ate(draw.dataset)
-    if est_id == "reg":
-        return lambda draw, s: reg_ate(draw.dataset, nuisances(draw.dataset, s, need_ps=False))
-    if est_id == "iptw":
-        return lambda draw, s: iptw_ate(
-            draw.dataset, nuisances(draw.dataset, s, need_mu=False).ps)
-    if est_id == "aiptw":
-        return lambda draw, s: aiptw_ate(draw.dataset, nuisances(draw.dataset, s))
-    if est_id == "tmle":
-        return lambda draw, s: tmle_ate(draw.dataset, nuisances(draw.dataset, s))
-    if est_id == "dml":
-        def run_dml(draw, s):
-            binary = draw.dataset.outcome_kind.is_binary
-            cfg = DmlConfig(
-                k=config.dml_k, s=config.dml_s, aggregate=config.dml_aggregate,
-                ps_spec=LearnerSpec("logistic"),
-                outcome_spec=LearnerSpec("logistic") if binary else LearnerSpec("ols"),
-                trim=config.trim, seed=s,
-            )
-            return dml_ate(draw.dataset, cfg)
-        return run_dml
-    raise ValueError(f"unknown simulate estimator {est_id!r}")
+def _builtin_spec(name: str) -> DgpSpec:
+    catalogue = builtin_specs()
+    if name not in catalogue:
+        raise ValueError(f"unknown spec {name!r}; available: {', '.join(sorted(catalogue))}")
+    return catalogue[name]
 
 
 def simulate_cmd(spec_name: str, estimator_ids: list[str], R: int, seed: int,
                  config: RunConfig) -> str:
-    """Monte Carlo CSV: one row per estimator on the named generator."""
-    catalogue = builtin_specs()
-    if spec_name not in catalogue:
-        raise ValueError(
-            f"unknown spec {spec_name!r}; available: {', '.join(sorted(catalogue))}"
-        )
-    spec = catalogue[spec_name]
+    """Monte Carlo CSV: one row per estimator on the named generator.
+
+    Each replicate runs ``run``'s estimator with the configured learners
+    and the replicate's seed on one draw of the generator.
+    """
+    spec = _builtin_spec(spec_name)
+    # Reject bad ids and learners up front: inside mc_eval a ValueError only
+    # counts as a failed replicate. Every draw of a spec has the same d and
+    # outcome kind, so the learners parse once.
+    for est_id in estimator_ids:
+        if est_id not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {est_id!r}; choose from {ESTIMATORS}")
+    d = len(spec.covariate_kinds)
+    out_learner = parse_learner(config, d, "outcome", spec.outcome_kind == "binary")
+    ps_learner = parse_learner(config, d, "ps")
     lines = [McReport.CSV_HEADER]
     for est_id in estimator_ids:
-        rep = mc_eval(_sim_estimator(est_id, config), spec, R, seed, label=est_id)
+        est_config = replace(config, estimator=est_id)
+        rep = mc_eval(
+            lambda draw, s: _estimate(replace(est_config, seed=s), draw.dataset,
+                                      ps_learner, out_learner)[0],
+            spec, R, seed, label=est_id)
         lines.append(rep.to_csv_row())
     return "\n".join(lines) + "\n"
 
 
 def export_dgp(spec_name: str, n: int | None, seed: int, out: str) -> str:
     """Write one generated dataset to CSV; returns the true-ATE summary line."""
-    catalogue = builtin_specs()
-    if spec_name not in catalogue:
-        raise ValueError(
-            f"unknown spec {spec_name!r}; available: {', '.join(sorted(catalogue))}"
-        )
-    spec = catalogue[spec_name]
+    spec = _builtin_spec(spec_name)
     if n is not None:
         spec = replace(spec, n=n)
     draw = gen_dataset(spec, seed)
@@ -562,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_config_flags(p_sim, "simulate")
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--estimators", default="naive",
-                       help="comma-separated subset of naive,reg,iptw,aiptw,tmle,dml")
+                       help=f"comma-separated estimators of run: {', '.join(ESTIMATORS)}")
     p_sim.add_argument("-R", "--replications", type=int, default=100)
 
     p_exp = sub.add_parser("export-dgp", help="write a generated dataset as CSV")
@@ -573,38 +572,28 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            config = _config_from_args(args)
-            if not config.data:
-                raise ValueError("run needs --data (or a config file with a data key)")
-            report = run(config)
-            with open(config.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(summary_line(report))
-            return 0
-        if args.command == "balance":
-            config = _config_from_args(args)
-            if not config.data:
-                raise ValueError("balance needs --data (or a config file with a data key)")
-            adjustments = [a for a in args.adjust.split(",") if a.strip()]
-            text = balance_cmd(config, adjustments, boost_trees=args.boost_trees)
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote balance table to {config.out}")
-            return 0
-        if args.command == "simulate":
-            config = _config_from_args(args)
-            estimators = [e for e in args.estimators.split(",") if e.strip()]
-            text = simulate_cmd(args.spec, estimators, args.replications, config.seed, config)
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote Monte Carlo table to {config.out}")
-            return 0
         if args.command == "export-dgp":
             print(export_dgp(args.spec, args.n, args.seed, args.out))
             return 0
-        raise ValueError(f"unknown command {args.command!r}")
+        config = _config_from_args(args)
+        if args.command != "simulate" and not config.data:
+            raise ValueError(f"{args.command} needs --data (or a config file with a data key)")
+        if args.command == "run":
+            report = run(config)
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            message = summary_line(report)
+        elif args.command == "balance":
+            adjustments = [a for a in args.adjust.split(",") if a.strip()]
+            text = balance_cmd(config, adjustments, boost_trees=args.boost_trees)
+            message = f"wrote balance table to {config.out}"
+        else:
+            estimators = [e for e in args.estimators.split(",") if e.strip()]
+            text = simulate_cmd(args.spec, estimators, args.replications, config.seed, config)
+            message = f"wrote Monte Carlo table to {config.out}"
+        with open(config.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(message)
+        return 0
     except Exception as exc:  # noqa: BLE001 - surface a machine-readable record
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

@@ -121,24 +121,18 @@ def fit_nuisances(
     fold_of: FoldAssignment | None = None,
     trim: float = 0.01,
     seed: int = 0,
-    ps_cols=None,
-    outcome_cols=None,
 ) -> NuisanceFits:
     """Fit the requested nuisance models, full-sample or cross-fitted.
 
     Both are ``Learner`` objects fitted as ``learner.fit(X, y, target_kind,
     seed)``: the propensity model on (X, A) as a probability, the outcome
-    model once per treatment arm. ``ps_cols`` and ``outcome_cols`` restrict
-    each model to a covariate subset, which is also the hook used to
-    misspecify a nuisance by design in simulations. A cross-fitting training
-    block with a single treatment arm raises ``SingleArmFoldError``.
+    model once per treatment arm. A cross-fitting training block with a
+    single treatment arm raises ``SingleArmFoldError``.
     """
     X, A, y = dataset.covariates, dataset.treatment, dataset.outcome
     n = dataset.n
     kind = "probability" if dataset.outcome_kind.is_binary else "regression"
     lo, hi = dataset.outcome_kind.bounds
-    Xp = X if ps_cols is None else X[:, list(ps_cols)]
-    Xo = X if outcome_cols is None else X[:, list(outcome_cols)]
     meta: dict = {"trim": trim}
 
     def outcome_pair(X_tr, A_tr, y_tr, X_pred):
@@ -150,8 +144,7 @@ def fit_nuisances(
     if fold_of is None:
         ps = None
         if ps_spec is not None:
-            sub = dataset if ps_cols is None else dataset.select_covariates(ps_cols)
-            fit = estimate_ps(ps_spec, sub, trim, seed=seed)
+            fit = estimate_ps(ps_spec, dataset, trim, seed=seed)
             ps = fit.ps
             meta["ps"] = fit.meta
             meta["clipped_fraction"] = fit.clipped_fraction
@@ -159,7 +152,7 @@ def fit_nuisances(
                 meta["ps_flags"] = list(fit.flags)
         mu1 = mu0 = None
         if outcome_spec is not None:
-            mu1, mu0 = outcome_pair(Xo, A, y, Xo)
+            mu1, mu0 = outcome_pair(X, A, y, X)
         return NuisanceFits(ps, mu1, mu0, "full_sample", None, meta)
 
     folds = fold_of
@@ -172,10 +165,10 @@ def fit_nuisances(
         if A[tr].min() == A[tr].max():
             raise SingleArmFoldError(f"training block for fold {v} has a single treatment arm")
         if ps is not None:
-            pm = ps_spec.fit(Xp[tr], A[tr].astype(float), "probability", seed)
-            ps[te] = np.clip(pm.predict(Xp[te]), trim, 1.0 - trim)
+            pm = ps_spec.fit(X[tr], A[tr].astype(float), "probability", seed)
+            ps[te] = np.clip(pm.predict(X[te]), trim, 1.0 - trim)
         if mu1 is not None:
-            mu1[te], mu0[te] = outcome_pair(Xo[tr], A[tr], y[tr], Xo[te])
+            mu1[te], mu0[te] = outcome_pair(X[tr], A[tr], y[tr], X[te])
     return NuisanceFits(ps, mu1, mu0, "cross_fitted", folds.fold_of.copy(), meta)
 
 

@@ -41,7 +41,6 @@ from .learners import (
 __all__ = [
     "SelectionResult",
     "CtmleTrace",
-    "expand_interactions",
     "double_lasso_select",
     "post_double_ate",
     "ctmle_greedy",
@@ -55,41 +54,16 @@ __all__ = [
 class SelectionResult:
     """Column-index sets chosen for the outcome and treatment models.
 
-    The adjustment set is always the union of both selections plus any
-    columns the analyst forces in.
+    The adjustment set is always the union of both selections.
     """
 
     outcome_selected: tuple[int, ...]
     treatment_selected: tuple[int, ...]
-    forced_in: tuple[int, ...] = ()
     union_set: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        union = sorted(set(self.outcome_selected) | set(self.treatment_selected) | set(self.forced_in))
+        union = sorted(set(self.outcome_selected) | set(self.treatment_selected))
         object.__setattr__(self, "union_set", tuple(union))
-
-
-def expand_interactions(X: np.ndarray, names=None):
-    """Append all pairwise products as extra columns.
-
-    Products are generated in (i, j) source order with names "a:b"; generated
-    columns that come out constant are dropped. Returns (matrix, names).
-    """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if names is None:
-        names = [f"x{j + 1}" for j in range(d)]
-    names = list(names)
-    cols = [X]
-    out_names = list(names)
-    for i in range(d):
-        for j in range(i + 1, d):
-            prod = X[:, i] * X[:, j]
-            if prod.max() == prod.min():
-                continue
-            cols.append(prod[:, None])
-            out_names.append(f"{names[i]}:{names[j]}")
-    return np.hstack(cols), tuple(out_names)
 
 
 def double_lasso_select(
@@ -98,7 +72,6 @@ def double_lasso_select(
     Y: np.ndarray,
     folds=None,
     *,
-    forced_in=(),
     n_lambda: int = 100,
     v_folds: int = 5,
     seed: int = 0,
@@ -115,7 +88,7 @@ def double_lasso_select(
         folds = make_folds(X.shape[0], v_folds, seed)
     _, fit_y = lasso_cv(X, Y, default_lambda_grid(X, Y, n_lambda), folds)
     _, fit_a = lasso_cv(X, A, default_lambda_grid(X, A, n_lambda), folds)
-    return SelectionResult(fit_y.active_set, fit_a.active_set, tuple(int(j) for j in forced_in))
+    return SelectionResult(fit_y.active_set, fit_a.active_set)
 
 
 def post_double_ate(
@@ -143,10 +116,8 @@ def post_double_ate(
         diag.update({"warning": "empty_selection_naive_comparison", "selected": []})
         return AteResult(res.estimate, res.se, res.ci95, res.if_values, name, diag)
     outcome_spec = LearnerSpec("logistic") if dataset.outcome_kind.is_binary else LearnerSpec("ols")
-    nuis = fit_nuisances(
-        dataset, LearnerSpec("logistic"), outcome_spec,
-        trim=trim, seed=seed, ps_cols=cols, outcome_cols=cols,
-    )
+    nuis = fit_nuisances(dataset.select_covariates(cols), LearnerSpec("logistic"), outcome_spec,
+                         trim=trim, seed=seed)
     if method == "reg":
         res = reg_ate(dataset, nuis)
     elif method == "iptw":

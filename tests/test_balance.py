@@ -84,14 +84,6 @@ class TestIptwWeights:
         assert np.sum(w.w[A == 1]) == pytest.approx(40.0, rel=1e-12)
         assert np.sum(w.w[A == 0]) == pytest.approx(40.0, rel=1e-12)
 
-    def test_per_arm_normalization(self):
-        rng = rng_from(4)
-        ps = rng.uniform(0.2, 0.8, 30)
-        A = (rng.random(30) < 0.5).astype(int)
-        w = iptw_weights(ps, A, normalization="mean_one_per_arm")
-        assert np.mean(w.w[A == 1]) == pytest.approx(1.0, abs=1e-10)
-        assert np.mean(w.w[A == 0]) == pytest.approx(1.0, abs=1e-10)
-
 
 class TestSmd:
     def test_identical_distributions_zero(self):

@@ -6,15 +6,18 @@ must keep. ``ctmle_lasso`` could not run from the command line then, so its
 values come from the library call the command line now makes. The four
 forest goldens were rewritten when forest trees moved to one feature draw
 per tree per level; ``test_monte_carlo.py`` checks those forests
-statistically.
+statistically. ``lin aiptw --outcome-learner sl_small`` was added when the
+Super Learners gained their regression form.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from ateml.cli import ESTIMATORS, RunConfig, ingest_csv, main, run
+from ateml.cli import ESTIMATORS, RunConfig, ingest_csv, main, parse_learner, run
+from ateml.core import LearnerSpec
 
 EXPORTS = {
     "lin": ("confounded_linear", 300, 7),
@@ -49,6 +52,7 @@ CASES = (
     + [("lin", "iptw", ("--ps-learner", name)) for name in ("lasso", "tree", "logistic_interactions")]
     + [("lin", "reg", ("--outcome-learner", name)) for name in ("lasso", "tree")]
     + [("bin", "aiptw", ("--outcome-learner", "sl_small")),
+       ("lin", "aiptw", ("--outcome-learner", "sl_small")),
        ("bin", "tmle", ("--outcome-learner", "boost")),
        ("bin", "iptw", ("--ps-learner", "twang"))]
 )
@@ -160,7 +164,7 @@ TABLE = ("logistic", "logistic_interactions", "ols", "lasso", "tree", "forest",
          "boost", "sl_small", "twang")
 # Rejected in the outcome role of a continuous outcome: twang models
 # treatment only, the rest need a 0/1 target.
-OUTCOME_REJECTED = {"twang", "logistic", "logistic_interactions", "sl_small"}
+OUTCOME_REJECTED = {"twang", "logistic", "logistic_interactions"}
 
 
 @pytest.mark.slow
@@ -186,6 +190,112 @@ def test_rejected_outcome_learner_fails_before_fitting(data, monkeypatch):
     monkeypatch.setattr(cli_mod, "fit_nuisances", no_fit)
     with pytest.raises(ValueError, match="outcome learner"):
         run(RunConfig(data=data["lin"], estimator="aiptw", outcome_learner="twang"))
+
+
+def test_sl_for_a_continuous_outcome_swaps_logistic_for_ols():
+    for name, swapped in (("sl", ("ols", "ols_interactions")), ("sl_small", ("ols",))):
+        config = RunConfig(outcome_learner=name, ps_learner=name)
+        ps_lib = parse_learner(config, 6, "ps")
+        assert parse_learner(config, 6, "outcome", True) == ps_lib
+        lib = parse_learner(config, 6, "outcome", False)
+        k = len(swapped)
+        assert lib.names == swapped + ps_lib.names[k:]
+        assert lib.candidates[k:] == ps_lib.candidates[k:] and lib.V == ps_lib.V
+        assert lib.candidates[:k] == (LearnerSpec("ols"), LearnerSpec("ols", {"interactions": True}))[:k]
+
+
+def test_one_balance_table_and_no_learner_parse_per_replicate(data, tmp_path, monkeypatch):
+    import ateml.cli as cli_mod
+
+    calls = {"balance_table": 0, "parse_learner": 0}
+
+    def counted(name):
+        fn = getattr(cli_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli_mod, name, wrapper)
+
+    counted("balance_table")
+    counted("parse_learner")
+    cli_report(data["lin"], tmp_path / "r.json", "match", ("--bootstrap", "100"))
+    assert calls == {"balance_table": 1, "parse_learner": 2}
+    calls.update(balance_table=0, parse_learner=0)
+    assert main(["simulate", "--spec", "confounded_linear", "--estimators", "naive,match,iptw",
+                 "-R", "5", "--out", str(tmp_path / "sim.csv")]) == 0
+    assert calls == {"balance_table": 0, "parse_learner": 2}
+
+
+def test_simulate_runs_every_run_estimator(tmp_path, capsys):
+    import ateml.cli as cli_mod
+
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    help_words = re.findall(r"\w+", capsys.readouterr().out)
+    doc_words = re.findall(r"\w+", cli_mod.__doc__)
+    for est in ESTIMATORS:
+        assert est in doc_words and est in help_words
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", "confounded_linear", "--estimators", "match",
+                 "-R", "3", "--seed", "2", "--out", str(out)]) == 0
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["estimator"], fields["R"], fields["failures"]) == ("match", "3", "0")
+    assert fields["coverage"] == fields["mean_ci_width"] == ""
+    assert main(["simulate", "--spec", "confounded_linear", "--estimators", "no_such",
+                 "-R", "3", "--out", str(out)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# configuration files: any flag given on the command line wins over the file
+# ---------------------------------------------------------------------------
+
+
+def test_config_file_skips_comments_and_blank_lines(data, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n\n  data = {data['lin']}\n   # indented comment\n"
+                   f"estimator = iptw\nseed=3\nout = {tmp_path / 'r.json'}\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert (report["config"]["estimator"], report["config"]["seed"]) == ("iptw", 3)
+    assert report["result"]["estimate"] == GOLDEN["lin iptw"]["estimate"]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("estimator iptw", "config line 2 is not 'key = value'"),
+    ("no_such_key = 1", "unknown config key 'no_such_key'"),
+    ("estimator = ctmle_x", "unknown estimator 'ctmle_x'"),
+])
+def test_config_file_rejects_bad_lines(data, tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data = {data['lin']}\n{line}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and message in record["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_command_line_flag_wins_over_config_file(data, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data = {data['lin']}\nestimator = naive\nseed = 3\n"
+                   f"out = {tmp_path / 'file.json'}\n")
+    out = tmp_path / "flag.json"
+    assert main(["run", "--config", str(cfg), "--estimator", "aiptw", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"]["estimator"] == "aiptw" and report["config"]["seed"] == 3
+    assert report["result"]["estimate"] == GOLDEN["lin aiptw"]["estimate"]
+    assert not (tmp_path / "file.json").exists()
+
+
+def test_simulate_applies_learners_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("ps_learner = no_such_learner\n")
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), "--spec", "confounded_linear",
+                 "--estimators", "iptw", "-R", "3", "--out", str(out)]) == 1
+    assert "unknown learner 'no_such_learner'" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
 
 
 def test_dml_with_twang_ps(data):
@@ -600,6 +710,14 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                                       'asam_unweighted': 0.22767444403166684,
                                                       'flagged_iptw': 0,
                                                       'flagged_unweighted': 5},
+                                          'sl_weights': None,
+                                          'warnings': []},
+ 'lin aiptw --outcome-learner sl_small': {'estimate': 0.9372641496419991,
+                                          'se': 0.12355113360453684,
+                                          'balance': {'asam_iptw': 0.01870607711152832,
+                                                      'asam_unweighted': 0.23808687260614284,
+                                                      'flagged_iptw': 0,
+                                                      'flagged_unweighted': 4},
                                           'sl_weights': None,
                                           'warnings': []},
  'bin tmle --outcome-learner boost': {'estimate': 0.20852087613944326,
