@@ -7,7 +7,8 @@ values come from the library call the command line now makes. The four
 forest goldens were rewritten when forest trees moved to one feature draw
 per tree per level; ``test_monte_carlo.py`` checks those forests
 statistically. ``lin aiptw --outcome-learner sl_small`` was added when the
-Super Learners gained their regression form.
+Super Learners gained their regression form. ``CTMLE_GOLDEN`` pins the
+diagnostics and the candidate path of every CTMLE case as well.
 """
 
 import json
@@ -90,6 +91,10 @@ def test_golden_report(data, tmp_path, stem, est, flags):
     assert got["se"] == want["se"]
     for block in ("balance", "sl_weights", "warnings"):
         assert report[block] == want[block], block
+    ctmle = CTMLE_GOLDEN.get(case_name(stem, est, flags))
+    if ctmle is not None:
+        assert got["diagnostics"] == ctmle["diagnostics"]
+        assert report["ctmle_trace"] == [dict(zip(TRACE_KEYS, row)) for row in ctmle["trace"]]
 
 
 @pytest.mark.parametrize("stem,est,flags", [
@@ -736,3 +741,203 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                              'flagged_unweighted': 5},
                                  'sl_weights': None,
                                  'warnings': []}}
+
+
+# Diagnostics and path of every CTMLE case, written before each candidate
+# became one record; a trace row is (candidate, covariates_or_lambda,
+# cv_loss, chosen).
+TRACE_KEYS = ("candidate", "covariates_or_lambda", "cv_loss", "chosen")
+CTMLE_GOLDEN = {
+    'bin ctmle_correlation': {
+        'diagnostics': {'chosen_covariates': [],
+                        'cv_loss': 0.1925854546894456,
+                        'epsilon': 0.0,
+                        'order': ['x3', 'x1', 'x5', 'x4', 'x2', 'x6']},
+        'trace': [
+            (0, 'intercept', 0.1925854546894456, 1),
+        ],
+    },
+    'bin ctmle_greedy': {
+        'diagnostics': {'chosen_covariates': ['x4', 'x2', 'x3', 'x5'],
+                        'cv_loss': 0.19223736978021194,
+                        'epsilon': -0.006433111268378563},
+        'trace': [
+            (0, 'intercept', 0.1925854546894456, 0),
+            (1, '3', 0.19244722132697148, 0),
+            (2, '3+1', 0.1923374333449776, 0),
+            (3, '3+1+2', 0.19224658605415662, 0),
+            (4, '3+1+2+4', 0.19223736978021194, 1),
+            (5, '3+1+2+4+5', 0.19238563257904923, 0),
+            (6, '3+1+2+4+5+0', 0.19258177439425078, 0),
+        ],
+    },
+    'bin ctmle_lasso': {
+        'diagnostics': {'chosen_lambda': 0.0013784706975599585,
+                        'cv_loss': 0.1926069132782891,
+                        'epsilon': -0.004326092113056788,
+                        'lambda_path': [0.018358879364993027, 0.01376915952374477,
+                                        0.010326869642808578, 0.007745152232106433,
+                                        0.005808864174079825, 0.004356648130559869,
+                                        0.0032674860979199014, 0.002450614573439926,
+                                        0.0018379609300799445, 0.0013784706975599585]},
+        'trace': [
+            (0, 0.018358879364993027, 0.1928154245850142, 0),
+            (1, 0.01376915952374477, 0.1927917985105891, 0),
+            (2, 0.010326869642808578, 0.19274837984753052, 0),
+            (3, 0.007745152232106433, 0.1927114008348993, 0),
+            (4, 0.005808864174079825, 0.1926814254621262, 0),
+            (5, 0.004356648130559869, 0.19265800812019335, 0),
+            (6, 0.0032674860979199014, 0.19263978554680444, 0),
+            (7, 0.002450614573439926, 0.1926257961325138, 0),
+            (8, 0.0018379609300799445, 0.19261507833016694, 0),
+            (9, 0.0013784706975599585, 0.1926069132782891, 1),
+        ],
+    },
+    'bin ctmle_logistic': {
+        'diagnostics': {'chosen_covariates': ['x4'],
+                        'cv_loss': 0.19244722132697148,
+                        'epsilon': -0.0004906864305576741,
+                        'order': ['x4', 'x6', 'x1', 'x2', 'x3', 'x5']},
+        'trace': [
+            (0, 'intercept', 0.1925854546894456, 0),
+            (1, '3', 0.19244722132697148, 1),
+            (2, '3+5', 0.19251218725341562, 0),
+        ],
+    },
+    'lin ctmle_correlation': {
+        'diagnostics': {'chosen_covariates': [],
+                        'cv_loss': 0.008245512770991868,
+                        'epsilon': 0.0,
+                        'order': ['x6', 'x2', 'x3', 'x5', 'x4', 'x1']},
+        'trace': [
+            (0, 'intercept', 0.008245512770991868, 1),
+        ],
+    },
+    'lin ctmle_correlation --outcome-learner boost': {
+        'diagnostics': {'chosen_covariates': [],
+                        'cv_loss': 0.003845549828472776,
+                        'epsilon': 0.0,
+                        'order': ['x2', 'x3', 'x1', 'x4', 'x6', 'x5']},
+        'trace': [
+            (0, 'intercept', 0.003845549828472776, 1),
+        ],
+    },
+    'lin ctmle_greedy': {
+        'diagnostics': {'chosen_covariates': ['x5'],
+                        'cv_loss': 0.008244620197057602,
+                        'epsilon': -5.038480809439493e-06},
+        'trace': [
+            (0, 'intercept', 0.008245512770991868, 0),
+            (1, '4', 0.008244620197057602, 1),
+            (2, '4+5', 0.00824499868665662, 0),
+            (3, '4+5+1', 0.008246770274289252, 0),
+            (4, '4+5+1+2', 0.008251195184716915, 0),
+            (5, '4+5+1+2+0', 0.008249158138320804, 0),
+            (6, '4+5+1+2+0+3', 0.008260298753584472, 0),
+        ],
+    },
+    'lin ctmle_lasso': {
+        'diagnostics': {'chosen_lambda': 0.0014625072592597793,
+                        'cv_loss': 0.008261042087437455,
+                        'epsilon': -0.0018616615703873286,
+                        'lambda_path': [0.019478103082426236, 0.014608577311819677,
+                                        0.010956432983864757, 0.008217324737898568,
+                                        0.006162993553423926, 0.004622245165067945,
+                                        0.0034666838738009586, 0.002600012905350719,
+                                        0.001950009679013039, 0.0014625072592597793]},
+        'trace': [
+            (0, 0.019478103082426236, 0.00826465057386555, 0),
+            (1, 0.014608577311819677, 0.008263945015043834, 0),
+            (2, 0.010956432983864757, 0.008263629950060768, 0),
+            (3, 0.008217324737898568, 0.008263141909950067, 0),
+            (4, 0.006162993553423926, 0.00826271839308465, 0),
+            (5, 0.004622245165067945, 0.00826232421943377, 0),
+            (6, 0.0034666838738009586, 0.008261906198866784, 0),
+            (7, 0.002600012905350719, 0.008261554684366332, 0),
+            (8, 0.001950009679013039, 0.008261269014046255, 0),
+            (9, 0.0014625072592597793, 0.008261042087437455, 1),
+        ],
+    },
+    'lin ctmle_logistic': {
+        'diagnostics': {'chosen_covariates': ['x5'],
+                        'cv_loss': 0.008244620197057602,
+                        'epsilon': -5.038480809439493e-06,
+                        'order': ['x5', 'x1', 'x2', 'x3', 'x6', 'x4']},
+        'trace': [
+            (0, 'intercept', 0.008245512770991868, 0),
+            (1, '4', 0.008244620197057602, 1),
+            (2, '4+0', 0.00826054875975137, 0),
+            (3, '4+0+1', 0.008256039429872646, 0),
+            (4, '4+0+1+2', 0.008244921249878256, 0),
+            (5, '4+0+1+2+5', 0.008249198638840622, 0),
+        ],
+    },
+    'sparse ctmle_correlation': {
+        'diagnostics': {'chosen_covariates': [],
+                        'cv_loss': 0.011176952174821278,
+                        'epsilon': 0.0,
+                        'order': ['x47', 'x43', 'x35', 'x13', 'x10', 'x22', 'x25', 'x7', 'x4', 'x9',
+                                  'x39', 'x23', 'x28', 'x17', 'x36', 'x11', 'x20', 'x50', 'x45',
+                                  'x34', 'x41', 'x26', 'x15', 'x8', 'x19', 'x29', 'x18', 'x31',
+                                  'x1', 'x33', 'x21', 'x48', 'x12', 'x46', 'x38', 'x14', 'x5',
+                                  'x40', 'x49', 'x30', 'x6', 'x3', 'x42', 'x32', 'x24', 'x27',
+                                  'x44', 'x2', 'x16', 'x37']},
+        'trace': [
+            (0, 'intercept', 0.011176952174821278, 1),
+        ],
+    },
+    'sparse ctmle_greedy --covariates x1,x2,x3,x4,x5,x6,x7,x8': {
+        'diagnostics': {'chosen_covariates': ['x8', 'x5', 'x4'],
+                        'cv_loss': 0.017174971129992958,
+                        'epsilon': 6.171508632014327e-05},
+        'trace': [
+            (0, 'intercept', 0.017187340748360393, 0),
+            (1, '7', 0.017178079563365374, 0),
+            (2, '7+4', 0.017175600731615902, 0),
+            (3, '7+4+3', 0.017174971129992958, 1),
+            (4, '7+4+3+0', 0.01717899626162336, 0),
+            (5, '7+4+3+0+5', 0.017185963965130707, 0),
+            (6, '7+4+3+0+5+2', 0.017208543244289394, 0),
+            (7, '7+4+3+0+5+2+6', 0.017240683469205296, 0),
+            (8, '7+4+3+0+5+2+6+1', 0.017292016672719318, 0),
+        ],
+    },
+    'sparse ctmle_lasso': {
+        'diagnostics': {'chosen_lambda': 0.053175706238672425,
+                        'cv_loss': 0.011180958680934524,
+                        'epsilon': 5.8574150093233366e-05,
+                        'lambda_path': [0.053175706238672425, 0.03988177967900432,
+                                        0.029911334759253238, 0.02243350106943993,
+                                        0.016825125802079947, 0.01261884435155996,
+                                        0.00946413326366997, 0.007098099947752477,
+                                        0.005323574960814358, 0.003992681220610769]},
+        'trace': [
+            (0, 0.053175706238672425, 0.011180958680934524, 1),
+            (1, 0.03988177967900432, 0.011189279641348806, 0),
+            (2, 0.029911334759253238, 0.011195944581507394, 0),
+            (3, 0.02243350106943993, 0.011211141814966737, 0),
+            (4, 0.016825125802079947, 0.011229325014869248, 0),
+            (5, 0.01261884435155996, 0.011256731942228655, 0),
+            (6, 0.00946413326366997, 0.011294737601156022, 0),
+            (7, 0.007098099947752477, 0.01133727222569488, 0),
+            (8, 0.005323574960814358, 0.01138241453434603, 0),
+            (9, 0.003992681220610769, 0.011428458690494227, 0),
+        ],
+    },
+    'sparse ctmle_logistic': {
+        'diagnostics': {'chosen_covariates': [],
+                        'cv_loss': 0.011176952174821278,
+                        'epsilon': 0.0,
+                        'order': ['x8', 'x6', 'x27', 'x15', 'x21', 'x17', 'x22', 'x10', 'x19', 'x1',
+                                  'x2', 'x3', 'x28', 'x29', 'x30', 'x31', 'x32', 'x33', 'x34',
+                                  'x35', 'x36', 'x37', 'x38', 'x39', 'x40', 'x41', 'x42', 'x43',
+                                  'x44', 'x45', 'x46', 'x47', 'x48', 'x49', 'x50', 'x26', 'x14',
+                                  'x23', 'x16', 'x24', 'x18', 'x5', 'x7', 'x25', 'x9', 'x12', 'x13',
+                                  'x4', 'x11', 'x20']},
+        'trace': [
+            (0, 'intercept', 0.011176952174821278, 1),
+            (1, '7', 0.011177065615256677, 0),
+            (2, '7+5', 0.01120118129687257, 0),
+        ],
+    },
+}
