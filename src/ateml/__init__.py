@@ -28,7 +28,6 @@ from .balance import (
     WeightVector,
     asam,
     balance_table,
-    boosted_balance_ps,
     estimate_ps,
     iptw_weights,
     ps_match,

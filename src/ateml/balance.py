@@ -22,13 +22,11 @@ __all__ = [
     "WeightVector",
     "MatchResult",
     "BalanceReport",
-    "BoostedBalanceResult",
     "BalanceBoostedPS",
     "estimate_ps",
     "iptw_weights",
     "smd",
     "asam",
-    "boosted_balance_ps",
     "ps_match",
     "balance_table",
 ]
@@ -175,15 +173,6 @@ def asam(X: np.ndarray, A: np.ndarray, w=None) -> float:
 
 
 @dataclass(frozen=True)
-class BoostedBalanceResult:
-    """Balance-stopped boosted propensity score and its evaluation trace."""
-
-    ps_fit: PsFit
-    chosen_iteration: int
-    trace: tuple[tuple[int, float], ...]  # (iteration, weighted ASAM)
-
-
-@dataclass(frozen=True)
 class BalanceBoostedPS:
     """Boosted treatment log-odds stopped where IPTW balance is best; a
     ``Learner`` for the propensity role.
@@ -219,24 +208,6 @@ class BalanceBoostedPS:
         meta = {"learner": "boosted_balance", "chosen_iteration": best,
                 "asam_trace": tuple(trace)}
         return replace(model, trees=model.trees[:best], meta=meta)
-
-
-def boosted_balance_ps(
-    dataset: Dataset,
-    max_trees: int = 5000,
-    max_depth: int = 2,
-    shrinkage: float = 0.005,
-    trim: float = 0.01,
-    *,
-    stride: int = 10,
-    min_leaf: int = 10,
-) -> BoostedBalanceResult:
-    """Boost the treatment log-odds, stopping where IPTW balance is best:
-    ``estimate_ps`` with a ``BalanceBoostedPS`` of these settings, returned
-    with the chosen iteration and the (iteration, ASAM) trace."""
-    learner = BalanceBoostedPS(max_trees, max_depth, shrinkage, trim, stride, min_leaf)
-    fit = estimate_ps(learner, dataset, trim)
-    return BoostedBalanceResult(fit, fit.meta["chosen_iteration"], fit.meta["asam_trace"])
 
 
 def _nearest(query: np.ndarray, pool: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:

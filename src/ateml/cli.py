@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import Dataset, Learner, LearnerSpec, OutcomeKind
-from .balance import BalanceBoostedPS, PsFit, balance_table, estimate_ps, iptw_weights, ps_match
+from .balance import BalanceBoostedPS, balance_table, estimate_ps, iptw_weights, ps_match
 from .dgp import DgpSpec, McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
     AteResult,
@@ -263,24 +263,14 @@ def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = F
     return table[name]
 
 
-def _balance_summary(ds: Dataset, label: str, adjustment) -> dict:
-    report = balance_table(ds, [(label, adjustment)])
-    return {
-        "asam_unweighted": report.asam["unweighted"],
-        f"asam_{label}": report.asam[label],
-        "flagged_unweighted": report.n_flagged["unweighted"],
-        f"flagged_{label}": report.n_flagged[label],
-    }
-
-
 def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
               outcome_learner: Learner) -> tuple[AteResult, object]:
     """Run the configured estimator on ``ds``: the one estimator dispatch,
     shared by ``run``, its bootstrap replicates and ``simulate``.
 
     Returns (result, fit), where ``fit`` is what a report describes: the
-    ``PsFit`` (iptw), the ``(PsFit, MatchResult)`` pair (match), the
-    ``NuisanceFits`` (aiptw, tmle), the ``CtmleTrace`` (ctmle_*), or None.
+    full-sample propensity ``PsFit`` (iptw, aiptw, tmle), the ``(PsFit,
+    MatchResult)`` pair (match), the ``CtmleTrace`` (ctmle_*), or None.
     """
     est, trim, seed = config.estimator, config.trim, config.seed
     if est == "naive":
@@ -295,7 +285,7 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
         return match_ate(ds, matches), (ps_fit, matches)
     if est in ("aiptw", "tmle"):
         nuis = fit_nuisances(ds, ps_learner, outcome_learner, trim=trim, seed=seed)
-        return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis
+        return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis.ps_fit
     if est == "dml":
         cfg = DmlConfig(k=config.dml_k, s=config.dml_s, aggregate=config.dml_aggregate,
                         ps_spec=ps_learner, outcome_spec=outcome_learner, trim=trim, seed=seed)
@@ -330,19 +320,20 @@ def _report_extras(ds: Dataset, fit) -> dict:
             for k, c in enumerate(fit.candidates)
         ]
         extras["warnings"] = list(fit.flags)
-    elif isinstance(fit, tuple):
-        ps_fit, matches = fit
-        extras["balance"] = _balance_summary(ds, "match", matches)
-        extras["warnings"] = list(ps_fit.flags)
     elif fit is not None:
-        if isinstance(fit, PsFit):
-            ps, meta, flags = fit.ps, fit.meta, fit.flags
-        else:
-            ps, meta, flags = fit.ps, fit.meta["ps"], fit.meta.get("ps_flags", ())
-        extras["balance"] = _balance_summary(ds, "iptw", iptw_weights(ps, ds.treatment))
-        if "sl_weights" in meta:
-            extras["sl_weights"] = {"ps": meta["sl_weights"]}
-        extras["warnings"] = list(flags)
+        ps_fit, matches = fit if isinstance(fit, tuple) else (fit, None)
+        label = "iptw" if matches is None else "match"
+        adjustment = iptw_weights(ps_fit, ds.treatment) if matches is None else matches
+        table = balance_table(ds, [(label, adjustment)])
+        extras["balance"] = {
+            "asam_unweighted": table.asam["unweighted"],
+            f"asam_{label}": table.asam[label],
+            "flagged_unweighted": table.n_flagged["unweighted"],
+            f"flagged_{label}": table.n_flagged[label],
+        }
+        if "sl_weights" in ps_fit.meta:
+            extras["sl_weights"] = {"ps": ps_fit.meta["sl_weights"]}
+        extras["warnings"] = list(ps_fit.flags)
     return extras
 
 

@@ -94,11 +94,6 @@ class DgpSpec:
     def d(self) -> int:
         return len(self.covariate_kinds)
 
-    def quadratic(self) -> np.ndarray:
-        if self.outcome_quadratic:
-            return np.asarray(self.outcome_quadratic, dtype=float)
-        return np.zeros(self.d)
-
 
 @dataclass(frozen=True)
 class DgpDraw:
@@ -124,15 +119,18 @@ def _draw_covariates(spec: DgpSpec, rng: np.random.Generator, n: int) -> np.ndar
 
 def _outcome_signal(spec: DgpSpec, X: np.ndarray) -> np.ndarray:
     beta = np.asarray(spec.outcome_coefficients, dtype=float)
-    return spec.outcome_intercept + X @ beta + (X * X) @ spec.quadratic()
+    g = spec.outcome_intercept + X @ beta
+    if spec.outcome_quadratic:
+        g += (X * X) @ np.asarray(spec.outcome_quadratic, dtype=float)
+    return g
 
 
 @lru_cache(maxsize=64)
 def _binary_true_ate(spec: DgpSpec) -> tuple[float, float]:
     """Population Monte Carlo oracle for the logit-outcome effect."""
     rng = rng_from(spec.seed ^ 0x5EED_0DD5)
-    X = _draw_covariates(spec, rng, _POP_MC_DRAWS)
-    g = _outcome_signal(spec, X)
+    # no name holds the covariates, so they are freed before the expits
+    g = _outcome_signal(spec, _draw_covariates(spec, rng, _POP_MC_DRAWS))
     diff = expit(g + spec.treatment_effect) - expit(g)
     return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(_POP_MC_DRAWS))
 

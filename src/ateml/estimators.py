@@ -27,7 +27,7 @@ from .core import (
     make_stratified_folds,
     rng_from,
 )
-from .balance import MatchResult, _as_ps, estimate_ps
+from .balance import MatchResult, PsFit, _as_ps, estimate_ps
 
 __all__ = [
     "NuisanceFits",
@@ -58,7 +58,9 @@ class NuisanceFits:
 
     ``provenance`` is "full_sample" or "cross_fitted"; cross-fitted fits carry
     the fold map proving unit i's predictions came from models that never saw
-    i's fold.
+    i's fold. ``ps_fit`` is the full-sample ``estimate_ps`` result that ``ps``
+    comes from: its clipping, flags and learner meta. It is None when ``ps``
+    was cross-fitted or not fitted.
     """
 
     ps: np.ndarray | None
@@ -66,7 +68,7 @@ class NuisanceFits:
     mu0: np.ndarray | None
     provenance: str = "full_sample"
     fold_of: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    ps_fit: PsFit | None = None
 
     def __post_init__(self) -> None:
         if self.provenance not in ("full_sample", "cross_fitted"):
@@ -133,7 +135,6 @@ def fit_nuisances(
     n = dataset.n
     kind = "probability" if dataset.outcome_kind.is_binary else "regression"
     lo, hi = dataset.outcome_kind.bounds
-    meta: dict = {"trim": trim}
 
     def outcome_pair(X_tr, A_tr, y_tr, X_pred):
         """Clipped (mu1, mu0) predictions for X_pred from fits on the training block."""
@@ -142,18 +143,12 @@ def fit_nuisances(
         return np.clip(m1.predict(X_pred), lo, hi), np.clip(m0.predict(X_pred), lo, hi)
 
     if fold_of is None:
-        ps = None
-        if ps_spec is not None:
-            fit = estimate_ps(ps_spec, dataset, trim, seed=seed)
-            ps = fit.ps
-            meta["ps"] = fit.meta
-            meta["clipped_fraction"] = fit.clipped_fraction
-            if fit.flags:
-                meta["ps_flags"] = list(fit.flags)
+        ps_fit = None if ps_spec is None else estimate_ps(ps_spec, dataset, trim, seed=seed)
         mu1 = mu0 = None
         if outcome_spec is not None:
             mu1, mu0 = outcome_pair(X, A, y, X)
-        return NuisanceFits(ps, mu1, mu0, "full_sample", None, meta)
+        return NuisanceFits(None if ps_fit is None else ps_fit.ps, mu1, mu0, "full_sample",
+                            None, ps_fit)
 
     folds = fold_of
     ps = np.empty(n) if ps_spec is not None else None
@@ -169,7 +164,7 @@ def fit_nuisances(
             ps[te] = np.clip(pm.predict(X[te]), trim, 1.0 - trim)
         if mu1 is not None:
             mu1[te], mu0[te] = outcome_pair(X[tr], A[tr], y[tr], X[te])
-    return NuisanceFits(ps, mu1, mu0, "cross_fitted", folds.fold_of.copy(), meta)
+    return NuisanceFits(ps, mu1, mu0, "cross_fitted", folds.fold_of.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -396,18 +396,7 @@ def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LassoFit:
     lam = float(lam)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    Xs, mu, sd, ok = _standardize(X)
-    ybar = float(y.mean())
-    if lam == 0.0:
-        bs, *_ = np.linalg.lstsq(Xs, y - ybar, rcond=None)
-    else:
-        n = X.shape[0]
-        G = Xs.T @ Xs / n
-        c = Xs.T @ (y - ybar) / n
-        bs = _cd_lasso(G, c, lam, ok, np.zeros(X.shape[1]))
-    coef = np.zeros(X.shape[1])
-    coef[ok] = bs[ok] / sd[ok]
-    intercept = ybar - float(mu @ coef)
+    intercept, coef = _lasso_path(X, y, [lam])[0]
     active = tuple(int(j) for j in np.flatnonzero(coef != 0.0))
     return LassoFit(intercept, coef, lam, active)
 

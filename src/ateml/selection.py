@@ -19,12 +19,11 @@ from .estimators import (
     AteResult,
     NuisanceFits,
     Q_BOUND,
+    _if_result,
     _scaled,
     _Targeted,
-    _z_interval,
     aiptw_ate,
     fit_nuisances,
-    if_se,
     iptw_ate,
     naive_ate,
     reg_ate,
@@ -254,28 +253,49 @@ class _TargetingEngine:
         muAs = np.where(self.A == 1.0, mu1s, mu0s)
         return float(np.mean((self.ys - muAs) ** 2))
 
-    def targeted(self, model_desc, eps, q=None):
-        """Full-sample targeted fit of a candidate at a given fluctuation.
+    def targeted(self, c: CtmleCandidate, q=None):
+        """Full-sample targeted fit of a candidate at its fluctuation.
 
         ``q`` pins the initial-fit arrays the fluctuation applies to; the
         greedy variant replaces the working q mid-run, so results must be
         rebuilt against the snapshot the candidate was evaluated under.
         """
         all_rows = np.ones(self.dataset.n, dtype=bool)
-        p = self._ps_model(model_desc, all_rows)(self.X)
-        return self._update(p, all_rows, eps, q)
+        p = self._ps_model((c.covariates, c.lam), all_rows)(self.X)
+        return self._update(p, all_rows, c.epsilon, q)
 
-    def result(self, model_desc, eps, method: str, diagnostics: dict, q=None) -> AteResult:
-        t = self.targeted(model_desc, eps, q)
-        est = self.span * t.estimate
-        phi = self.span * t.phi
-        se = if_se(phi)
-        return AteResult(est, se, _z_interval(est, se), phi, method, diagnostics)
+    # -- candidates and the cross-validated choice -----------------------------
 
+    def candidate(self, cols, lam, scores) -> CtmleCandidate:
+        """The propensity model (cols, lam) with its (cv loss, full-sample
+        loss, epsilon) from an evaluation, labelled by its covariate names,
+        "intercept", or its penalty."""
+        if lam is not None:
+            label = f"lambda={lam:.6g}"
+        else:
+            label = "+".join(self.dataset.names[k] for k in cols) or "intercept"
+        return CtmleCandidate(label, cols, lam, *scores)
 
-def _choose(trace_candidates) -> int:
-    losses = np.asarray([c.cv_loss for c in trace_candidates])
-    return int(np.argmin(losses))
+    def report(self, candidates, method: str, diag: dict, evals, flags=(),
+               qs=None) -> tuple[AteResult, CtmleTrace]:
+        """The targeted estimate of the first candidate with the smallest cv
+        loss, and the trace of the sequence.
+
+        ``diag`` gains the chosen covariates (or penalty), cv loss and
+        epsilon. ``qs`` holds the initial-fit arrays each candidate was
+        evaluated under, when they differ from the working ones.
+        """
+        chosen = int(np.argmin([c.cv_loss for c in candidates]))
+        c = candidates[chosen]
+        if c.lam is None:
+            diag["chosen_covariates"] = [self.dataset.names[j] for j in c.covariates]
+        else:
+            diag["chosen_lambda"] = c.lam
+        diag["cv_loss"] = c.cv_loss
+        diag["epsilon"] = c.epsilon
+        t = self.targeted(c, None if qs is None else qs[chosen])
+        res = _if_result(self.span * t.estimate, self.span * t.phi, method, diag)
+        return res, CtmleTrace(tuple(candidates), chosen, tuple(evals), tuple(flags))
 
 
 def ctmle_greedy(
@@ -297,57 +317,35 @@ def ctmle_greedy(
     the reported estimate is the cross-validation argmin over the sequence.
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
-    d = dataset.d
-    candidates: list[CtmleCandidate] = []
-    details: list[tuple] = []  # (model_desc, eps, q snapshot) per candidate
+    candidates = [eng.candidate((), None, eng.evaluate(((), None)))]
+    qs = [eng.q]  # the initial-fit arrays each candidate was evaluated under
     flags: list[str] = []
     evals_per_round: list[int] = []
 
-    base_desc = ((), None)
-    cv0, emp0, eps0 = eng.evaluate(base_desc)
-    candidates.append(CtmleCandidate("intercept", (), None, cv0, emp0, eps0))
-    details.append((base_desc, eps0, eng.q))
-
     current: tuple[int, ...] = ()
-    remaining = list(range(d))
+    remaining = list(range(dataset.d))
     round_evals = 1  # the intercept-only evaluation opens the first round
     while remaining:
-        restarted = False
-        while True:
-            best = None
-            for j, (cv, emp, eps) in zip(remaining, eng.evaluate_stage(current, remaining)):
-                round_evals += 1
-                if best is None or cv < best[0]:
-                    best = (cv, emp, eps, j)
-            cv, emp, eps, j_star = best
-            if emp < eng.q_loss() or restarted:
-                if not (emp < eng.q_loss()) and restarted:
+        for restarted in (False, True):
+            stage = eng.evaluate_stage(current, remaining)
+            round_evals += len(stage)
+            k = min(range(len(stage)), key=lambda i: stage[i][0])  # first cv-loss argmin
+            improved = stage[k][1] < eng.q_loss()
+            if improved or restarted:
+                if not improved:
                     flags.append(f"forced_accept_stage_{len(current) + 1}")
                 break
             # replace the initial estimator with the last accepted targeted
             # fit, close the round, and rerun the stage once
-            last = eng.targeted(*details[-1])
+            last = eng.targeted(candidates[-1], qs[-1])
             eng.q = tuple(np.clip(m, Q_BOUND, 1.0 - Q_BOUND) for m in (last.mu1, last.mu0))
             evals_per_round.append(round_evals)
             round_evals = 0
-            restarted = True
-        current = current + (j_star,)
-        remaining.remove(j_star)
-        label = "+".join(dataset.names[k] for k in current)
-        candidates.append(CtmleCandidate(label, current, None, cv, emp, eps))
-        details.append(((current, None), eps, eng.q))
+        current = current + (remaining.pop(k),)
+        candidates.append(eng.candidate(current, None, stage[k]))
+        qs.append(eng.q)
     evals_per_round.append(round_evals)
-
-    chosen = _choose(candidates)
-    desc, eps, q_snap = details[chosen]
-    trace = CtmleTrace(tuple(candidates), chosen, tuple(evals_per_round), tuple(flags))
-    diag = {
-        "chosen_covariates": [dataset.names[j] for j in candidates[chosen].covariates],
-        "cv_loss": candidates[chosen].cv_loss,
-        "epsilon": eps,
-    }
-    res = eng.result(desc, eps, "ctmle_greedy", diag, q_snap)
-    return res, trace
+    return eng.report(candidates, "ctmle_greedy", {}, evals_per_round, flags, qs)
 
 
 def _ctmle_from_order(eng: _TargetingEngine, order, method: str) -> tuple[AteResult, CtmleTrace]:
@@ -357,35 +355,16 @@ def _ctmle_from_order(eng: _TargetingEngine, order, method: str) -> tuple[AteRes
     strictly decreasing; the first non-improving extension stops the
     sequence.
     """
-    dataset = eng.dataset
-    candidates: list[CtmleCandidate] = []
-    details: list[tuple] = []
-    cv0, emp0, eps0 = eng.evaluate(((), None))
-    candidates.append(CtmleCandidate("intercept", (), None, cv0, emp0, eps0))
-    details.append((((), None), eps0))
-    best_emp = emp0
+    candidates = [eng.candidate((), None, eng.evaluate(((), None)))]
     current: tuple[int, ...] = ()
     for j in order:
         current = current + (int(j),)
-        desc = (current, None)
-        cv, emp, eps = eng.evaluate(desc)
-        if not emp < best_emp:
+        c = eng.candidate(current, None, eng.evaluate((current, None)))
+        if not c.emp_loss < candidates[-1].emp_loss:
             break
-        best_emp = emp
-        label = "+".join(dataset.names[k] for k in current)
-        candidates.append(CtmleCandidate(label, current, None, cv, emp, eps))
-        details.append((desc, eps))
-    chosen = _choose(candidates)
-    desc, eps = details[chosen]
-    trace = CtmleTrace(tuple(candidates), chosen, (eng.n_ps_model_evals,))
-    diag = {
-        "order": [dataset.names[int(j)] for j in order],
-        "chosen_covariates": [dataset.names[j] for j in candidates[chosen].covariates],
-        "cv_loss": candidates[chosen].cv_loss,
-        "epsilon": eps,
-    }
-    res = eng.result(desc, eps, method, diag)
-    return res, trace
+        candidates.append(c)
+    diag = {"order": [eng.dataset.names[int(j)] for j in order]}
+    return eng.report(candidates, method, diag, (eng.n_ps_model_evals,))
 
 
 def ctmle_preorder_logistic(
@@ -431,9 +410,7 @@ def ctmle_preorder_correlation(
     r_sd = float(np.std(resid))
     for j in range(dataset.d):
         x_sd = float(np.std(X[:, j]))
-        if x_sd == 0.0 or r_sd == 0.0:
-            corr[j] = 0.0
-        else:
+        if x_sd != 0.0 and r_sd != 0.0:
             corr[j] = float(np.mean((X[:, j] - X[:, j].mean()) * (resid - resid.mean())) / (x_sd * r_sd))
     return _ctmle_from_order(eng, np.argsort(-np.abs(corr), kind="stable"), "ctmle_correlation")
 
@@ -467,21 +444,7 @@ def ctmle_lasso(
         raise ValueError("lambda path must be non-empty")
     if path.size > 1 and not (np.diff(path) < 0).all():
         raise ValueError("lambda path must be strictly decreasing")
-    candidates: list[CtmleCandidate] = []
-    details: list[tuple] = []
-    for lam in path:
-        desc = (None, float(lam))
-        cv, emp, eps = eng.evaluate(desc)
-        candidates.append(CtmleCandidate(f"lambda={lam:.6g}", None, float(lam), cv, emp, eps))
-        details.append((desc, eps))
-    chosen = _choose(candidates)
-    desc, eps = details[chosen]
-    trace = CtmleTrace(tuple(candidates), chosen, (eng.n_ps_model_evals,))
-    diag = {
-        "lambda_path": [float(l) for l in path],
-        "chosen_lambda": candidates[chosen].lam,
-        "cv_loss": candidates[chosen].cv_loss,
-        "epsilon": eps,
-    }
-    res = eng.result(desc, eps, "ctmle_lasso", diag)
-    return res, trace
+    lams = [float(lam) for lam in path]
+    candidates = [eng.candidate(None, lam, eng.evaluate((None, lam))) for lam in lams]
+    return eng.report(candidates, "ctmle_lasso", {"lambda_path": lams},
+                      (eng.n_ps_model_evals,))

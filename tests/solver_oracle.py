@@ -1,11 +1,12 @@
 """The logistic and lasso solvers as they were before the stacked IRLS and
-the scalar coordinate descent, kept verbatim as the reference the current
+the scalar coordinate descent, and ``fit_lasso`` as it was before it became
+the one-point penalty path, kept verbatim as the reference the current
 solvers must equal bit for bit (``tests/test_solvers.py``)."""
 
 import numpy as np
 from scipy.special import expit, logit
 
-from ateml.learners import LinearModel
+from ateml.learners import LassoFit, LinearModel
 
 KKT_TOL = 1e-7  # inner tolerance; the documented contract is 1e-6
 
@@ -122,6 +123,32 @@ def _cd_lasso(G: np.ndarray, c: np.ndarray, lam: float, ok: np.ndarray,
         if viol < KKT_TOL:
             break
     return beta
+
+
+def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LassoFit:
+    """Lasso with internal standardisation and unpenalised intercept.
+
+    lam=0 falls back to the (minimum-norm) least-squares solution; at or above
+    ``lasso_lambda_max`` every coefficient is exactly zero.
+    """
+    X, y = _check_matrix(features, target)
+    lam = float(lam)
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    Xs, mu, sd, ok = _standardize(X)
+    ybar = float(y.mean())
+    if lam == 0.0:
+        bs, *_ = np.linalg.lstsq(Xs, y - ybar, rcond=None)
+    else:
+        n = X.shape[0]
+        G = Xs.T @ Xs / n
+        c = Xs.T @ (y - ybar) / n
+        bs = _cd_lasso(G, c, lam, ok, np.zeros(X.shape[1]))
+    coef = np.zeros(X.shape[1])
+    coef[ok] = bs[ok] / sd[ok]
+    intercept = ybar - float(mu @ coef)
+    active = tuple(int(j) for j in np.flatnonzero(coef != 0.0))
+    return LassoFit(intercept, coef, lam, active)
 
 
 def _lasso_path(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[tuple[float, np.ndarray]]:

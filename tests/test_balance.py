@@ -9,7 +9,6 @@ from ateml.balance import (
     WeightVector,
     asam,
     balance_table,
-    boosted_balance_ps,
     estimate_ps,
     iptw_weights,
     ps_match,
@@ -167,31 +166,35 @@ class TestAsam:
 
 
 class TestBoostedBalance:
+    """``estimate_ps`` with the balance-stopped learner (stride 10, trim 0.01)."""
+
     def test_schedule_includes_baseline_and_strides(self):
         ds, _ = make_confounded(n=200, seed=1)
-        out = boosted_balance_ps(ds, max_trees=10, max_depth=2, shrinkage=0.1, stride=10)
-        assert [it for it, _ in out.trace] == [0, 10]
+        fit = estimate_ps(BalanceBoostedPS(max_trees=10, max_depth=2, shrinkage=0.1), ds, 0.01)
+        assert [it for it, _ in fit.meta["asam_trace"]] == [0, 10]
 
     def test_chosen_iteration_minimises_trace(self):
         ds, _ = make_confounded(n=300, seed=2)
-        out = boosted_balance_ps(ds, max_trees=60, max_depth=2, shrinkage=0.1, stride=10)
-        chosen_asam = dict(out.trace)[out.chosen_iteration]
-        assert all(chosen_asam <= a for _, a in out.trace)
+        fit = estimate_ps(BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1), ds, 0.01)
+        trace = fit.meta["asam_trace"]
+        chosen_asam = dict(trace)[fit.meta["chosen_iteration"]]
+        assert all(chosen_asam <= a for _, a in trace)
 
     def test_randomized_treatment_keeps_low_iterations(self):
         for seed in range(10):
             ds = _binary_dataset(250, 100 + seed)
-            out = boosted_balance_ps(ds, max_trees=50, max_depth=2, shrinkage=0.1, stride=10)
-            baseline = out.trace[0][1]
-            assert dict(out.trace)[out.chosen_iteration] <= baseline + 0.01
+            fit = estimate_ps(BalanceBoostedPS(max_trees=50, max_depth=2, shrinkage=0.1), ds, 0.01)
+            trace = fit.meta["asam_trace"]
+            baseline = trace[0][1]
+            assert dict(trace)[fit.meta["chosen_iteration"]] <= baseline + 0.01
 
     def test_kept_model_is_truncated_at_the_chosen_iteration(self):
         ds, _ = make_confounded(n=300, seed=3)
-        out = boosted_balance_ps(ds, max_trees=60, max_depth=2, shrinkage=0.1, stride=10)
         learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
+        fit = estimate_ps(learner, ds, 0.01)
         model = learner.fit(ds.covariates, ds.treatment.astype(float))
-        assert len(model.trees) == out.chosen_iteration == model.meta["chosen_iteration"]
-        assert np.array_equal(model.predict(ds.covariates), out.ps_fit.raw_ps)
+        assert len(model.trees) == fit.meta["chosen_iteration"] == model.meta["chosen_iteration"]
+        assert np.array_equal(model.predict(ds.covariates), fit.raw_ps)
         held_out = model.predict(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -2.0]]))
         assert ((held_out > 0) & (held_out < 1)).all()
 
@@ -199,8 +202,8 @@ class TestBoostedBalance:
         wins = 0
         for seed in range(20):
             ds, _ = make_confounded(n=300, seed=300 + seed)
-            out = boosted_balance_ps(ds, max_trees=80, max_depth=2, shrinkage=0.1, stride=10)
-            w = iptw_weights(out.ps_fit, ds.treatment)
+            fit = estimate_ps(BalanceBoostedPS(max_trees=80, max_depth=2, shrinkage=0.1), ds, 0.01)
+            w = iptw_weights(fit, ds.treatment)
             wins += asam(ds.covariates, ds.treatment, w) < asam(ds.covariates, ds.treatment)
         assert wins >= 19
 

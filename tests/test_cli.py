@@ -303,6 +303,19 @@ def test_simulate_applies_learners_from_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_match_reports_the_super_learner_weights(data, tmp_path):
+    # the weights of the propensity model it matches on, as iptw reports
+    # them; the estimate, balance and warnings are those of the command line
+    # before match reported any weights
+    report = cli_report(data["lin"], tmp_path / "r.json", "match", ("--ps-learner", "sl_small"))
+    assert report["sl_weights"] == GOLDEN["lin iptw --ps-learner sl_small"]["sl_weights"]
+    assert report["result"]["estimate"] == 0.7489319532427604
+    assert report["balance"] == {"asam_match": 0.08040142544692891,
+                                 "asam_unweighted": 0.23808687260614284,
+                                 "flagged_match": 2, "flagged_unweighted": 4}
+    assert report["warnings"] == []
+
+
 def test_dml_with_twang_ps(data):
     report = run(RunConfig(data=data["lin"], estimator="dml", ps_learner="twang", dml_s=1))
     diag = report["result"]["diagnostics"]

@@ -51,3 +51,14 @@ def test_binary_true_ate_matches_a_large_draw():
     se = diff.std(ddof=1) / np.sqrt(diff.size)
     # the truth is itself a population Monte Carlo mean with its own SE
     assert abs(diff.mean() - draw.true_ate) < 4 * np.hypot(se, draw.true_ate_se)
+
+
+def test_outcome_quadratic_adds_its_term():
+    plain = replace(builtin_specs()["confounded_linear"], n=200)
+    quad = (0.0, 0.2, 0.0, 0.5, 0.0, -0.3)
+    got = gen_dataset(replace(plain, outcome_quadratic=quad), seed=4)
+    base = gen_dataset(plain, seed=4)
+    X = got.dataset.covariates
+    assert np.array_equal(X, base.dataset.covariates)
+    np.testing.assert_allclose(got.y0, base.y0 + (X * X) @ np.array(quad), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.y1 - got.y0, plain.treatment_effect, rtol=0, atol=1e-12)

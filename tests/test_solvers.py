@@ -222,6 +222,16 @@ def test_lasso_path_and_cd_match_reference(problem, fracs):
         assert same(got, oracle._cd_lasso(G, c, float(lam), ok, np.zeros(X.shape[1])))
 
 
+@given(regression_problem(), LAMBDA_FRACTIONS)
+@settings(max_examples=100)
+def test_fit_lasso_matches_reference(problem, frac):
+    X, y = problem
+    lam = frac * lasso_lambda_max(X, y)
+    new, old = learners.fit_lasso(X, y, lam), oracle.fit_lasso(X, y, lam)
+    assert same(new.intercept, old.intercept) and same(new.coef, old.coef)
+    assert (new.lam, new.active_set) == (old.lam, old.active_set)
+
+
 def test_signed_zero_coefficients_survive():
     # a coefficient that enters and then leaves from the negative side ends
     # as -0.0 in both solvers
