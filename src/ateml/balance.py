@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -36,20 +37,28 @@ SMD_FLAG_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class PsFit:
-    """Estimated propensity scores clipped into [trim, 1 - trim]."""
+    """A full-sample propensity fit: the learner's ``raw_ps``, ``flags`` and
+    ``meta``, and the ``trim``. The scores ``ps`` are ``raw_ps`` clipped into
+    [trim, 1 - trim]; ``flags`` leads with ``positivity_warning`` when more
+    than 10% of them were clipped, then lists the learner's flags."""
 
-    ps: np.ndarray
     raw_ps: np.ndarray
     trim: float
-    clipped_fraction: float
-    flags: tuple[str, ...] = ()
+    learner_flags: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        ps = np.asarray(self.ps, dtype=float)
-        if ps.min() < self.trim or ps.max() > 1.0 - self.trim:
-            raise ValueError("propensity scores escape the trim bounds")
-        object.__setattr__(self, "ps", ps)
+    @cached_property
+    def ps(self) -> np.ndarray:
+        return np.clip(self.raw_ps, self.trim, 1.0 - self.trim)
+
+    @cached_property
+    def clipped_fraction(self) -> float:
+        return float(np.mean((self.raw_ps < self.trim) | (self.raw_ps > 1.0 - self.trim)))
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        positivity = ("positivity_warning",) if self.clipped_fraction > 0.1 else ()
+        return positivity + self.learner_flags
 
 
 def _as_ps(ps) -> np.ndarray:
@@ -75,13 +84,15 @@ class MatchResult:
     replacement, for the ATE.
 
     ``match_index[i]`` is the opposite-arm unit imputing i's missing potential
-    outcome; ``match_counts[j]`` counts how often j was used as a match. For
-    balance purposes each unit weighs 1 + its match count.
+    outcome; ``match_counts[j]``, derived from it, counts how often j was used
+    as a match. For balance purposes each unit weighs 1 + its match count.
     """
 
     match_index: np.ndarray
-    match_counts: np.ndarray
-    treatment: np.ndarray
+
+    @cached_property
+    def match_counts(self) -> np.ndarray:
+        return np.bincount(self.match_index, minlength=self.match_index.shape[0])
 
     @property
     def balance_weights(self) -> np.ndarray:
@@ -95,11 +106,12 @@ def estimate_ps(
     *,
     seed: int = 0,
 ) -> PsFit:
-    """Fit P(A=1 | X) on the full sample and clip into [trim, 1 - trim].
+    """Fit P(A=1 | X) on the full sample; the ``PsFit`` clips into
+    [trim, 1 - trim].
 
     Any ``Learner`` serves, fitted as ``learner.fit(X, A, "probability",
-    seed)``; its model's ``meta`` (and ``flags``, as ``learner_flags``)
-    becomes the fit's ``meta``. A clipped fraction above 10% raises a
+    seed)``; its model's ``flags`` and ``meta`` become the fit's
+    ``learner_flags`` and ``meta``. A clipped fraction above 10% raises a
     positivity flag: the model is pushing mass against the bounds, so
     weighting estimators downstream deserve suspicion.
     """
@@ -107,14 +119,7 @@ def estimate_ps(
         raise ValueError("trim must be in (0, 0.5)")
     X, A = dataset.covariates, dataset.treatment.astype(float)
     model = learner.fit(X, A, "probability", seed)
-    raw = model.predict(X)
-    meta = dict(model.meta)
-    if model.flags:
-        meta["learner_flags"] = list(model.flags)
-    ps = np.clip(raw, trim, 1.0 - trim)
-    clipped = float(np.mean((raw < trim) | (raw > 1.0 - trim)))
-    flags = ("positivity_warning",) if clipped > 0.1 else ()
-    return PsFit(ps, raw, float(trim), clipped, flags, meta)
+    return PsFit(model.predict(X), float(trim), tuple(model.flags), dict(model.meta))
 
 
 def iptw_weights(ps, A: np.ndarray) -> WeightVector:
@@ -205,8 +210,7 @@ class BalanceBoostedPS:
         model = fit_boost(X, y, self.max_trees, self.max_depth, self.shrinkage, "bernoulli",
                           min_leaf=self.min_leaf, callback=record)
         best = trace[int(np.argmin([a for _, a in trace]))][0]
-        meta = {"learner": "boosted_balance", "chosen_iteration": best,
-                "asam_trace": tuple(trace)}
+        meta = {"chosen_iteration": best, "asam_trace": tuple(trace)}
         return replace(model, trees=model.trees[:best], meta=meta)
 
 
@@ -252,8 +256,7 @@ def ps_match(ps, A: np.ndarray) -> MatchResult:
     match = np.empty(n, dtype=np.int64)
     match[t_idx] = _nearest(p[t_idx], p[c_idx], c_idx)
     match[c_idx] = _nearest(p[c_idx], p[t_idx], t_idx)
-    counts = np.bincount(match, minlength=n)
-    return MatchResult(match, counts, np.asarray(A, dtype=np.int64))
+    return MatchResult(match)
 
 
 @dataclass(frozen=True)

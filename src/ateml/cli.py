@@ -75,7 +75,6 @@ class RunConfig:
     trim: float = 0.01
     dml_k: int = 2
     dml_s: int = 11
-    dml_aggregate: str = "median"
     pd_method: str = "aiptw"
     out: str = "report.json"
 
@@ -94,6 +93,8 @@ class RunConfig:
         return cls().with_overrides(**kwargs)
 
     def with_overrides(self, **kwargs) -> "RunConfig":
+        """Each value converted by the type of the key's default; None leaves
+        a key as it is."""
         typed: dict = {}
         known = {f.name: f for f in fields(self)}
         for key, val in kwargs.items():
@@ -107,12 +108,8 @@ class RunConfig:
                 else:
                     val = tuple(val)
                 typed[key] = val
-            elif key in ("v_folds", "seed", "bootstrap", "dml_k", "dml_s"):
-                typed[key] = int(val)
-            elif key == "trim":
-                typed[key] = float(val)
             else:
-                typed[key] = str(val)
+                typed[key] = type(known[key].default)(val)
         return replace(self, **typed)
 
 
@@ -123,12 +120,12 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if obj is None or isinstance(obj, (str, bool)):  # bool before int: True is an int
+        return obj
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if obj is None or isinstance(obj, (str, bool)):
-        return obj
     return str(obj)
 
 
@@ -287,8 +284,8 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
         nuis = fit_nuisances(ds, ps_learner, outcome_learner, trim=trim, seed=seed)
         return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis.ps_fit
     if est == "dml":
-        cfg = DmlConfig(k=config.dml_k, s=config.dml_s, aggregate=config.dml_aggregate,
-                        ps_spec=ps_learner, outcome_spec=outcome_learner, trim=trim, seed=seed)
+        cfg = DmlConfig(k=config.dml_k, s=config.dml_s, ps_spec=ps_learner,
+                        outcome_spec=outcome_learner, trim=trim, seed=seed)
         return dml_ate(ds, cfg), None
     if est == "double_lasso":
         sel = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
@@ -311,12 +308,13 @@ def _report_extras(ds: Dataset, fit) -> dict:
     gives for the ``fit`` returned by ``_estimate``."""
     extras: dict = {"balance": None, "sl_weights": None, "ctmle_trace": None, "warnings": []}
     if isinstance(fit, CtmleTrace):
+        chosen = fit.chosen_index
         extras["ctmle_trace"] = [
             {"candidate": k,
              "covariates_or_lambda": (c.lam if c.lam is not None
-                                      else "+".join(str(j) for j in c.covariates) or "intercept"),
+                                      else "+".join(ds.names[j] for j in c.covariates) or "intercept"),
              "cv_loss": c.cv_loss,
-             "chosen": k == fit.chosen_index}
+             "chosen": k == chosen}
             for k, c in enumerate(fit.candidates)
         ]
         extras["warnings"] = list(fit.flags)
@@ -487,28 +485,17 @@ def export_dgp(spec_name: str, n: int | None, seed: int, out: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-_FLAGS = {
-    "config": (("--config",), {"help": "flat key = value config file"}),
-    "data": (("--data",), {}),
-    "treatment": (("--treatment",), {}),
-    "outcome": (("--outcome",), {}),
-    "covariates": (("--covariates",),
-                   {"help": "comma-separated covariate columns (default: all others)"}),
-    "estimator": (("--estimator",), {"choices": ESTIMATORS}),
-    "ps_learner": (("--ps-learner",), {}),
-    "outcome_learner": (("--outcome-learner",), {}),
-    "v_folds": (("--v-folds",), {"type": int}),
-    "seed": (("--seed",), {"type": int}),
-    "bootstrap": (("--bootstrap",), {"type": int}),
-    "trim": (("--trim",), {"type": float}),
-    "dml_k": (("--dml-k",), {"type": int}),
-    "dml_s": (("--dml-s",), {"type": int}),
-    "pd_method": (("--pd-method",), {"choices": ("reg", "iptw", "aiptw")}),
-    "out": (("--out",), {}),
+# The help and choices of the RunConfig flags; a flag's name is its key with
+# dashes, and a key with an int or float default takes that type.
+_FLAG_EXTRAS = {
+    "config": {"help": "flat key = value config file"},
+    "covariates": {"help": "comma-separated covariate columns (default: all others)"},
+    "estimator": {"choices": ESTIMATORS},
+    "pd_method": {"choices": ("reg", "iptw", "aiptw")},
 }
 # The RunConfig flags each command reads; any other flag is an argparse error.
 _COMMAND_FLAGS = {
-    "run": tuple(_FLAGS),
+    "run": ("config",) + tuple(f.name for f in fields(RunConfig)),
     "balance": ("config", "data", "treatment", "outcome", "covariates", "v_folds", "seed",
                 "trim", "out"),
     "simulate": ("config", "seed", "trim", "dml_k", "dml_s", "out"),
@@ -516,9 +503,12 @@ _COMMAND_FLAGS = {
 
 
 def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     for name in _COMMAND_FLAGS[command]:
-        flags, kwargs = _FLAGS[name]
-        p.add_argument(*flags, dest=name, **kwargs)
+        kwargs = dict(_FLAG_EXTRAS.get(name, {}))
+        if type(defaults.get(name)) in (int, float):
+            kwargs["type"] = type(defaults[name])
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -177,7 +177,6 @@ class FoldAssignment:
 
     fold_of: np.ndarray
     V: int
-    seed: int
 
     def __post_init__(self) -> None:
         f = np.asarray(self.fold_of, dtype=np.int64)
@@ -218,7 +217,7 @@ def make_folds(n: int, V: int, seed: int) -> FoldAssignment:
         size = base + (1 if v <= extra else 0)
         fold_of[perm[start : start + size]] = v
         start += size
-    return FoldAssignment(fold_of, V, int(seed))
+    return FoldAssignment(fold_of, V)
 
 
 def make_stratified_folds(strata: np.ndarray, V: int, seed: int) -> FoldAssignment:
@@ -240,7 +239,7 @@ def make_stratified_folds(strata: np.ndarray, V: int, seed: int) -> FoldAssignme
     order = np.concatenate(order_parts)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[order] = (np.arange(n) % V) + 1
-    return FoldAssignment(fold_of, V, int(seed))
+    return FoldAssignment(fold_of, V)
 
 
 class Learner(Protocol):

@@ -102,7 +102,6 @@ class DgpDraw:
     dataset: Dataset
     true_ate: float
     true_ate_se: float
-    true_ps: np.ndarray
     y0: np.ndarray
     y1: np.ndarray
 
@@ -164,15 +163,15 @@ def gen_dataset(spec: DgpSpec, seed: int | None = None) -> DgpDraw:
         kind = OutcomeKind.binary()
     ate, ate_se = true_ate(spec)
     dataset = Dataset(X, A, y, kind)
-    return DgpDraw(dataset, ate, ate_se, ps, y0, y1)
+    return DgpDraw(dataset, ate, ate_se, y0, y1)
 
 
 @dataclass(frozen=True)
 class McReport:
     """Monte Carlo summary of one estimator over R replications.
 
-    ``rmse**2 == bias**2 + variance`` holds exactly on the same sample when
-    the variance uses the population divisor, which is what is stored here.
+    ``coverage`` is None when no replicate gave an interval, or when every
+    interval had zero width.
     """
 
     estimator: str
@@ -183,12 +182,9 @@ class McReport:
     bias: float
     mc_se: float
     rmse: float
-    variance: float
     coverage: float | None
     mean_ci_width: float | None
     estimates: tuple[float, ...]
-    flags: tuple[str, ...] = ()
-    failure_messages: tuple[str, ...] = ()
 
     def to_csv_row(self) -> str:
         cov = "" if self.coverage is None else repr(self.coverage)
@@ -238,23 +234,18 @@ def mc_eval(
     arr = np.asarray(estimates)
     bias = float(arr.mean() - truth)
     mc_se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else float("nan")
-    variance = float(arr.var(ddof=0))
     rmse = float(np.sqrt(np.mean((arr - truth) ** 2)))
     have_ci = [ci for ci in cis if ci is not None]
-    flags: list[str] = []
     coverage = mean_width = None
     if have_ci:
         hits = [1.0 if lo <= truth <= hi else 0.0 for lo, hi in have_ci]
         widths = [hi - lo for lo, hi in have_ci]
         mean_width = float(np.mean(widths))
-        if max(widths) == 0.0:
-            flags.append("degenerate_ci")
-        else:
+        if max(widths) > 0.0:
             coverage = float(np.mean(hits))
     return McReport(
-        label, spec.name, R, len(failures), truth, bias, mc_se, rmse, variance,
+        label, spec.name, R, len(failures), truth, bias, mc_se, rmse,
         coverage, mean_width, tuple(float(e) for e in arr),
-        tuple(flags), tuple(failures[:5]),
     )
 
 

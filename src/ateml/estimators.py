@@ -56,25 +56,23 @@ SCORE_TOL = 1e-6
 class NuisanceFits:
     """Per-unit nuisance predictions: propensity p(X) and outcomes mu(a, X).
 
-    ``provenance`` is "full_sample" or "cross_fitted"; cross-fitted fits carry
-    the fold map proving unit i's predictions came from models that never saw
-    i's fold. ``ps_fit`` is the full-sample ``estimate_ps`` result that ``ps``
-    comes from: its clipping, flags and learner meta. It is None when ``ps``
-    was cross-fitted or not fitted.
+    Cross-fitted fits carry the fold map ``fold_of`` proving unit i's
+    predictions came from models that never saw i's fold; ``provenance``
+    follows from it: "cross_fitted" with a fold map, "full_sample" without.
+    ``ps_fit`` is the full-sample ``estimate_ps`` result that ``ps`` comes
+    from: its clipping, flags and learner meta. It is None when ``ps`` was
+    cross-fitted or not fitted.
     """
 
     ps: np.ndarray | None
     mu1: np.ndarray | None
     mu0: np.ndarray | None
-    provenance: str = "full_sample"
     fold_of: np.ndarray | None = None
     ps_fit: PsFit | None = None
 
-    def __post_init__(self) -> None:
-        if self.provenance not in ("full_sample", "cross_fitted"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == "cross_fitted" and self.fold_of is None:
-            raise ValueError("cross_fitted provenance requires the fold map")
+    @property
+    def provenance(self) -> str:
+        return "full_sample" if self.fold_of is None else "cross_fitted"
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,7 @@ def fit_nuisances(
         mu1 = mu0 = None
         if outcome_spec is not None:
             mu1, mu0 = outcome_pair(X, A, y, X)
-        return NuisanceFits(None if ps_fit is None else ps_fit.ps, mu1, mu0, "full_sample",
-                            None, ps_fit)
+        return NuisanceFits(None if ps_fit is None else ps_fit.ps, mu1, mu0, ps_fit=ps_fit)
 
     folds = fold_of
     ps = np.empty(n) if ps_spec is not None else None
@@ -164,7 +161,7 @@ def fit_nuisances(
             ps[te] = np.clip(pm.predict(X[te]), trim, 1.0 - trim)
         if mu1 is not None:
             mu1[te], mu0[te] = outcome_pair(X[tr], A[tr], y[tr], X[te])
-    return NuisanceFits(ps, mu1, mu0, "cross_fitted", folds.fold_of.copy())
+    return NuisanceFits(ps, mu1, mu0, folds.fold_of.copy())
 
 
 # ---------------------------------------------------------------------------

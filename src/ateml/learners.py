@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import FittedModel, LearnerSpec, child_seeds, make_folds, rng_from
+from .core import FittedModel, LearnerSpec, child_seeds, loss_logloss, make_folds, rng_from
 
 __all__ = [
     "LinearModel",
@@ -421,11 +421,39 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[tuple[fl
     return out
 
 
-def default_lambda_grid(features: np.ndarray, target: np.ndarray, n_lambda: int = 100) -> np.ndarray:
+def default_lambda_grid(features: np.ndarray, target: np.ndarray, n_lambda: int = 100,
+                        ratio: float = 1e-4) -> np.ndarray:
+    """``n_lambda`` penalties falling geometrically from ``lasso_lambda_max``
+    to ``ratio`` times it; [0.0] when every penalty would be zero."""
     lmax = lasso_lambda_max(features, target)
     if lmax <= 0:
         return np.array([0.0])
-    return np.geomspace(lmax, lmax * 1e-4, n_lambda)
+    return np.geomspace(lmax, lmax * ratio, n_lambda)
+
+
+def _cv_penalty(X, y, lambda_grid, folds, v_folds, seed, fold_losses) -> float:
+    """The grid penalty with the smallest mean held-out loss over the folds,
+    the first on exact ties: the grid must be descending, so ties resolve
+    toward the larger penalty (more regularisation). ``fold_losses(X_tr,
+    y_tr, X_te, y_te, lams)`` gives one held-out loss per penalty."""
+    lams = np.asarray(lambda_grid, dtype=float)
+    if lams.size < 1:
+        raise ValueError("lambda grid must be non-empty")
+    if lams.size > 1 and not (np.diff(lams) <= 0).all():
+        raise ValueError("lambda grid must be descending")
+    if folds is None:
+        folds = make_folds(X.shape[0], v_folds, seed)
+    losses = np.zeros((folds.V, lams.size))
+    for v in range(1, folds.V + 1):
+        tr = folds.train_mask(v)
+        te = folds.test_mask(v)
+        losses[v - 1] = fold_losses(X[tr], y[tr], X[te], y[te], lams)
+    return float(lams[int(np.argmin(losses.mean(axis=0)))])
+
+
+def _lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams):
+    return [float(np.mean((b0 + X_te @ coef - y_te) ** 2))
+            for b0, coef in _lasso_path(X_tr, y_tr, lams)]
 
 
 def lasso_cv(
@@ -445,24 +473,7 @@ def lasso_cv(
     X, y = _check_matrix(features, target)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(X, y)
-    lams = np.asarray(lambda_grid, dtype=float)
-    if lams.size < 1:
-        raise ValueError("lambda grid must be non-empty")
-    if lams.size > 1 and not (np.diff(lams) <= 0).all():
-        raise ValueError("lambda grid must be descending")
-    if folds is None:
-        folds = make_folds(X.shape[0], v_folds, seed)
-    sq_err = np.zeros((folds.V, lams.size))
-    for v in range(1, folds.V + 1):
-        tr = folds.train_mask(v)
-        te = folds.test_mask(v)
-        path = _lasso_path(X[tr], y[tr], lams)
-        for k, (b0, coef) in enumerate(path):
-            pred = b0 + X[te] @ coef
-            sq_err[v - 1, k] = float(np.mean((pred - y[te]) ** 2))
-    risks = sq_err.mean(axis=0)
-    best = int(np.argmin(risks))  # first minimum = largest penalty on ties
-    lam = float(lams[best])
+    lam = _cv_penalty(X, y, lambda_grid, folds, v_folds, seed, _lasso_fold_losses)
     return lam, fit_lasso(X, y, lam)
 
 
@@ -475,13 +486,12 @@ def fit_logistic_lasso(
     features: np.ndarray,
     target: np.ndarray,
     lam: float,
-    *,
-    max_outer: int = 50,
 ) -> LinearModel:
     """l1-penalised logistic regression via proximal coordinate descent.
 
-    Outer loop forms the usual quadratic (working-response) approximation;
-    the inner loop soft-thresholds one standardized coordinate at a time.
+    Each of at most 50 outer passes forms the usual quadratic
+    (working-response) approximation; the inner loop soft-thresholds one
+    standardized coordinate at a time.
     Objective: (1/n) * Bernoulli deviance/2 ... + lam*||b||_1, intercept free.
     """
     X, y = _check_matrix(features, target)
@@ -497,7 +507,7 @@ def fit_logistic_lasso(
     cols = [XsF[:, j] for j in idx]
     b0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
     beta = np.zeros(X.shape[1])
-    for _ in range(max_outer):
+    for _ in range(50):
         b0_old, beta_old = b0, beta
         lin = Xs @ beta
         p = np.clip(expit(b0 + lin), 1e-8, 1 - 1e-8)
@@ -532,6 +542,11 @@ def fit_logistic_lasso(
     return LinearModel(b0 - float(mu @ coef), coef)
 
 
+def _logistic_lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams):
+    return [loss_logloss(fit_logistic_lasso(X_tr, y_tr, float(lam)).predict_proba(X_te), y_te)
+            for lam in lams]
+
+
 def logistic_lasso_cv(
     features: np.ndarray,
     target: np.ndarray,
@@ -542,26 +557,12 @@ def logistic_lasso_cv(
     v_folds: int = 5,
     seed: int = 0,
 ) -> tuple[float, LinearModel]:
-    """Cross-validated penalty selection (held-out log-loss) for the l1 logit."""
-    from .core import loss_logloss
-
+    """Cross-validated penalty selection (held-out log-loss) for the l1 logit,
+    with the grid rules of ``lasso_cv``."""
     X, y = _check_matrix(features, target)
     if lambda_grid is None:
-        lmax = lasso_lambda_max(X, y)
-        lambda_grid = np.geomspace(lmax, lmax * 1e-3, n_lambda) if lmax > 0 else np.array([0.0])
-    lams = np.asarray(lambda_grid, dtype=float)
-    if folds is None:
-        folds = make_folds(X.shape[0], v_folds, seed)
-    losses = np.zeros((folds.V, lams.size))
-    for v in range(1, folds.V + 1):
-        tr = folds.train_mask(v)
-        te = folds.test_mask(v)
-        for k, lam in enumerate(lams):
-            model = fit_logistic_lasso(X[tr], y[tr], float(lam))
-            losses[v - 1, k] = loss_logloss(model.predict_proba(X[te]), y[te])
-    risks = losses.mean(axis=0)
-    best = int(np.argmin(risks))
-    lam = float(lams[best])
+        lambda_grid = default_lambda_grid(X, y, n_lambda, ratio=1e-3)
+    lam = _cv_penalty(X, y, lambda_grid, folds, v_folds, seed, _logistic_lasso_fold_losses)
     return lam, fit_logistic_lasso(X, y, lam)
 
 
@@ -1034,7 +1035,6 @@ def fit_forest(
     seed: int = 0,
     *,
     max_depth: int | None = None,
-    bootstrap: bool = True,
 ) -> ForestModel:
     """Random forest: bootstrap rows per tree, fresh feature subset per split.
 
@@ -1042,8 +1042,7 @@ def fit_forest(
     n_trees)[i])``, then grows level by level, drawing from the same
     generator one sorted ``mtry``-subset per open node of each level (see
     ``_Grower.grow``). Trees are grown together, in groups of at most
-    ``_FOREST_SAMPLES`` samples. ``bootstrap=False`` is a test hook that
-    makes a single tree with mtry=d coincide with ``fit_tree``.
+    ``_FOREST_SAMPLES`` samples.
     """
     X, y = _check_matrix(features, target)
     n, d = X.shape
@@ -1061,8 +1060,7 @@ def fit_forest(
     group = -(-n_trees // n_groups)
     for g0 in range(0, n_trees, group):
         rngs = [rng_from(s) for s in seeds[g0:g0 + group]]
-        src = np.concatenate([rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-                              for rng in rngs]).astype(np.int32)
+        src = np.concatenate([rng.integers(0, n, size=n) for rng in rngs]).astype(np.int32)
         order = _presort(X, src, len(rngs))
         ys = y[src]
         grower = _Grower(nodes, XT, ys, src, order, len(rngs), max_depth, min_leaf)
@@ -1260,4 +1258,4 @@ def fit_learner(
         )
         predict = model.predict
 
-    return FittedModel(predict, target_kind, flags, {"learner": spec.describe()})
+    return FittedModel(predict, target_kind, flags)

@@ -10,7 +10,7 @@ whose targeted fit cross-validates best.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,11 +58,10 @@ class SelectionResult:
 
     outcome_selected: tuple[int, ...]
     treatment_selected: tuple[int, ...]
-    union_set: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        union = sorted(set(self.outcome_selected) | set(self.treatment_selected))
-        object.__setattr__(self, "union_set", tuple(union))
+    @property
+    def union_set(self) -> tuple[int, ...]:
+        return tuple(sorted(set(self.outcome_selected) | set(self.treatment_selected)))
 
 
 def double_lasso_select(
@@ -137,7 +136,6 @@ def post_double_ate(
 class CtmleCandidate:
     """One propensity model in the candidate sequence and its targeted fit."""
 
-    label: str
     covariates: tuple[int, ...] | None  # None for penalty-path candidates
     lam: float | None
     cv_loss: float
@@ -147,12 +145,16 @@ class CtmleCandidate:
 
 @dataclass(frozen=True)
 class CtmleTrace:
-    """Ordered candidate sequence with the cross-validated selection."""
+    """Ordered candidate sequence; the cross-validated choice
+    ``chosen_index`` is the first candidate with the smallest cv loss."""
 
     candidates: tuple[CtmleCandidate, ...]
-    chosen_index: int
     candidate_evals_per_round: tuple[int, ...] = ()
     flags: tuple[str, ...] = ()
+
+    @property
+    def chosen_index(self) -> int:
+        return int(np.argmin([c.cv_loss for c in self.candidates]))
 
 
 class _TargetingEngine:
@@ -264,17 +266,7 @@ class _TargetingEngine:
         p = self._ps_model((c.covariates, c.lam), all_rows)(self.X)
         return self._update(p, all_rows, c.epsilon, q)
 
-    # -- candidates and the cross-validated choice -----------------------------
-
-    def candidate(self, cols, lam, scores) -> CtmleCandidate:
-        """The propensity model (cols, lam) with its (cv loss, full-sample
-        loss, epsilon) from an evaluation, labelled by its covariate names,
-        "intercept", or its penalty."""
-        if lam is not None:
-            label = f"lambda={lam:.6g}"
-        else:
-            label = "+".join(self.dataset.names[k] for k in cols) or "intercept"
-        return CtmleCandidate(label, cols, lam, *scores)
+    # -- the cross-validated choice --------------------------------------------
 
     def report(self, candidates, method: str, diag: dict, evals, flags=(),
                qs=None) -> tuple[AteResult, CtmleTrace]:
@@ -285,7 +277,8 @@ class _TargetingEngine:
         epsilon. ``qs`` holds the initial-fit arrays each candidate was
         evaluated under, when they differ from the working ones.
         """
-        chosen = int(np.argmin([c.cv_loss for c in candidates]))
+        trace = CtmleTrace(tuple(candidates), tuple(evals), tuple(flags))
+        chosen = trace.chosen_index
         c = candidates[chosen]
         if c.lam is None:
             diag["chosen_covariates"] = [self.dataset.names[j] for j in c.covariates]
@@ -295,7 +288,7 @@ class _TargetingEngine:
         diag["epsilon"] = c.epsilon
         t = self.targeted(c, None if qs is None else qs[chosen])
         res = _if_result(self.span * t.estimate, self.span * t.phi, method, diag)
-        return res, CtmleTrace(tuple(candidates), chosen, tuple(evals), tuple(flags))
+        return res, trace
 
 
 def ctmle_greedy(
@@ -317,7 +310,7 @@ def ctmle_greedy(
     the reported estimate is the cross-validation argmin over the sequence.
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
-    candidates = [eng.candidate((), None, eng.evaluate(((), None)))]
+    candidates = [CtmleCandidate((), None, *eng.evaluate(((), None)))]
     qs = [eng.q]  # the initial-fit arrays each candidate was evaluated under
     flags: list[str] = []
     evals_per_round: list[int] = []
@@ -342,7 +335,7 @@ def ctmle_greedy(
             evals_per_round.append(round_evals)
             round_evals = 0
         current = current + (remaining.pop(k),)
-        candidates.append(eng.candidate(current, None, stage[k]))
+        candidates.append(CtmleCandidate(current, None, *stage[k]))
         qs.append(eng.q)
     evals_per_round.append(round_evals)
     return eng.report(candidates, "ctmle_greedy", {}, evals_per_round, flags, qs)
@@ -355,11 +348,11 @@ def _ctmle_from_order(eng: _TargetingEngine, order, method: str) -> tuple[AteRes
     strictly decreasing; the first non-improving extension stops the
     sequence.
     """
-    candidates = [eng.candidate((), None, eng.evaluate(((), None)))]
+    candidates = [CtmleCandidate((), None, *eng.evaluate(((), None)))]
     current: tuple[int, ...] = ()
     for j in order:
         current = current + (int(j),)
-        c = eng.candidate(current, None, eng.evaluate((current, None)))
+        c = CtmleCandidate(current, None, *eng.evaluate((current, None)))
         if not c.emp_loss < candidates[-1].emp_loss:
             break
         candidates.append(c)
@@ -445,6 +438,6 @@ def ctmle_lasso(
     if path.size > 1 and not (np.diff(path) < 0).all():
         raise ValueError("lambda path must be strictly decreasing")
     lams = [float(lam) for lam in path]
-    candidates = [eng.candidate(None, lam, eng.evaluate((None, lam))) for lam in lams]
+    candidates = [CtmleCandidate(None, lam, *eng.evaluate((None, lam))) for lam in lams]
     return eng.report(candidates, "ctmle_lasso", {"lambda_path": lams},
                       (eng.n_ps_model_evals,))

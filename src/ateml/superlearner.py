@@ -104,7 +104,6 @@ class SLModel:
     candidate_risks: tuple[float, ...]
     meta_risk: float
     target_kind: str
-    loss: str
     flags: tuple[str, ...] = ()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -131,7 +130,7 @@ class SLModel:
 
     @property
     def meta(self) -> dict:
-        return {"learner": "super_learner", "sl_weights": self.weight_table()}
+        return {"sl_weights": self.weight_table()}
 
 
 def level_one(
@@ -295,7 +294,7 @@ def fit_super_learner(
     models = tuple(
         fit_learner(spec, X, y, target_kind=target_kind) for spec in library.candidates
     )
-    return SLModel(library, w, models, folds, cand_risks, meta_risk, target_kind, loss, flags)
+    return SLModel(library, w, models, folds, cand_risks, meta_risk, target_kind, flags)
 
 
 def discrete_sl(report: SLRiskReport) -> int:

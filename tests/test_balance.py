@@ -17,6 +17,9 @@ from ateml.balance import (
 from conftest import make_confounded
 
 
+SEPARATED_X = np.repeat([-1e-3, 1e-3], 20)
+
+
 def _binary_dataset(n, seed, informative=False):
     rng = rng_from(seed)
     X = rng.standard_normal((n, 2))
@@ -56,6 +59,15 @@ class TestEstimatePs:
         ds = _binary_dataset(50, 2)
         with pytest.raises(ValueError):
             estimate_ps(LearnerSpec("logistic"), ds, 0.7)
+
+    def test_learner_flags_follow_the_positivity_flag(self):
+        # x = +-1e-3 separates the arms, so the logistic fit is refitted with
+        # a ridge; its scores stay inside the trim bounds
+        ds = Dataset(SEPARATED_X[:, None], (SEPARATED_X > 0).astype(int), np.arange(40.0),
+                     OutcomeKind.bounded(0.0, 39.0))
+        fit = estimate_ps(LearnerSpec("logistic"), ds)
+        assert fit.learner_flags == fit.flags == ("separation_ridge",)
+        assert np.array_equal(fit.ps, np.clip(fit.raw_ps, 0.01, 0.99))
 
 
 class TestIptwWeights:

@@ -323,6 +323,26 @@ def test_dml_with_twang_ps(data):
     assert report["result"]["estimate"] == diag["split_estimates"][0]
 
 
+def test_report_writes_json_booleans(data, tmp_path):
+    # the dict-level goldens cannot tell True from 1; the written text can
+    out = tmp_path / "r.json"
+    assert main(["run", "--data", data["lin"], "--estimator", "ctmle_logistic",
+                 "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.count('"chosen": true') == 1
+    assert '"chosen": 0' not in text and '"chosen": 1' not in text
+
+
+def test_learner_flags_reach_the_warnings(tmp_path):
+    # x1 = +-1e-3 separates the arms: the logistic propensity fit is refitted
+    # with a ridge and says so
+    path = tmp_path / "separated.csv"
+    rows = [f"{x},{int(x > 0)},{k}" for k, x in enumerate([-1e-3] * 20 + [1e-3] * 20)]
+    path.write_text("\n".join(["x1,treatment,outcome"] + rows) + "\n", encoding="utf-8")
+    report = run(RunConfig(data=str(path), estimator="iptw"))
+    assert report["warnings"] == ["separation_ridge"]
+
+
 def test_ingest_drops_and_counts_rows_with_a_bad_cell(tmp_path):
     good = [f"{t},{0.5 * k},{k},{-k}" for k, t in enumerate([0, 1] * 5)]
     bad = ["1,nan,1,2", "0,1.0,inf,2", "1,1.0,3,-inf", "0,1.0,,2", "1,1.0,3,abc",
@@ -758,7 +778,9 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
 
 # Diagnostics and path of every CTMLE case, written before each candidate
 # became one record; a trace row is (candidate, covariates_or_lambda,
-# cv_loss, chosen).
+# cv_loss, chosen). The covariate sets were written as column indices and
+# rewritten through the map from index j to its column name x{j+1} when the
+# trace came to name its covariates, as ``chosen_covariates`` does.
 TRACE_KEYS = ("candidate", "covariates_or_lambda", "cv_loss", "chosen")
 CTMLE_GOLDEN = {
     'bin ctmle_correlation': {
@@ -776,12 +798,12 @@ CTMLE_GOLDEN = {
                         'epsilon': -0.006433111268378563},
         'trace': [
             (0, 'intercept', 0.1925854546894456, 0),
-            (1, '3', 0.19244722132697148, 0),
-            (2, '3+1', 0.1923374333449776, 0),
-            (3, '3+1+2', 0.19224658605415662, 0),
-            (4, '3+1+2+4', 0.19223736978021194, 1),
-            (5, '3+1+2+4+5', 0.19238563257904923, 0),
-            (6, '3+1+2+4+5+0', 0.19258177439425078, 0),
+            (1, 'x4', 0.19244722132697148, 0),
+            (2, 'x4+x2', 0.1923374333449776, 0),
+            (3, 'x4+x2+x3', 0.19224658605415662, 0),
+            (4, 'x4+x2+x3+x5', 0.19223736978021194, 1),
+            (5, 'x4+x2+x3+x5+x6', 0.19238563257904923, 0),
+            (6, 'x4+x2+x3+x5+x6+x1', 0.19258177439425078, 0),
         ],
     },
     'bin ctmle_lasso': {
@@ -813,8 +835,8 @@ CTMLE_GOLDEN = {
                         'order': ['x4', 'x6', 'x1', 'x2', 'x3', 'x5']},
         'trace': [
             (0, 'intercept', 0.1925854546894456, 0),
-            (1, '3', 0.19244722132697148, 1),
-            (2, '3+5', 0.19251218725341562, 0),
+            (1, 'x4', 0.19244722132697148, 1),
+            (2, 'x4+x6', 0.19251218725341562, 0),
         ],
     },
     'lin ctmle_correlation': {
@@ -841,12 +863,12 @@ CTMLE_GOLDEN = {
                         'epsilon': -5.038480809439493e-06},
         'trace': [
             (0, 'intercept', 0.008245512770991868, 0),
-            (1, '4', 0.008244620197057602, 1),
-            (2, '4+5', 0.00824499868665662, 0),
-            (3, '4+5+1', 0.008246770274289252, 0),
-            (4, '4+5+1+2', 0.008251195184716915, 0),
-            (5, '4+5+1+2+0', 0.008249158138320804, 0),
-            (6, '4+5+1+2+0+3', 0.008260298753584472, 0),
+            (1, 'x5', 0.008244620197057602, 1),
+            (2, 'x5+x6', 0.00824499868665662, 0),
+            (3, 'x5+x6+x2', 0.008246770274289252, 0),
+            (4, 'x5+x6+x2+x3', 0.008251195184716915, 0),
+            (5, 'x5+x6+x2+x3+x1', 0.008249158138320804, 0),
+            (6, 'x5+x6+x2+x3+x1+x4', 0.008260298753584472, 0),
         ],
     },
     'lin ctmle_lasso': {
@@ -878,11 +900,11 @@ CTMLE_GOLDEN = {
                         'order': ['x5', 'x1', 'x2', 'x3', 'x6', 'x4']},
         'trace': [
             (0, 'intercept', 0.008245512770991868, 0),
-            (1, '4', 0.008244620197057602, 1),
-            (2, '4+0', 0.00826054875975137, 0),
-            (3, '4+0+1', 0.008256039429872646, 0),
-            (4, '4+0+1+2', 0.008244921249878256, 0),
-            (5, '4+0+1+2+5', 0.008249198638840622, 0),
+            (1, 'x5', 0.008244620197057602, 1),
+            (2, 'x5+x1', 0.00826054875975137, 0),
+            (3, 'x5+x1+x2', 0.008256039429872646, 0),
+            (4, 'x5+x1+x2+x3', 0.008244921249878256, 0),
+            (5, 'x5+x1+x2+x3+x6', 0.008249198638840622, 0),
         ],
     },
     'sparse ctmle_correlation': {
@@ -905,14 +927,14 @@ CTMLE_GOLDEN = {
                         'epsilon': 6.171508632014327e-05},
         'trace': [
             (0, 'intercept', 0.017187340748360393, 0),
-            (1, '7', 0.017178079563365374, 0),
-            (2, '7+4', 0.017175600731615902, 0),
-            (3, '7+4+3', 0.017174971129992958, 1),
-            (4, '7+4+3+0', 0.01717899626162336, 0),
-            (5, '7+4+3+0+5', 0.017185963965130707, 0),
-            (6, '7+4+3+0+5+2', 0.017208543244289394, 0),
-            (7, '7+4+3+0+5+2+6', 0.017240683469205296, 0),
-            (8, '7+4+3+0+5+2+6+1', 0.017292016672719318, 0),
+            (1, 'x8', 0.017178079563365374, 0),
+            (2, 'x8+x5', 0.017175600731615902, 0),
+            (3, 'x8+x5+x4', 0.017174971129992958, 1),
+            (4, 'x8+x5+x4+x1', 0.01717899626162336, 0),
+            (5, 'x8+x5+x4+x1+x6', 0.017185963965130707, 0),
+            (6, 'x8+x5+x4+x1+x6+x3', 0.017208543244289394, 0),
+            (7, 'x8+x5+x4+x1+x6+x3+x7', 0.017240683469205296, 0),
+            (8, 'x8+x5+x4+x1+x6+x3+x7+x2', 0.017292016672719318, 0),
         ],
     },
     'sparse ctmle_lasso': {
@@ -949,8 +971,8 @@ CTMLE_GOLDEN = {
                                   'x4', 'x11', 'x20']},
         'trace': [
             (0, 'intercept', 0.011176952174821278, 1),
-            (1, '7', 0.011177065615256677, 0),
-            (2, '7+5', 0.01120118129687257, 0),
+            (1, 'x8', 0.011177065615256677, 0),
+            (2, 'x8+x6', 0.01120118129687257, 0),
         ],
     },
 }

@@ -67,9 +67,9 @@ class TestFolds:
 
     def test_fold_assignment_validates(self):
         with pytest.raises(ValueError):
-            FoldAssignment(np.array([1, 1, 1, 3]), 3, seed=0)  # fold 2 missing
+            FoldAssignment(np.array([1, 1, 1, 3]), 3)  # fold 2 missing
         with pytest.raises(ValueError):
-            FoldAssignment(np.array([1, 1, 1, 2]), 2, seed=0)  # sizes differ by 2
+            FoldAssignment(np.array([1, 1, 1, 2]), 2)  # sizes differ by 2
 
 
 class TestLosses:
@@ -141,7 +141,7 @@ class TestCvRisk:
         assert cv_risk(spec, X, y, folds) == cv_risk(spec, X, y, folds)
 
     def test_programming_error_is_not_wrapped(self):
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         with pytest.raises(TypeError):
             cv_risk(LearnerSpec("tree", {"max_depth": "deep"}), np.zeros((4, 1)),
                     np.array([1.0, 2.0, 0.0, 1.0]), folds)
@@ -149,7 +149,7 @@ class TestCvRisk:
     def test_fit_failure_names_fold(self):
         X = np.zeros((4, 1))
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         with pytest.raises(FitError, match="fold 1"):
             cv_risk(LearnerSpec("logistic"), X, y, folds, loss="logloss")
 

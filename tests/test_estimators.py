@@ -263,7 +263,7 @@ class TestDml:
         from ateml.core import FoldAssignment
 
         ds = _tiny([1, 1, 0, 0], [1.0, 2.0, 0.0, 1.0])
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, 0)
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         with pytest.raises(SingleArmFoldError, match="single treatment arm"):
             fit_nuisances(ds, LearnerSpec("logistic"), None, fold_of=folds)
         assert issubclass(SingleArmFoldError, ValueError)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ateml.core import LearnerSpec, rng_from
+from ateml.core import LearnerSpec, child_seeds, rng_from
 from ateml.learners import (
     BoostModel,
     fit_boost,
@@ -274,13 +274,15 @@ class TestTree:
 
 class TestForest:
     def test_degenerate_ensemble_equals_tree(self):
+        # one tree with mtry = d draws no features: it is the tree fitted on
+        # the bootstrap rows its generator draws first
         rng = rng_from(15)
         X = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        forest = fit_forest(X, y, n_trees=1, mtry=3, min_leaf=2, seed=0,
-                            max_depth=4, bootstrap=False)
-        tree = fit_tree(X, y, max_depth=4, min_leaf=2)
-        assert np.allclose(forest.predict(X), tree_predict(tree, X))
+        forest = fit_forest(X, y, n_trees=1, mtry=3, min_leaf=2, seed=0, max_depth=4)
+        rows = rng_from(child_seeds(0, 1)[0]).integers(0, 40, size=40)
+        tree = fit_tree(X[rows], y[rows], max_depth=4, min_leaf=2)
+        assert np.array_equal(forest.predict(X), tree_predict(tree, X))
 
     def test_constant_target(self):
         rng = rng_from(16)
@@ -400,6 +402,14 @@ class TestLogisticLasso:
         y = (rng.random(150) < expit(1.5 * X[:, 0])).astype(float)
         lam, fit = logistic_lasso_cv(X, y, n_lambda=10, v_folds=3, seed=1)
         assert lam > 0 and fit.coef[0] != 0.0
+
+    @pytest.mark.parametrize("grid,message", [([], "non-empty"), ([0.01, 0.1], "descending")])
+    def test_cv_rejects_an_empty_or_ascending_grid(self, grid, message):
+        rng = rng_from(26)
+        X = rng.standard_normal((60, 2))
+        y = (rng.random(60) < expit(X[:, 0])).astype(float)
+        with pytest.raises(ValueError, match=message):
+            logistic_lasso_cv(X, y, np.array(grid), v_folds=3)
 
 
 class TestFitLearnerDispatch:

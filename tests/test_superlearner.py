@@ -22,7 +22,7 @@ class TestLevelOne:
         # interleaved folds make every training block mean 0.5
         X = np.zeros((4, 1))
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        folds = FoldAssignment(np.array([1, 2, 1, 2]), 2, seed=0)
+        folds = FoldAssignment(np.array([1, 2, 1, 2]), 2)
         lib = SLLibrary((_intercept_only(),), ("mean",))
         Z = level_one(lib, X, y, folds)
         assert np.allclose(Z.ravel(), [0.5, 0.5, 0.5, 0.5])
@@ -31,7 +31,7 @@ class TestLevelOne:
         # symmetric targets: every training block averages to exactly zero
         X = np.zeros((4, 1))
         y = np.array([-1.0, 1.0, -1.0, 1.0])
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         lib = SLLibrary((_intercept_only(),), ("mean",))
         Z = level_one(lib, X, y, folds)
         assert np.allclose(Z.ravel(), 0.0)
@@ -48,7 +48,7 @@ class TestLevelOne:
     def test_programming_error_is_not_wrapped(self):
         X = np.zeros((4, 1))
         y = np.array([1.0, 2.0, 0.0, 1.0])
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         lib = SLLibrary((LearnerSpec("tree", {"max_depth": "deep"}),), ("tree",))
         with pytest.raises(TypeError):
             level_one(lib, X, y, folds)
@@ -58,7 +58,7 @@ class TestLevelOne:
 
         X = np.zeros((4, 1))
         y = np.array([1.0, 1.0, 0.0, 0.0])
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2, seed=0)
+        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         lib = SLLibrary((LearnerSpec("logistic"),), ("logit",))
         with pytest.raises(FitError, match="'logit'.*fold 1"):
             level_one(lib, X, y, folds, target_kind="probability")
