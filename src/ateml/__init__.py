@@ -28,7 +28,6 @@ from .balance import (
     WeightVector,
     asam,
     balance_table,
-    estimate_ps,
     iptw_weights,
     ps_match,
     smd,

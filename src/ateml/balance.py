@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, Learner
+from .core import Dataset
 from .learners import BoostModel, fit_boost
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "MatchResult",
     "BalanceReport",
     "BalanceBoostedPS",
-    "estimate_ps",
     "iptw_weights",
     "smd",
     "asam",
@@ -35,17 +34,26 @@ __all__ = [
 SMD_FLAG_THRESHOLD = 0.1
 
 
+def _check_trim(trim: float) -> None:
+    if not (0.0 < trim < 0.5):
+        raise ValueError("trim must be in (0, 0.5)")
+
+
 @dataclass(frozen=True)
 class PsFit:
-    """A full-sample propensity fit: the learner's ``raw_ps``, ``flags`` and
-    ``meta``, and the ``trim``. The scores ``ps`` are ``raw_ps`` clipped into
-    [trim, 1 - trim]; ``flags`` leads with ``positivity_warning`` when more
-    than 10% of them were clipped, then lists the learner's flags."""
+    """A propensity fit, full-sample or cross-fitted: the learner's
+    ``raw_ps``, ``flags`` and ``meta``, and the ``trim``, which must lie in
+    (0, 0.5). The scores ``ps`` are ``raw_ps`` clipped into [trim, 1 - trim];
+    ``flags`` leads with ``positivity_warning`` when more than 10% of them
+    were clipped, then lists the learner's flags."""
 
     raw_ps: np.ndarray
     trim: float
     learner_flags: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_trim(self.trim)
 
     @cached_property
     def ps(self) -> np.ndarray:
@@ -99,29 +107,6 @@ class MatchResult:
         return 1.0 + self.match_counts.astype(float)
 
 
-def estimate_ps(
-    learner: Learner,
-    dataset: Dataset,
-    trim: float = 0.01,
-    *,
-    seed: int = 0,
-) -> PsFit:
-    """Fit P(A=1 | X) on the full sample; the ``PsFit`` clips into
-    [trim, 1 - trim].
-
-    Any ``Learner`` serves, fitted as ``learner.fit(X, A, "probability",
-    seed)``; its model's ``flags`` and ``meta`` become the fit's
-    ``learner_flags`` and ``meta``. A clipped fraction above 10% raises a
-    positivity flag: the model is pushing mass against the bounds, so
-    weighting estimators downstream deserve suspicion.
-    """
-    if not (0.0 < trim < 0.5):
-        raise ValueError("trim must be in (0, 0.5)")
-    X, A = dataset.covariates, dataset.treatment.astype(float)
-    model = learner.fit(X, A, "probability", seed)
-    return PsFit(model.predict(X), float(trim), tuple(model.flags), dict(model.meta))
-
-
 def iptw_weights(ps, A: np.ndarray) -> WeightVector:
     """w_i = A_i / ps_i + (1 - A_i) / (1 - ps_i)."""
     p = _as_ps(ps)
@@ -135,31 +120,33 @@ def smd(x: np.ndarray, A: np.ndarray, w: WeightVector | np.ndarray | None = None
     Means may be weighted; the pooled denominator always uses the unweighted
     per-arm sample variances so adjustments are compared on one scale.
     Returns None (an explicit degenerate marker) when both arms are constant
-    but their means differ; 0.0 when they are constant and equal.
+    but their values differ; 0.0 when they are constant and equal. Constancy
+    is tested exactly, since rounding can leave a constant arm a tiny
+    non-zero variance.
     """
     x = np.asarray(x, dtype=float)
     A = np.asarray(A)
     t, c = A == 1, A == 0
     if not (t.any() and c.any()):
         raise ValueError("both treatment arms must be non-empty")
+    xt, xc = x[t], x[c]
+    if xt.min() == xt.max() and xc.min() == xc.max():
+        return 0.0 if xt[0] == xc[0] else None
     if w is None:
         wt = np.ones_like(x)
     else:
         wt = np.asarray(w.w if isinstance(w, WeightVector) else w, dtype=float)
-    mean_t = float(np.sum(wt[t] * x[t]) / np.sum(wt[t]))
-    mean_c = float(np.sum(wt[c] * x[c]) / np.sum(wt[c]))
-    var_t = float(np.var(x[t], ddof=1)) if t.sum() > 1 else 0.0
-    var_c = float(np.var(x[c], ddof=1)) if c.sum() > 1 else 0.0
-    s_pool = float(np.sqrt((var_t + var_c) / 2.0))
-    if s_pool == 0.0:
-        return 0.0 if mean_t == mean_c else None
-    return (mean_t - mean_c) / s_pool
+    mean_t = float(np.sum(wt[t] * xt) / np.sum(wt[t]))
+    mean_c = float(np.sum(wt[c] * xc) / np.sum(wt[c]))
+    var_t = float(np.var(xt, ddof=1)) if xt.size > 1 else 0.0
+    var_c = float(np.var(xc, ddof=1)) if xc.size > 1 else 0.0
+    return (mean_t - mean_c) / float(np.sqrt((var_t + var_c) / 2.0))
 
 
 def asam(X: np.ndarray, A: np.ndarray, w=None) -> float:
     """Average absolute standardised mean difference over covariate columns.
 
-    Degenerate columns (constant arms, unequal means) are excluded from the
+    Degenerate columns (constant arms, unequal values) are excluded from the
     average and reported through a warning.
     """
     X = np.asarray(X, dtype=float)

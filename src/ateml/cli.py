@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import Dataset, Learner, LearnerSpec, OutcomeKind
-from .balance import BalanceBoostedPS, balance_table, estimate_ps, iptw_weights, ps_match
+from .balance import BalanceBoostedPS, balance_table, iptw_weights, ps_match
 from .dgp import DgpSpec, McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
     AteResult,
@@ -122,8 +122,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if obj is None or isinstance(obj, (str, bool)):  # bool before int: True is an int
         return obj
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
+    if isinstance(obj, (np.floating, float)):  # JSON has no NaN or infinity
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return str(obj)
@@ -266,27 +266,29 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
     shared by ``run``, its bootstrap replicates and ``simulate``.
 
     Returns (result, fit), where ``fit`` is what a report describes: the
-    full-sample propensity ``PsFit`` (iptw, aiptw, tmle), the ``(PsFit,
-    MatchResult)`` pair (match), the ``CtmleTrace`` (ctmle_*), or None.
+    propensity ``PsFit`` from ``fit_nuisances`` (iptw, aiptw, tmle, and for
+    dml that of its first repetition), the ``(PsFit, MatchResult)`` pair
+    (match), the ``CtmleTrace`` (ctmle_*), or None.
     """
     est, trim, seed = config.estimator, config.trim, config.seed
     if est == "naive":
         return naive_ate(ds), None
     if est == "reg":
         return reg_ate(ds, fit_nuisances(ds, None, outcome_learner, trim=trim, seed=seed)), None
-    if est in ("iptw", "match"):
-        ps_fit = estimate_ps(ps_learner, ds, trim, seed=seed)
+    if est in ("iptw", "match", "aiptw", "tmle", "dml"):
+        if est == "dml":
+            cfg = DmlConfig(k=config.dml_k, s=config.dml_s, ps_spec=ps_learner,
+                            outcome_spec=outcome_learner, trim=trim, seed=seed)
+            res, nuis = dml_ate(ds, cfg)
+            return res, nuis.ps_fit
+        outcome = outcome_learner if est in ("aiptw", "tmle") else None
+        nuis = fit_nuisances(ds, ps_learner, outcome, trim=trim, seed=seed)
         if est == "iptw":
-            return iptw_ate(ds, ps_fit), ps_fit
-        matches = ps_match(ps_fit, ds.treatment)
-        return match_ate(ds, matches), (ps_fit, matches)
-    if est in ("aiptw", "tmle"):
-        nuis = fit_nuisances(ds, ps_learner, outcome_learner, trim=trim, seed=seed)
+            return iptw_ate(ds, nuis.ps_fit), nuis.ps_fit
+        if est == "match":
+            matches = ps_match(nuis.ps_fit, ds.treatment)
+            return match_ate(ds, matches), (nuis.ps_fit, matches)
         return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis.ps_fit
-    if est == "dml":
-        cfg = DmlConfig(k=config.dml_k, s=config.dml_s, ps_spec=ps_learner,
-                        outcome_spec=outcome_learner, trim=trim, seed=seed)
-        return dml_ate(ds, cfg), None
     if est == "double_lasso":
         sel = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
                                   v_folds=min(config.v_folds, 5), seed=seed)
@@ -420,7 +422,7 @@ def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 50
                 replace(config, ps_learner="twang" if name == "boosted" else name), ds.d, "ps")
             if name == "boosted":
                 learner = replace(learner, max_trees=boost_trees)
-            fits[name] = estimate_ps(learner, ds, config.trim, seed=config.seed)
+            fits[name] = fit_nuisances(ds, learner, trim=config.trim, seed=config.seed).ps_fit
         adjust = iptw_weights if method == "iptw" else ps_match
         pairs.append((adj, adjust(fits[name], ds.treatment)))
     report = balance_table(ds, pairs)

@@ -27,7 +27,7 @@ from .core import (
     make_stratified_folds,
     rng_from,
 )
-from .balance import MatchResult, PsFit, _as_ps, estimate_ps
+from .balance import MatchResult, PsFit, _as_ps
 
 __all__ = [
     "NuisanceFits",
@@ -54,21 +54,23 @@ SCORE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class NuisanceFits:
-    """Per-unit nuisance predictions: propensity p(X) and outcomes mu(a, X).
+    """Per-unit nuisance predictions: the propensity record ``ps_fit``,
+    full-sample or cross-fitted, whose scores are ``ps`` (both None when no
+    propensity was fitted), and the outcomes mu(a, X).
 
     Cross-fitted fits carry the fold map ``fold_of`` proving unit i's
     predictions came from models that never saw i's fold; ``provenance``
     follows from it: "cross_fitted" with a fold map, "full_sample" without.
-    ``ps_fit`` is the full-sample ``estimate_ps`` result that ``ps`` comes
-    from: its clipping, flags and learner meta. It is None when ``ps`` was
-    cross-fitted or not fitted.
     """
 
-    ps: np.ndarray | None
+    ps_fit: PsFit | None
     mu1: np.ndarray | None
     mu0: np.ndarray | None
     fold_of: np.ndarray | None = None
-    ps_fit: PsFit | None = None
+
+    @property
+    def ps(self) -> np.ndarray | None:
+        return None if self.ps_fit is None else self.ps_fit.ps
 
     @property
     def provenance(self) -> str:
@@ -122,46 +124,50 @@ def fit_nuisances(
     trim: float = 0.01,
     seed: int = 0,
 ) -> NuisanceFits:
-    """Fit the requested nuisance models, full-sample or cross-fitted.
+    """Fit the requested nuisance models, full-sample or cross-fitted: the
+    one routine that fits a propensity for an estimator.
 
     Both are ``Learner`` objects fitted as ``learner.fit(X, y, target_kind,
     seed)``: the propensity model on (X, A) as a probability, the outcome
-    model once per treatment arm. A cross-fitting training block with a
-    single treatment arm raises ``SingleArmFoldError``.
+    model once per treatment arm. The full sample is one block that predicts
+    itself; cross-fitting has one block per fold and, before any fit, raises
+    ``SingleArmFoldError`` if a training block holds one treatment arm. The
+    propensity record is one ``PsFit``: the pooled raw scores, ``trim``, the
+    union of the block models' flags in first-seen order, and the model's
+    meta ({} when cross-fitted).
     """
-    X, A, y = dataset.covariates, dataset.treatment, dataset.outcome
-    n = dataset.n
+    X, A, y = dataset.covariates, dataset.treatment.astype(float), dataset.outcome
     kind = "probability" if dataset.outcome_kind.is_binary else "regression"
     lo, hi = dataset.outcome_kind.bounds
 
-    def outcome_pair(X_tr, A_tr, y_tr, X_pred):
-        """Clipped (mu1, mu0) predictions for X_pred from fits on the training block."""
-        m1 = outcome_spec.fit(X_tr[A_tr == 1], y_tr[A_tr == 1], kind, seed)
-        m0 = outcome_spec.fit(X_tr[A_tr == 0], y_tr[A_tr == 0], kind, seed)
-        return np.clip(m1.predict(X_pred), lo, hi), np.clip(m0.predict(X_pred), lo, hi)
+    def fit_predict(learner, X_fit, y_fit, target, X_pred):
+        # keeps no model: tree models hold many nodes the next fit need not carry
+        model = learner.fit(X_fit, y_fit, target, seed)
+        return model.predict(X_pred), model.flags, model.meta
 
     if fold_of is None:
-        ps_fit = None if ps_spec is None else estimate_ps(ps_spec, dataset, trim, seed=seed)
-        mu1 = mu0 = None
-        if outcome_spec is not None:
-            mu1, mu0 = outcome_pair(X, A, y, X)
-        return NuisanceFits(None if ps_fit is None else ps_fit.ps, mu1, mu0, ps_fit=ps_fit)
-
-    folds = fold_of
-    ps = np.empty(n) if ps_spec is not None else None
-    mu1 = np.empty(n) if outcome_spec is not None else None
-    mu0 = np.empty(n) if outcome_spec is not None else None
-    for v in range(1, folds.V + 1):
-        tr = folds.train_mask(v)
-        te = folds.test_mask(v)
-        if A[tr].min() == A[tr].max():
-            raise SingleArmFoldError(f"training block for fold {v} has a single treatment arm")
-        if ps is not None:
-            pm = ps_spec.fit(X[tr], A[tr].astype(float), "probability", seed)
-            ps[te] = np.clip(pm.predict(X[te]), trim, 1.0 - trim)
+        blocks = [(slice(None), slice(None))]  # views: X's own layout and bits
+    else:
+        blocks = [(fold_of.train_mask(v), fold_of.test_mask(v)) for v in range(1, fold_of.V + 1)]
+        for v, (tr, _) in enumerate(blocks, start=1):
+            if A[tr].min() == A[tr].max():
+                raise SingleArmFoldError(f"training block for fold {v} has a single treatment arm")
+    raw = np.empty(dataset.n) if ps_spec is not None else None
+    mu1 = np.empty(dataset.n) if outcome_spec is not None else None
+    mu0 = np.empty(dataset.n) if outcome_spec is not None else None
+    flags: dict = {}  # an ordered set
+    for tr, te in blocks:
+        X_tr, A_tr, y_tr, X_te = X[tr], A[tr], y[tr], X[te]
+        if raw is not None:
+            raw[te], ps_flags, meta = fit_predict(ps_spec, X_tr, A_tr, "probability", X_te)
+            flags.update(dict.fromkeys(ps_flags))
         if mu1 is not None:
-            mu1[te], mu0[te] = outcome_pair(X[tr], A[tr], y[tr], X[te])
-    return NuisanceFits(ps, mu1, mu0, folds.fold_of.copy())
+            for mu, arm in ((mu1, A_tr == 1), (mu0, A_tr == 0)):
+                mu[te] = np.clip(fit_predict(outcome_spec, X_tr[arm], y_tr[arm], kind, X_te)[0],
+                                 lo, hi)
+    ps_fit = None if raw is None else PsFit(raw, float(trim), tuple(flags),
+                                            dict(meta) if fold_of is None else {})
+    return NuisanceFits(ps_fit, mu1, mu0, None if fold_of is None else fold_of.fold_of.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +383,7 @@ class DmlConfig:
             raise ValueError("aggregate must be 'mean' or 'median'")
 
 
-def dml_ate(dataset: Dataset, config: DmlConfig) -> AteResult:
+def dml_ate(dataset: Dataset, config: DmlConfig) -> tuple[AteResult, NuisanceFits]:
     """Cross-fitted augmented estimator, aggregated over S random splits.
 
     Each repetition stratifies folds by treatment arm, fits nuisances on the
@@ -386,9 +392,11 @@ def dml_ate(dataset: Dataset, config: DmlConfig) -> AteResult:
     the configured aggregate; the variance adds the split spread
     (se_s^2 + (psi_s - psi)^2) before aggregation. A fold draw is redrawn,
     up to ten times, only when a training block loses a treatment arm.
+    Returns the result and the ``NuisanceFits`` of the first repetition,
+    which the diagnostics name as ``nuisance_repetition``.
     """
     rep_seeds = child_seeds(config.seed, config.s)
-    estimates, ses, phis = [], [], []
+    results = []
     for s_i, rep_seed in enumerate(rep_seeds):
         for att in child_seeds(rep_seed, 10):
             folds = make_stratified_folds(dataset.treatment, config.k, att)
@@ -404,24 +412,25 @@ def dml_ate(dataset: Dataset, config: DmlConfig) -> AteResult:
             raise ValueError(
                 f"could not form usable folds in repetition {s_i + 1}: {last_err}"
             )
-        res = aiptw_ate(dataset, nuis)
-        estimates.append(res.estimate)
-        ses.append(res.se)
-        phis.append(res.if_values)
+        results.append(aiptw_ate(dataset, nuis))
+        if s_i == 0:
+            first_nuis = nuis
 
+    estimates = [r.estimate for r in results]
     agg = np.median if config.aggregate == "median" else np.mean
     est = float(agg(estimates))
-    var = float(agg([se_s**2 + (psi_s - est) ** 2 for se_s, psi_s in zip(ses, estimates)]))
+    var = float(agg([r.se**2 + (r.estimate - est) ** 2 for r in results]))
     se = float(np.sqrt(var))
-    if_values = phis[0] if config.s == 1 else None
+    if_values = results[0].if_values if config.s == 1 else None
     diagnostics = {
         "provenance": "cross_fitted",
         "k": config.k,
         "s": config.s,
         "aggregate": config.aggregate,
         "split_estimates": [float(e) for e in estimates],
+        "nuisance_repetition": 1,
     }
-    return AteResult(est, se, _z_interval(est, se), if_values, "dml", diagnostics)
+    return AteResult(est, se, _z_interval(est, se), if_values, "dml", diagnostics), first_nuis
 
 
 def bootstrap_ci(

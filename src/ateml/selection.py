@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .balance import _check_trim
 from .core import Dataset, LearnerSpec, make_folds, make_stratified_folds
 from .estimators import (
     AteResult,
@@ -170,6 +171,7 @@ class _TargetingEngine:
             raise ValueError("collaborative targeting needs initial outcome predictions")
         if V < 2:
             raise ValueError("need V >= 2")
+        _check_trim(trim)
         self.dataset = dataset
         self.X = dataset.covariates
         self.A = dataset.treatment.astype(float)

@@ -9,11 +9,11 @@ from ateml.balance import (
     WeightVector,
     asam,
     balance_table,
-    estimate_ps,
     iptw_weights,
     ps_match,
     smd,
 )
+from ateml.estimators import fit_nuisances
 from conftest import make_confounded
 
 
@@ -38,7 +38,7 @@ class TestEstimatePs:
         X = rng.uniform(-1.0, 1.0, size=(2000, 2))  # bounded so slope noise stays small
         A = (rng.random(2000) < 0.4).astype(int)
         ds = Dataset(X, A, np.zeros(2000), OutcomeKind.binary())
-        fit = estimate_ps(LearnerSpec("logistic"), ds, 0.01)
+        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.01).ps_fit
         assert np.allclose(fit.ps, ds.treatment.mean(), atol=0.06)
         assert fit.clipped_fraction == 0.0
 
@@ -46,26 +46,26 @@ class TestEstimatePs:
         x = np.linspace(-3, 3, 100)
         A = (x > 0).astype(int)
         ds = Dataset(x[:, None], A, np.zeros(100), OutcomeKind.binary())
-        fit = estimate_ps(LearnerSpec("logistic"), ds, 0.01)
+        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.01).ps_fit
         assert set(np.round(fit.ps, 6)) <= {0.01, 0.99}
         assert "positivity_warning" in fit.flags
 
     def test_trim_quarter_restricts_range(self):
         ds = _binary_dataset(300, 1, informative=True)
-        fit = estimate_ps(LearnerSpec("logistic"), ds, 0.25)
+        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.25).ps_fit
         assert fit.ps.min() >= 0.25 and fit.ps.max() <= 0.75
 
     def test_trim_validated(self):
         ds = _binary_dataset(50, 2)
         with pytest.raises(ValueError):
-            estimate_ps(LearnerSpec("logistic"), ds, 0.7)
+            fit_nuisances(ds, LearnerSpec("logistic"), trim=0.7).ps_fit
 
     def test_learner_flags_follow_the_positivity_flag(self):
         # x = +-1e-3 separates the arms, so the logistic fit is refitted with
         # a ridge; its scores stay inside the trim bounds
         ds = Dataset(SEPARATED_X[:, None], (SEPARATED_X > 0).astype(int), np.arange(40.0),
                      OutcomeKind.bounded(0.0, 39.0))
-        fit = estimate_ps(LearnerSpec("logistic"), ds)
+        fit = fit_nuisances(ds, LearnerSpec("logistic")).ps_fit
         assert fit.learner_flags == fit.flags == ("separation_ridge",)
         assert np.array_equal(fit.ps, np.clip(fit.raw_ps, 0.01, 0.99))
 
@@ -118,6 +118,14 @@ class TestSmd:
         x = np.array([1.0, 1.0, 0.0, 0.0])
         A = np.array([1, 1, 0, 0])
         assert smd(x, A) is None
+
+    @pytest.mark.parametrize("x", [0.1, 1e-3, 0.5])
+    def test_constant_arms_are_degenerate_despite_rounding(self, x):
+        # the variance of 20 copies of 0.1 rounds to a tiny positive number
+        xs = np.repeat([x, -x], 20)
+        A = np.repeat([1, 0], 20)
+        assert smd(xs, A) is None
+        assert smd(xs, A, WeightVector(np.linspace(1.0, 3.0, 40))) is None
 
     def test_constant_equal_means_zero(self):
         x = np.ones(4)
@@ -178,16 +186,18 @@ class TestAsam:
 
 
 class TestBoostedBalance:
-    """``estimate_ps`` with the balance-stopped learner (stride 10, trim 0.01)."""
+    """Propensity fits of the balance-stopped learner (stride 10, trim 0.01)."""
 
     def test_schedule_includes_baseline_and_strides(self):
         ds, _ = make_confounded(n=200, seed=1)
-        fit = estimate_ps(BalanceBoostedPS(max_trees=10, max_depth=2, shrinkage=0.1), ds, 0.01)
+        learner = BalanceBoostedPS(max_trees=10, max_depth=2, shrinkage=0.1)
+        fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
         assert [it for it, _ in fit.meta["asam_trace"]] == [0, 10]
 
     def test_chosen_iteration_minimises_trace(self):
         ds, _ = make_confounded(n=300, seed=2)
-        fit = estimate_ps(BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1), ds, 0.01)
+        learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
+        fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
         trace = fit.meta["asam_trace"]
         chosen_asam = dict(trace)[fit.meta["chosen_iteration"]]
         assert all(chosen_asam <= a for _, a in trace)
@@ -195,7 +205,8 @@ class TestBoostedBalance:
     def test_randomized_treatment_keeps_low_iterations(self):
         for seed in range(10):
             ds = _binary_dataset(250, 100 + seed)
-            fit = estimate_ps(BalanceBoostedPS(max_trees=50, max_depth=2, shrinkage=0.1), ds, 0.01)
+            learner = BalanceBoostedPS(max_trees=50, max_depth=2, shrinkage=0.1)
+            fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
             trace = fit.meta["asam_trace"]
             baseline = trace[0][1]
             assert dict(trace)[fit.meta["chosen_iteration"]] <= baseline + 0.01
@@ -203,7 +214,7 @@ class TestBoostedBalance:
     def test_kept_model_is_truncated_at_the_chosen_iteration(self):
         ds, _ = make_confounded(n=300, seed=3)
         learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
-        fit = estimate_ps(learner, ds, 0.01)
+        fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
         model = learner.fit(ds.covariates, ds.treatment.astype(float))
         assert len(model.trees) == fit.meta["chosen_iteration"] == model.meta["chosen_iteration"]
         assert np.array_equal(model.predict(ds.covariates), fit.raw_ps)
@@ -214,7 +225,8 @@ class TestBoostedBalance:
         wins = 0
         for seed in range(20):
             ds, _ = make_confounded(n=300, seed=300 + seed)
-            fit = estimate_ps(BalanceBoostedPS(max_trees=80, max_depth=2, shrinkage=0.1), ds, 0.01)
+            learner = BalanceBoostedPS(max_trees=80, max_depth=2, shrinkage=0.1)
+            fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
             w = iptw_weights(fit, ds.treatment)
             wins += asam(ds.covariates, ds.treatment, w) < asam(ds.covariates, ds.treatment)
         assert wins >= 19

@@ -7,8 +7,11 @@ values come from the library call the command line now makes. The four
 forest goldens were rewritten when forest trees moved to one feature draw
 per tree per level; ``test_monte_carlo.py`` checks those forests
 statistically. ``lin aiptw --outcome-learner sl_small`` was added when the
-Super Learners gained their regression form. ``CTMLE_GOLDEN`` pins the
-diagnostics and the candidate path of every CTMLE case as well.
+Super Learners gained their regression form. The balance blocks of the
+six dml cases were written when dml began to report the propensity record
+of its first repetition; ``test_estimators.py`` recomputes that record by
+hand. ``CTMLE_GOLDEN`` pins the diagnostics and the candidate path of every
+CTMLE case as well.
 """
 
 import json
@@ -333,14 +336,31 @@ def test_report_writes_json_booleans(data, tmp_path):
     assert '"chosen": 0' not in text and '"chosen": 1' not in text
 
 
-def test_learner_flags_reach_the_warnings(tmp_path):
-    # x1 = +-1e-3 separates the arms: the logistic propensity fit is refitted
-    # with a ridge and says so
+@pytest.mark.parametrize("est", ["iptw", "aiptw", "tmle", "dml"])
+def test_learner_flags_reach_the_warnings(tmp_path, est):
+    # x1 = +-1e-3 separates the arms: the logistic propensity fit, cross-fitted
+    # or not, is refitted with a ridge and says so. Both arms are constant, so
+    # every SMD is degenerate and each ASAM is written as null.
     path = tmp_path / "separated.csv"
     rows = [f"{x},{int(x > 0)},{k}" for k, x in enumerate([-1e-3] * 20 + [1e-3] * 20)]
     path.write_text("\n".join(["x1,treatment,outcome"] + rows) + "\n", encoding="utf-8")
-    report = run(RunConfig(data=str(path), estimator="iptw"))
+    out = tmp_path / "r.json"
+    assert main(["run", "--data", str(path), "--estimator", est, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
     assert report["warnings"] == ["separation_ridge"]
+    assert report["balance"] == {"asam_unweighted": None, "asam_iptw": None,
+                                 "flagged_unweighted": 0, "flagged_iptw": 0}
+    assert "NaN" not in text
+
+
+@pytest.mark.parametrize("est", ["iptw", "match", "aiptw", "tmle", "dml", "double_lasso",
+                                 "ctmle_greedy", "ctmle_logistic", "ctmle_correlation",
+                                 "ctmle_lasso"])
+def test_every_estimator_that_trims_rejects_a_trim_outside_its_range(data, est):
+    for trim in (0.7, 0.0):
+        with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
+            run(RunConfig(data=data["lin"], estimator=est, trim=trim))
 
 
 def test_ingest_drops_and_counts_rows_with_a_bad_cell(tmp_path):
@@ -415,7 +435,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
               'warnings': []},
  'lin dml': {'estimate': 0.920014487863433,
              'se': 0.15710527138368585,
-             'balance': None,
+             'balance': {'asam_iptw': 0.07503993130076106,
+                         'asam_unweighted': 0.23808687260614284,
+                         'flagged_iptw': 2,
+                         'flagged_unweighted': 4},
              'sl_weights': None,
              'warnings': []},
  'lin double_lasso': {'estimate': 0.9432451931101158,
@@ -487,7 +510,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
               'warnings': []},
  'bin dml': {'estimate': 0.18956394463240334,
              'se': 0.07059325969552577,
-             'balance': None,
+             'balance': {'asam_iptw': 0.10937208239297865,
+                         'asam_unweighted': 0.22767444403166684,
+                         'flagged_iptw': 3,
+                         'flagged_unweighted': 5},
              'sl_weights': None,
              'warnings': []},
  'bin double_lasso': {'estimate': 0.18285822853878458,
@@ -627,7 +653,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                                 'warnings': []},
  'lin dml --ps-learner sl_small --dml-s 1': {'estimate': 0.9429247489037083,
                                              'se': 0.17698087845103366,
-                                             'balance': None,
+                                             'balance': {'asam_iptw': 0.03816208920319245,
+                                                         'asam_unweighted': 0.23808687260614284,
+                                                         'flagged_iptw': 0,
+                                                         'flagged_unweighted': 4},
                                              'sl_weights': None,
                                              'warnings': []},
  'lin iptw --ps-learner boost': {'estimate': 0.7859977188469375,
@@ -648,7 +677,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                   'warnings': []},
  'lin dml --ps-learner boost --dml-s 1': {'estimate': 1.2296738504887097,
                                           'se': 0.29548523100307156,
-                                          'balance': None,
+                                          'balance': {'asam_iptw': 0.09645225386856952,
+                                                      'asam_unweighted': 0.23808687260614284,
+                                                      'flagged_iptw': 3,
+                                                      'flagged_unweighted': 4},
                                           'sl_weights': None,
                                           'warnings': []},
  'lin aiptw --ps-learner forest': {'estimate': 0.9497969453558573,
@@ -661,7 +693,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                    'warnings': []},
  'lin dml --ps-learner forest --dml-s 1': {'estimate': 0.8959013635440768,
                                            'se': 0.14517985198122582,
-                                           'balance': None,
+                                           'balance': {'asam_iptw': 0.10280099556507444,
+                                                       'asam_unweighted': 0.23808687260614284,
+                                                       'flagged_iptw': 2,
+                                                       'flagged_unweighted': 4},
                                            'sl_weights': None,
                                            'warnings': []},
  'lin reg --outcome-learner boost': {'estimate': 0.9421614883747295,
@@ -692,7 +727,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                                    'warnings': []},
  'lin dml --outcome-learner boost --dml-s 1': {'estimate': 0.8891122525063865,
                                                'se': 0.21365572518404155,
-                                               'balance': None,
+                                               'balance': {'asam_iptw': 0.07503993130076106,
+                                                           'asam_unweighted': 0.23808687260614284,
+                                                           'flagged_iptw': 2,
+                                                           'flagged_unweighted': 4},
                                                'sl_weights': None,
                                                'warnings': []},
  'lin reg --outcome-learner forest': {'estimate': 0.9439983634909896,

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ateml.core import Dataset, LearnerSpec, OutcomeKind, Z95, rng_from
-from ateml.balance import ps_match
+from ateml.balance import PsFit, ps_match
 from ateml.estimators import (
     AteResult,
     DmlConfig,
@@ -72,7 +74,7 @@ class TestReg:
     def test_missing_nuisance_rejected(self):
         ds = _tiny([1, 0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            reg_ate(ds, NuisanceFits(np.array([0.5, 0.5]), None, None))
+            reg_ate(ds, NuisanceFits(PsFit(np.array([0.5, 0.5]), 0.01), None, None))
 
 
 class TestIptw:
@@ -134,7 +136,7 @@ class TestAiptw:
             ds, true_ps = make_confounded(n=120, seed=seed)
             ps = np.clip(true_ps, 0.01, 0.99)
             zero = np.zeros(ds.n)
-            a = aiptw_ate(ds, NuisanceFits(ps, zero, zero))
+            a = aiptw_ate(ds, NuisanceFits(PsFit(ps, 0.01), zero, zero))
             b = iptw_ate(ds, ps)
             assert a.estimate == b.estimate
             assert np.array_equal(a.if_values, b.if_values)
@@ -142,7 +144,7 @@ class TestAiptw:
     def test_two_unit_hand_value(self):
         ds = _tiny([1, 0], [1.0, 0.0], OutcomeKind.binary())
         half = np.array([0.5, 0.5])
-        res = aiptw_ate(ds, NuisanceFits(half, half, half))
+        res = aiptw_ate(ds, NuisanceFits(PsFit(half, 0.01), half, half))
         # psi(1) = mean(A(y - mu1)/p + mu1) = (1.0 + 0.5)/2 = 1.0... computed below
         A, y = ds.treatment, ds.outcome
         psi1 = np.mean(A * (y - half) / half + half)
@@ -155,7 +157,7 @@ class TestAiptw:
         rng = rng_from(11)
         mu1 = np.where(ds.treatment == 1, ds.outcome, rng.standard_normal(ds.n))
         mu0 = np.where(ds.treatment == 0, ds.outcome, rng.standard_normal(ds.n))
-        nuis = NuisanceFits(np.clip(true_ps, 0.01, 0.99), mu1, mu0)
+        nuis = NuisanceFits(PsFit(np.clip(true_ps, 0.01, 0.99), 0.01), mu1, mu0)
         assert aiptw_ate(ds, nuis).estimate == pytest.approx(
             reg_ate(ds, nuis).estimate, abs=1e-12)
 
@@ -174,7 +176,7 @@ class TestTmle:
         A = (rng.random(n) < 0.5).astype(int)
         y = rng.uniform(0.3, 0.7, n)  # interior of the declared [0, 1] range
         ds = Dataset(X, A, y, OutcomeKind.bounded(0.0, 1.0))
-        nuis = NuisanceFits(np.full(n, 0.5), y.copy(), y.copy())
+        nuis = NuisanceFits(PsFit(np.full(n, 0.5), 0.01), y.copy(), y.copy())
         res = tmle_ate(ds, nuis)
         assert res.diagnostics["epsilon"] == 0.0
         assert res.estimate == pytest.approx(reg_ate(ds, nuis).estimate, abs=1e-12)
@@ -232,7 +234,7 @@ class TestTmle:
         A = np.array([1, 0] * 20)
         y = A.astype(float)
         ds = Dataset(np.zeros((n, 1)), A, y, OutcomeKind.binary())
-        nuis = NuisanceFits(np.full(n, 0.5), np.full(n, 0.5), np.full(n, 0.5))
+        nuis = NuisanceFits(PsFit(np.full(n, 0.5), 0.01), np.full(n, 0.5), np.full(n, 0.5))
         res = tmle_ate(ds, nuis)
         assert abs(res.diagnostics["score_residual"]) < 1e-6
         assert abs(res.diagnostics["epsilon"]) <= 50
@@ -270,7 +272,7 @@ class TestDml:
 
     def test_identical_repetition_seeds_collapse(self, monkeypatch):
         ds, _ = make_confounded(n=200, seed=9)
-        single = dml_ate(ds, DmlConfig(k=2, s=1, seed=17))
+        single, _ = dml_ate(ds, DmlConfig(k=2, s=1, seed=17))
         import ateml.estimators as est_mod
 
         real = est_mod.child_seeds
@@ -282,7 +284,7 @@ class TestDml:
             return real(seed, n)
 
         monkeypatch.setattr(est_mod, "child_seeds", forced)
-        double = dml_ate(ds, DmlConfig(k=2, s=2, aggregate="mean", seed=17))
+        double, _ = dml_ate(ds, DmlConfig(k=2, s=2, aggregate="mean", seed=17))
         assert double.estimate == pytest.approx(single.estimate, abs=1e-12)
 
     def test_cross_fitted_fold_bookkeeping(self):
@@ -309,15 +311,47 @@ class TestDml:
             assert np.allclose(nuis.mu0[te], want0, atol=1e-9)
         assert nuis.provenance == "cross_fitted"
 
+    def test_cross_fitted_ps_record_pools_the_fold_predictions(self):
+        # each fold model flags its training-block size, so the record's
+        # flags are the union of the fold flags in first-seen order
+        class SizeFlagged:
+            def fit(self, X, y, target_kind, seed):
+                model = LearnerSpec("logistic").fit(X, y, target_kind, seed)
+                return replace(model, flags=(f"n{len(y)}", "shared"), meta={"n": len(y)})
+
+        from ateml.core import make_stratified_folds
+
+        ds, _ = make_confounded(n=200, seed=13)
+        X, A = ds.covariates, ds.treatment
+        folds = make_stratified_folds(A, 3, seed=4)
+        nuis = fit_nuisances(ds, SizeFlagged(), None, fold_of=folds, trim=0.05)
+        want, flags = np.empty(ds.n), []
+        for v in (1, 2, 3):
+            tr, te = folds.train_mask(v), folds.test_mask(v)
+            model = LearnerSpec("logistic").fit(X[tr], A[tr].astype(float), "probability")
+            want[te] = np.clip(model.predict(X[te]), 0.05, 0.95)
+            flags += [f for f in (f"n{tr.sum()}", "shared") if f not in flags]
+        assert (nuis.ps_fit.ps == want).all() and (nuis.ps == want).all()
+        assert nuis.ps_fit.learner_flags == tuple(flags)
+        assert len(flags) == 3 and nuis.ps_fit.meta == {}
+        assert nuis.provenance == "cross_fitted"
+
+    def test_returns_the_fits_of_its_first_repetition(self):
+        ds, _ = make_confounded(n=200, seed=14)
+        res, nuis = dml_ate(ds, DmlConfig(k=2, s=3, seed=5))
+        assert res.diagnostics["nuisance_repetition"] == 1
+        assert aiptw_ate(ds, nuis).estimate == res.diagnostics["split_estimates"][0]
+        assert nuis.provenance == "cross_fitted"
+
     def test_mean_influence_zero_single_split(self):
         ds, _ = make_confounded(n=240, seed=11)
-        res = dml_ate(ds, DmlConfig(k=2, s=1, seed=1))
+        res, _ = dml_ate(ds, DmlConfig(k=2, s=1, seed=1))
         assert res.if_values is not None
         assert abs(np.mean(res.if_values)) < 1e-8
 
     def test_split_spread_enters_variance(self):
         ds, _ = make_confounded(n=240, seed=12)
-        res = dml_ate(ds, DmlConfig(k=2, s=5, aggregate="median", seed=2))
+        res, _ = dml_ate(ds, DmlConfig(k=2, s=5, aggregate="median", seed=2))
         ests = res.diagnostics["split_estimates"]
         assert len(ests) == 5
         assert res.se is not None and res.se > 0
@@ -408,8 +442,8 @@ class TestOutcomeScalingEquivariance:
         ds2 = self._scaled(ds, a, b)
         ps = np.clip(true_ps, 0.01, 0.99)
         nuis = fit_nuisances(ds, None, LearnerSpec("ols"))
-        nuis1 = NuisanceFits(ps, nuis.mu1, nuis.mu0)
-        nuis2 = NuisanceFits(ps, a + b * nuis.mu1, a + b * nuis.mu0)
+        nuis1 = NuisanceFits(PsFit(ps, 0.01), nuis.mu1, nuis.mu0)
+        nuis2 = NuisanceFits(PsFit(ps, 0.01), a + b * nuis.mu1, a + b * nuis.mu0)
         assert naive_ate(ds2).estimate == pytest.approx(b * naive_ate(ds).estimate, abs=1e-8)
         assert reg_ate(ds2, nuis2).estimate == pytest.approx(
             b * reg_ate(ds, nuis1).estimate, abs=1e-8)

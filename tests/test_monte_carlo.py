@@ -39,6 +39,6 @@ def test_cross_fitted_forest_dml_bias_and_coverage():
 
     def estimate(draw, s):
         cfg = DmlConfig(k=2, s=1, ps_spec=forest, outcome_spec=forest, seed=s)
-        return dml_ate(draw.dataset, cfg)
+        return dml_ate(draw.dataset, cfg)[0]
 
     assert_within_bands(mc_eval(estimate, spec, R=60, seed=20261018, label="dml_forest"))

@@ -61,3 +61,13 @@ def test_greedy_stages_equal_a_per_candidate_loop(seed, cap, monkeypatch):
     assert (res.estimate, res.se, res.ci95, res.diagnostics) == (
         want_res.estimate, want_res.se, want_res.ci95, want_res.diagnostics)
     assert np.array_equal(res.if_values, want_res.if_values)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_double_lasso_keeps_the_confounders(seed):
+    # x1..x3 enter both the propensity and the outcome of sparse_highdim; at
+    # n = 2000 both cross-validated lasso fits keep all three
+    ds = gen_dataset(builtin_specs()["sparse_highdim"], seed=seed).dataset
+    sel = selection.double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
+                                        seed=seed)
+    assert sel.outcome_selected[:3] == sel.treatment_selected[:3] == (0, 1, 2)
