@@ -14,7 +14,6 @@ from .core import (
     FittedModel,
     LearnerSpec,
     OutcomeKind,
-    cv_risk,
     loss_logloss,
     loss_mse,
     make_folds,
@@ -62,12 +61,9 @@ from .selection import (
 from .superlearner import (
     SLLibrary,
     SLModel,
-    SLRiskReport,
-    discrete_sl,
     fit_super_learner,
     level_one,
     meta_weights,
-    sl_risk_report,
 )
 
 __version__ = "0.1.0"

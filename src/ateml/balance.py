@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .core import Dataset
 from .learners import BoostModel, fit_boost
@@ -170,10 +170,13 @@ class BalanceBoostedPS:
     ``Learner`` for the propensity role.
 
     ``fit(X, A)`` boosts ``max_trees`` Bernoulli stages, records the ASAM of
-    the covariates under IPTW weights (scores clipped at ``trim``) at stage
-    0, every ``stride`` stages and the last, and returns the model truncated
-    at the ASAM-minimising stage, ties toward fewer trees. Its ``meta``
-    holds that stage and the (stage, ASAM) trace.
+    the covariates under IPTW weights (scores clipped at ``trim``, which must
+    lie in (0, 0.5)) at stage 0, every ``stride`` stages and the last, and
+    returns the model truncated at the ASAM-minimising stage, ties toward
+    fewer trees. Its ``meta`` holds that stage and the (stage, ASAM) trace.
+    When every covariate has constant arms no weighting changes an SMD, so
+    ``fit`` boosts nothing: it returns the stage-0 model with an empty trace
+    and the flag ``balance_undefined``.
     """
 
     max_trees: int = 5000
@@ -183,10 +186,18 @@ class BalanceBoostedPS:
     stride: int = 10
     min_leaf: int = 10
 
-    def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "probability",
-            seed: int = 0) -> BoostModel:
+    def __post_init__(self) -> None:
+        _check_trim(self.trim)
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+
+    def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "probability",
+            seed: int = 0) -> BoostModel:
+        X = np.asarray(X, dtype=float)
+        if all(smd(x, y) is None for x in X.T):
+            f0 = float(logit(np.clip(np.mean(y), 1e-12, 1 - 1e-12)))
+            return BoostModel(f0, (), float(self.shrinkage), "bernoulli", ("balance_undefined",),
+                              {"chosen_iteration": 0, "asam_trace": ()})
         trace = []
 
         def record(t, F):

@@ -28,8 +28,6 @@ __all__ = [
     "FittedModel",
     "loss_mse",
     "loss_logloss",
-    "LOSSES",
-    "cv_risk",
 ]
 
 # Two-sided 95% normal quantile used for every influence-function interval.
@@ -322,41 +320,3 @@ def loss_logloss(pred: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError("loss_logloss needs two equal-length vectors")
     p = np.clip(pred, LOGLOSS_EPS, 1.0 - LOGLOSS_EPS)
     return float(-np.mean(truth * np.log(p) + (1.0 - truth) * np.log(1.0 - p)))
-
-
-LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "mse": loss_mse,
-    "logloss": loss_logloss,
-}
-
-
-def cv_risk(
-    spec: LearnerSpec,
-    features: np.ndarray,
-    target: np.ndarray,
-    folds: FoldAssignment,
-    loss: str = "mse",
-) -> float:
-    """Cross-validated risk: average held-out loss over the folds.
-
-    The model is refit on the complement of each fold; fold losses are reduced
-    in fold-index order so the result does not depend on evaluation order.
-    """
-    from . import learners  # deferred to avoid a module cycle
-
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if X.shape[0] != folds.n or y.shape[0] != folds.n:
-        raise ValueError("fold assignment does not match the data")
-    loss_fn = LOSSES[loss]
-    kind = "probability" if loss == "logloss" else "regression"
-    fold_losses = []
-    for v in range(1, folds.V + 1):
-        tr = folds.train_mask(v)
-        te = folds.test_mask(v)
-        try:
-            model = learners.fit_learner(spec, X[tr], y[tr], target_kind=kind)
-        except (ValueError, RuntimeError) as exc:  # data failures get fold context
-            raise FitError(f"{spec.describe()} failed to fit in fold {v}: {exc}") from exc
-        fold_losses.append(loss_fn(model.predict(X[te]), y[te]))
-    return float(np.mean(fold_losses))

@@ -27,7 +27,7 @@ from .core import (
     make_stratified_folds,
     rng_from,
 )
-from .balance import MatchResult, PsFit, _as_ps
+from .balance import MatchResult, PsFit, _as_ps, _check_trim
 
 __all__ = [
     "NuisanceFits",
@@ -364,7 +364,8 @@ def tmle_ate(dataset: Dataset, nuisance: NuisanceFits) -> AteResult:
 @dataclass(frozen=True)
 class DmlConfig:
     """Cross-fitting configuration: K folds, S split repetitions, aggregation,
-    and the two nuisance ``Learner`` objects."""
+    the two nuisance ``Learner`` objects and the propensity ``trim``, which
+    must lie in (0, 0.5)."""
 
     k: int = 2
     s: int = 11
@@ -381,6 +382,7 @@ class DmlConfig:
             raise ValueError("need S >= 1 repetitions")
         if self.aggregate not in ("mean", "median"):
             raise ValueError("aggregate must be 'mean' or 'median'")
+        _check_trim(self.trim)
 
 
 def dml_ate(dataset: Dataset, config: DmlConfig) -> tuple[AteResult, NuisanceFits]:

@@ -1,10 +1,10 @@
 """V-fold stacking: convex combinations of candidate learners.
 
-The level-one matrix holds out-of-fold predictions, the meta-learner solves a
-simplex-constrained problem on it, and the refit candidates on the full data
-carry the weights forward. A separate nested-cross-validation report compares
-the honest out-of-sample risk of each candidate, the discrete selector, and
-the convex combination.
+The level-one matrix holds out-of-fold predictions, the meta-learner finds
+the simplex weights of least squared error on it, and the candidates with a
+non-zero weight are refit on the full data to carry the weights forward.
+The fitted ensemble keeps each candidate's level-one CV risk and that of the
+combination.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .core import (
     FittedModel,
     FoldAssignment,
     LearnerSpec,
-    LOSSES,
-    child_seeds,
+    loss_mse,
     make_folds,
     make_stratified_folds,
 )
@@ -29,12 +28,9 @@ from .learners import fit_learner
 __all__ = [
     "SLLibrary",
     "SLModel",
-    "SLRiskReport",
     "level_one",
     "meta_weights",
     "fit_super_learner",
-    "discrete_sl",
-    "sl_risk_report",
     "demo_library",
 ]
 
@@ -69,61 +65,39 @@ class SLLibrary:
 
 
 @dataclass(frozen=True)
-class SLRiskReport:
-    """Per-candidate risks plus the discrete and convex combination risks.
-
-    ``kind`` records what the numbers mean: ``level_one`` risks come from the
-    stacking fit itself (where the convex risk can never exceed the best
-    candidate), ``outer_cv`` risks come from an extra honest CV layer (where
-    it can).
-    """
-
-    names: tuple[str, ...]
-    candidate_risks: tuple[float, ...]
-    discrete_risk: float
-    convex_risk: float
-    kind: str = "level_one"
-
-    def to_csv(self) -> str:
-        lines = ["name,cv_risk"]
-        for name, r in zip(self.names, self.candidate_risks):
-            lines.append(f"{name},{r!r}")
-        lines.append(f"discrete_sl,{self.discrete_risk!r}")
-        lines.append(f"convex_sl,{self.convex_risk!r}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
 class SLModel:
-    """Fitted stack: simplex weights over candidates refit on the full data."""
+    """Fitted stack: simplex weights over the candidates, each candidate with
+    a non-zero weight refit on the full data.
+
+    ``models[k]`` is candidate k's full-data refit, or None when its weight
+    is 0. ``candidate_risks`` and ``meta_risk`` are the level-one CV mean
+    squared errors of each candidate and of the combination. ``flags`` lists
+    the meta-weight flags, then those of the refits, each once in first-seen
+    order.
+    """
 
     library: SLLibrary
     weights: np.ndarray
-    models: tuple[FittedModel, ...]
-    folds: FoldAssignment
+    models: tuple[FittedModel | None, ...]
     candidate_risks: tuple[float, ...]
     meta_risk: float
     target_kind: str
-    flags: tuple[str, ...] = ()
+    weight_flags: tuple[str, ...] = ()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         out = np.zeros(X.shape[0])
         for w, m in zip(self.weights, self.models):
-            if w != 0.0:
+            if m is not None:
                 out += w * m.predict(X)
         if self.target_kind == "probability":
             out = np.clip(out, 0.0, 1.0)
         return out
 
-    def risk_report(self) -> SLRiskReport:
-        return SLRiskReport(
-            self.library.names,
-            self.candidate_risks,
-            min(self.candidate_risks),
-            self.meta_risk,
-            kind="level_one",
-        )
+    @property
+    def flags(self) -> tuple[str, ...]:
+        refit_flags = (f for m in self.models if m is not None for f in m.flags)
+        return tuple(dict.fromkeys((*self.weight_flags, *refit_flags)))
 
     def weight_table(self) -> dict[str, float]:
         return {n: float(w) for n, w in zip(self.library.names, self.weights)}
@@ -170,8 +144,9 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _pgd_simplex(Z, y, loss, w0, max_iter=20000, gap_tol=1e-9):
-    """Projected gradient descent on the simplex with a duality-gap stop.
+def _pgd_simplex(Z, y, w0, max_iter=20000, gap_tol=1e-9):
+    """Projected gradient descent for the mean squared error on the simplex,
+    with a duality-gap stop.
 
     The Frank-Wolfe gap max_j <grad, w - e_j> upper-bounds the suboptimality
     of a convex objective over the simplex, so the returned point is within
@@ -181,25 +156,13 @@ def _pgd_simplex(Z, y, loss, w0, max_iter=20000, gap_tol=1e-9):
     if m == 1:
         return np.array([1.0])
 
-    if loss == "mse":
-        def value(w):
-            r = Z @ w - y
-            return float(r @ r) / n
+    def value(w):
+        r = Z @ w - y
+        return float(r @ r) / n
 
-        def grad(w):
-            return 2.0 * (Z.T @ (Z @ w - y)) / n
-        step = 1.0 / max(2.0 * np.linalg.norm(Z, 2) ** 2 / n, 1e-12)
-    else:  # logloss, smoothed at 1e-6 so gradient and value stay consistent
-        eps = 1e-6
-
-        def value(w):
-            p = np.clip(Z @ w, eps, 1 - eps)
-            return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-
-        def grad(w):
-            p = np.clip(Z @ w, eps, 1 - eps)
-            return Z.T @ ((p - y) / (p * (1.0 - p))) / n
-        step = 1.0
+    def grad(w):
+        return 2.0 * (Z.T @ (Z @ w - y)) / n
+    step = 1.0 / max(2.0 * np.linalg.norm(Z, 2) ** 2 / n, 1e-12)
 
     w = w0.copy()
     f = value(w)
@@ -222,13 +185,13 @@ def _pgd_simplex(Z, y, loss, w0, max_iter=20000, gap_tol=1e-9):
     return w
 
 
-def meta_weights(Z: np.ndarray, target: np.ndarray, loss: str = "mse"):
-    """Simplex weights minimising the chosen loss of Z @ w against the target.
+def meta_weights(Z: np.ndarray, target: np.ndarray):
+    """Simplex weights minimising the mean squared error of Z @ w against the
+    target.
 
-    MSE starts from non-negative least squares (normalised to the simplex) and
-    is polished by projected gradient until a duality-gap certificate shows
-    the weights are within 1e-9 of optimal; log-loss runs projected gradient
-    from the uniform point. Returns (weights, flags).
+    Starts from non-negative least squares (normalised to the simplex) and is
+    polished by projected gradient until a duality-gap certificate shows the
+    weights are within 1e-9 of optimal. Returns (weights, flags).
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -236,29 +199,23 @@ def meta_weights(Z: np.ndarray, target: np.ndarray, loss: str = "mse"):
         raise ValueError("level-one matrix and target are inconsistent")
     m = Z.shape[1]
     flags: tuple[str, ...] = ()
-    if loss not in LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
     if m == 1:
         return np.array([1.0]), flags
-    if loss == "mse":
-        w, _ = nnls(Z, y)
-        s = w.sum()
-        if s <= 0:
-            w = np.full(m, 1.0 / m)
-            flags = ("nnls_zero_uniform_fallback",)
-        else:
-            w = w / s
-    else:
+    w, _ = nnls(Z, y)
+    s = w.sum()
+    if s <= 0:
         w = np.full(m, 1.0 / m)
-    w = _pgd_simplex(Z, y, loss, w)
+        flags = ("nnls_zero_uniform_fallback",)
+    else:
+        w = w / s
+    w = _pgd_simplex(Z, y, w)
     w = np.maximum(w, 0.0)
     w = w / w.sum()
     # hard guard for the convexity guarantee: never report weights that lose
-    # to a single candidate under the actual loss
-    loss_fn = LOSSES[loss]
-    best_val = loss_fn(Z @ w, y)
+    # to a single candidate in mean squared error
+    best_val = loss_mse(Z @ w, y)
     for k in range(m):
-        val = loss_fn(Z[:, k], y)
+        val = loss_mse(Z[:, k], y)
         if val < best_val - 1e-12:
             w = np.zeros(m)
             w[k] = 1.0
@@ -272,10 +229,10 @@ def fit_super_learner(
     target: np.ndarray,
     V: int = 10,
     seed: int = 0,
-    loss: str = "mse",
     target_kind: str = "regression",
 ) -> SLModel:
-    """Level-one fit, meta-weights, full-data refits, all in one pass.
+    """Level-one fit, meta-weights, and full-data refits, in library order, of
+    the candidates with a non-zero weight.
 
     Probability targets get treatment-arm style stratified folds so no
     training fold can lose a class.
@@ -287,73 +244,13 @@ def fit_super_learner(
     else:
         folds = make_folds(X.shape[0], V, seed)
     Z = level_one(library, X, y, folds, target_kind=target_kind)
-    w, flags = meta_weights(Z, y, loss=loss)
-    loss_fn = LOSSES[loss]
-    cand_risks = tuple(loss_fn(Z[:, k], y) for k in range(len(library)))
-    meta_risk = loss_fn(Z @ w, y)
+    w, flags = meta_weights(Z, y)
+    cand_risks = tuple(loss_mse(Z[:, k], y) for k in range(len(library)))
     models = tuple(
-        fit_learner(spec, X, y, target_kind=target_kind) for spec in library.candidates
+        fit_learner(spec, X, y, target_kind=target_kind) if w_k != 0.0 else None
+        for spec, w_k in zip(library.candidates, w)
     )
-    return SLModel(library, w, models, folds, cand_risks, meta_risk, target_kind, flags)
-
-
-def discrete_sl(report: SLRiskReport) -> int:
-    """Index (0-based) of the candidate with the smallest risk; ties go low."""
-    risks = np.asarray(report.candidate_risks, dtype=float)
-    if risks.size < 1:
-        raise ValueError("empty risk report")
-    return int(np.argmin(risks))
-
-
-def sl_risk_report(
-    library: SLLibrary,
-    features: np.ndarray,
-    target: np.ndarray,
-    V_outer: int = 5,
-    V_inner: int = 5,
-    seed: int = 0,
-    loss: str = "mse",
-    target_kind: str = "regression",
-) -> SLRiskReport:
-    """Honest comparison: every risk comes from data the fit never saw.
-
-    Each outer training set runs its own full super-learner fit (with inner
-    folds) so the convex and discrete rows face exactly the same holdout as
-    the raw candidates.
-    """
-    if V_outer < 2 or V_inner < 2:
-        raise ValueError("need V_outer >= 2 and V_inner >= 2")
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if target_kind == "probability":
-        outer = make_stratified_folds(y, V_outer, seed)
-    else:
-        outer = make_folds(X.shape[0], V_outer, seed)
-    seeds = child_seeds(seed, outer.V)
-    loss_fn = LOSSES[loss]
-    m = len(library)
-    cand_losses = np.zeros((outer.V, m))
-    disc_losses = np.zeros(outer.V)
-    convex_losses = np.zeros(outer.V)
-    for v in range(1, outer.V + 1):
-        tr = outer.train_mask(v)
-        te = outer.test_mask(v)
-        sl = fit_super_learner(
-            library, X[tr], y[tr], V=V_inner, seed=seeds[v - 1],
-            loss=loss, target_kind=target_kind,
-        )
-        for k in range(m):
-            cand_losses[v - 1, k] = loss_fn(sl.models[k].predict(X[te]), y[te])
-        best = discrete_sl(sl.risk_report())
-        disc_losses[v - 1] = cand_losses[v - 1, best]
-        convex_losses[v - 1] = loss_fn(sl.predict(X[te]), y[te])
-    return SLRiskReport(
-        library.names,
-        tuple(float(r) for r in cand_losses.mean(axis=0)),
-        float(disc_losses.mean()),
-        float(convex_losses.mean()),
-        kind="outer_cv",
-    )
+    return SLModel(library, w, models, cand_risks, loss_mse(Z @ w, y), target_kind, flags)
 
 
 def demo_library(d: int) -> SLLibrary:

@@ -231,6 +231,20 @@ class TestBoostedBalance:
             wins += asam(ds.covariates, ds.treatment, w) < asam(ds.covariates, ds.treatment)
         assert wins >= 19
 
+    def test_bad_settings_are_rejected_at_construction(self):
+        for bad in ({"trim": 0.7}, {"trim": 0.0}, {"stride": 0}):
+            with pytest.raises(ValueError):
+                BalanceBoostedPS(max_trees=20, shrinkage=0.1, **bad)
+
+    def test_every_column_degenerate_keeps_the_stage_zero_model(self):
+        # both arms are constant, so no weighting can change an SMD
+        A = (SEPARATED_X > 0).astype(float)
+        model = BalanceBoostedPS(max_trees=20, shrinkage=0.1).fit(SEPARATED_X[:, None], A)
+        assert model.trees == ()
+        assert model.meta == {"chosen_iteration": 0, "asam_trace": ()}
+        assert model.flags == ("balance_undefined",)
+        assert np.array_equal(model.predict(SEPARATED_X[:, None]), np.full(40, 0.5))
+
 
 class TestPsMatch:
     def test_nearest_by_distance(self):

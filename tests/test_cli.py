@@ -336,19 +336,23 @@ def test_report_writes_json_booleans(data, tmp_path):
     assert '"chosen": 0' not in text and '"chosen": 1' not in text
 
 
-@pytest.mark.parametrize("est", ["iptw", "aiptw", "tmle", "dml"])
-def test_learner_flags_reach_the_warnings(tmp_path, est):
+@pytest.mark.parametrize("est,flags,warning", [
+    *(pytest.param(est, (), "separation_ridge", id=est) for est in ("iptw", "aiptw", "tmle", "dml")),
+    pytest.param("iptw", ("--ps-learner", "twang"), "balance_undefined", id="iptw-twang"),
+])
+def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning):
     # x1 = +-1e-3 separates the arms: the logistic propensity fit, cross-fitted
     # or not, is refitted with a ridge and says so. Both arms are constant, so
-    # every SMD is degenerate and each ASAM is written as null.
+    # every SMD is degenerate whatever the weights: twang keeps its stage-0
+    # model and says so, and each ASAM is written as null.
     path = tmp_path / "separated.csv"
     rows = [f"{x},{int(x > 0)},{k}" for k, x in enumerate([-1e-3] * 20 + [1e-3] * 20)]
     path.write_text("\n".join(["x1,treatment,outcome"] + rows) + "\n", encoding="utf-8")
     out = tmp_path / "r.json"
-    assert main(["run", "--data", str(path), "--estimator", est, "--out", str(out)]) == 0
+    assert main(["run", "--data", str(path), "--estimator", est, *flags, "--out", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     report = json.loads(text)
-    assert report["warnings"] == ["separation_ridge"]
+    assert report["warnings"] == [warning]
     assert report["balance"] == {"asam_unweighted": None, "asam_iptw": None,
                                  "flagged_unweighted": 0, "flagged_iptw": 0}
     assert "NaN" not in text

@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from ateml.core import (
     Dataset,
-    FitError,
     FoldAssignment,
-    LearnerSpec,
     OutcomeKind,
     child_seeds,
-    cv_risk,
     loss_logloss,
     loss_mse,
     make_folds,
@@ -103,55 +100,6 @@ class TestLosses:
     def test_logloss_length_mismatch(self):
         with pytest.raises(ValueError):
             loss_logloss([0.5], [1.0, 0.0])
-
-
-class TestCvRisk:
-    def test_constant_target_ols_is_zero(self):
-        rng = rng_from(0)
-        X = rng.standard_normal((20, 3))
-        y = np.full(20, 4.2)
-        folds = make_folds(20, 4, seed=1)
-        assert cv_risk(LearnerSpec("ols"), X, y, folds) == pytest.approx(0.0, abs=1e-16)
-
-    def test_huge_lasso_penalty_matches_fold_mean_oracle(self):
-        rng = rng_from(1)
-        X = rng.standard_normal((24, 2))
-        y = rng.standard_normal(24) * 2.0 + 1.0
-        folds = make_folds(24, 4, seed=3)
-        # independent oracle: each fold is scored by the training-block mean
-        expected = []
-        for v in range(1, 5):
-            tr, te = folds.train_mask(v), folds.test_mask(v)
-            expected.append(np.mean((y[te] - y[tr].mean()) ** 2))
-        got = cv_risk(LearnerSpec("lasso", {"lam": 1e12}), X, y, folds)
-        assert got == pytest.approx(float(np.mean(expected)), rel=1e-12)
-
-    def test_noiseless_line_recovered(self):
-        X = np.arange(8.0)[:, None]
-        y = 3.0 * X[:, 0] - 1.0
-        folds = make_folds(8, 2, seed=2)
-        assert cv_risk(LearnerSpec("ols"), X, y, folds) < 1e-20
-
-    def test_reproducible_bit_identical(self):
-        rng = rng_from(3)
-        X = rng.standard_normal((30, 2))
-        y = rng.standard_normal(30)
-        folds = make_folds(30, 3, seed=5)
-        spec = LearnerSpec("forest", {"n_trees": 5, "seed": 11})
-        assert cv_risk(spec, X, y, folds) == cv_risk(spec, X, y, folds)
-
-    def test_programming_error_is_not_wrapped(self):
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
-        with pytest.raises(TypeError):
-            cv_risk(LearnerSpec("tree", {"max_depth": "deep"}), np.zeros((4, 1)),
-                    np.array([1.0, 2.0, 0.0, 1.0]), folds)
-
-    def test_fit_failure_names_fold(self):
-        X = np.zeros((4, 1))
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
-        with pytest.raises(FitError, match="fold 1"):
-            cv_risk(LearnerSpec("logistic"), X, y, folds, loss="logloss")
 
 
 def test_mse_decomposition_identity():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -363,6 +364,22 @@ class TestDml:
             DmlConfig(s=0)
         with pytest.raises(ValueError):
             DmlConfig(aggregate="mode")
+        for trim in (0.7, 0.0):
+            with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
+                DmlConfig(trim=trim)
+
+    def test_bad_trim_is_rejected_before_any_fit(self):
+        fits = []
+
+        class Counting:
+            def fit(self, X, y, target_kind, seed):
+                fits.append(len(y))
+                return LearnerSpec("logistic").fit(X, y, target_kind, seed)
+
+        ds, _ = make_confounded(n=120, seed=8)
+        with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
+            dml_ate(ds, DmlConfig(k=2, s=1, ps_spec=Counting(), trim=0.7))
+        assert fits == []
 
 
 class TestIfSe:

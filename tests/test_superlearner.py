@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from ateml.core import FoldAssignment, LearnerSpec, loss_mse, make_folds, rng_from
-from ateml.superlearner import (
-    SLLibrary,
-    discrete_sl,
-    fit_super_learner,
-    level_one,
-    meta_weights,
-    sl_risk_report,
-)
+from ateml import superlearner
+from ateml.learners import fit_learner
+from ateml.superlearner import SLLibrary, fit_super_learner, level_one, meta_weights
 
 
 def _intercept_only():
@@ -26,6 +21,16 @@ class TestLevelOne:
         lib = SLLibrary((_intercept_only(),), ("mean",))
         Z = level_one(lib, X, y, folds)
         assert np.allclose(Z.ravel(), [0.5, 0.5, 0.5, 0.5])
+        # independent oracle on random data: each fold gets its training-block mean
+        rng = rng_from(1)
+        X = rng.standard_normal((24, 2))
+        y = rng.standard_normal(24) * 2.0 + 1.0
+        folds = make_folds(24, 4, seed=3)
+        expected = np.empty(24)
+        for v in range(1, 5):
+            expected[folds.test_mask(v)] = y[folds.train_mask(v)].mean()
+        Z = level_one(lib, X, y, folds)
+        assert np.allclose(Z.ravel(), expected, rtol=1e-12, atol=0.0)
 
     def test_zero_predictor_gives_zero_column(self):
         # symmetric targets: every training block averages to exactly zero
@@ -69,36 +74,27 @@ class TestMetaWeights:
         rng = rng_from(1)
         y = rng.standard_normal(40)
         Z = np.column_stack([y, y + 1.0])
-        w, _ = meta_weights(Z, y, "mse")
+        w, _ = meta_weights(Z, y)
         assert w[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_y_and_complement(self):
         rng = rng_from(2)
         y = (rng.random(60) < 0.5).astype(float)
         Z = np.column_stack([y, 1.0 - y])
-        w, _ = meta_weights(Z, y, "mse")
+        w, _ = meta_weights(Z, y)
         assert np.allclose(w, [1.0, 0.0], atol=1e-8)
 
     def test_single_candidate(self):
-        w, _ = meta_weights(np.ones((5, 1)), np.ones(5), "mse")
+        w, _ = meta_weights(np.ones((5, 1)), np.ones(5))
         assert np.array_equal(w, [1.0])
 
     def test_simplex_invariant(self):
         rng = rng_from(3)
         y = rng.standard_normal(50)
         Z = rng.standard_normal((50, 4))
-        for loss in ("mse",):
-            w, _ = meta_weights(Z, y, loss)
-            assert np.all(w >= 0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_logloss_weights_valid(self):
-        rng = rng_from(4)
-        y = (rng.random(80) < 0.4).astype(float)
-        Z = np.clip(np.column_stack([y * 0.8 + 0.1, rng.random(80), np.full(80, 0.4)]), 0, 1)
-        w, _ = meta_weights(Z, y, "logloss")
-        assert np.all(w >= 0) and w.sum() == pytest.approx(1.0, abs=1e-10)
-        assert w[0] > 0.5  # the informative column dominates
+        w, _ = meta_weights(Z, y)
+        assert np.all(w >= 0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_level_one_optimality_random_problems(self):
         rng = rng_from(5)
@@ -106,7 +102,7 @@ class TestMetaWeights:
             n, m = int(rng.integers(20, 60)), int(rng.integers(2, 6))
             y = rng.standard_normal(n)
             Z = rng.standard_normal((n, m))
-            w, _ = meta_weights(Z, y, "mse")
+            w, _ = meta_weights(Z, y)
             best_single = min(loss_mse(Z[:, k], y) for k in range(m))
             assert loss_mse(Z @ w, y) <= best_single + 1e-8
 
@@ -128,6 +124,7 @@ class TestFitSuperLearner:
         lib = SLLibrary((_intercept_only(), LearnerSpec("ols")), ("mean", "ols"))
         sl = fit_super_learner(lib, X, y, V=5, seed=1)
         assert sl.weights[1] > 0.99
+        assert sl.candidate_risks[1] < 1e-20  # OLS recovers the noiseless line out of fold
         assert sl.meta_risk <= min(sl.candidate_risks) + 1e-10
 
     def test_duplicate_candidates_any_split_same_prediction(self):
@@ -143,10 +140,12 @@ class TestFitSuperLearner:
         rng = rng_from(9)
         X = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
-        lib = SLLibrary((LearnerSpec("ols"), _intercept_only()), ("ols", "mean"))
-        w1 = fit_super_learner(lib, X, y, V=5, seed=3).weights
-        w2 = fit_super_learner(lib, X, y, V=5, seed=3).weights
-        assert np.array_equal(w1, w2)
+        lib = SLLibrary((LearnerSpec("ols"), _intercept_only(),
+                         LearnerSpec("forest", {"n_trees": 5, "seed": 11})), ("ols", "mean", "forest"))
+        first = fit_super_learner(lib, X, y, V=5, seed=3)
+        again = fit_super_learner(lib, X, y, V=5, seed=3)
+        assert np.array_equal(first.weights, again.weights)
+        assert first.candidate_risks == again.candidate_risks
 
     def test_probability_predictions_clipped(self):
         rng = rng_from(10)
@@ -157,7 +156,6 @@ class TestFitSuperLearner:
         pred = sl.predict(X * 50)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
 
-
     def test_library_fit_uses_its_own_fold_count(self):
         rng = rng_from(30)
         X = rng.standard_normal((60, 2))
@@ -165,81 +163,63 @@ class TestFitSuperLearner:
         lib = SLLibrary((LearnerSpec("ols"), _intercept_only()), ("ols", "mean"), V=4)
         model = lib.fit(X, y, "regression", 5)
         direct = fit_super_learner(lib, X, y, V=4, seed=5)
-        assert model.folds.V == 4
+        other_v = fit_super_learner(lib, X, y, V=10, seed=5)
         assert np.array_equal(model.weights, direct.weights)
+        assert not np.array_equal(model.weights, other_v.weights)
         assert model.meta["sl_weights"] == direct.weight_table()
 
+    def test_refits_only_the_candidates_it_weighs(self, monkeypatch):
+        X, y, lib = _one_zero_weight_problem()
+        full_fits = []
 
-class TestDiscreteSl:
-    def test_argmin(self):
-        lib_names = ("a", "b", "c")
-        from ateml.superlearner import SLRiskReport
+        def counting_fit(spec, X_fit, *args, **kwargs):
+            if X_fit.shape[0] == X.shape[0]:
+                full_fits.append(spec)
+            return fit_learner(spec, X_fit, *args, **kwargs)
 
-        rep = SLRiskReport(lib_names, (0.3, 0.1, 0.2), 0.1, 0.1)
-        assert discrete_sl(rep) == 1
+        monkeypatch.setattr(superlearner, "fit_learner", counting_fit)
+        sl = fit_super_learner(lib, X, y, V=5, seed=1)
+        kept = [spec for spec, w in zip(lib.candidates, sl.weights) if w != 0.0]
+        assert (sl.weights == 0.0).sum() == 1
+        assert full_fits == kept
+        assert [m is None for m in sl.models] == [w == 0.0 for w in sl.weights]
 
-    def test_tie_goes_low(self):
-        from ateml.superlearner import SLRiskReport
+    def test_prediction_equals_the_sum_over_every_refit(self):
+        X, y, lib = _one_zero_weight_problem()
+        sl = fit_super_learner(lib, X, y, V=5, seed=1)
+        by_hand = np.zeros(X.shape[0])
+        for w, spec in zip(sl.weights, lib.candidates):
+            by_hand += w * fit_learner(spec, X, y).predict(X)
+        assert np.array_equal(sl.predict(X), by_hand)
 
-        rep = SLRiskReport(("a", "b"), (0.1, 0.1), 0.1, 0.1)
-        assert discrete_sl(rep) == 0
+    def test_flags_include_those_of_the_kept_refits(self):
+        # x1 = +-1e-3 separates the arms: the logistic candidate keeps a tiny
+        # positive weight, and its full-data refit is ridge-refitted
+        rng = np.random.default_rng(0)
+        a = np.repeat([0.0, 1.0], 30)
+        X = np.column_stack([np.where(a == 1, 1e-3, -1e-3), rng.standard_normal(60)])
+        lib = SLLibrary(
+            (LearnerSpec("logistic"), LearnerSpec("tree", {"max_depth": 3, "min_leaf": 10}),
+             LearnerSpec("boost", {"n_trees": 100, "nu": 0.1, "max_depth": 2})),
+            ("logistic", "tree", "boost"), V=4)
+        sl = lib.fit(X, a, "probability", 0)
+        assert sl.weights[0] > 0.0
+        assert sl.models[0].flags == ("separation_ridge",)
+        assert sl.flags == ("separation_ridge",)
 
-    def test_single(self):
-        from ateml.superlearner import SLRiskReport
 
-        rep = SLRiskReport(("a",), (0.5,), 0.5, 0.5)
-        assert discrete_sl(rep) == 0
+def _one_zero_weight_problem():
+    # noisy linear data on which the intercept-only candidate weighs exactly 0
+    rng = rng_from(1)
+    X = rng.standard_normal((60, 2))
+    y = X @ np.array([2.0, 1.0]) + 0.5 * rng.standard_normal(60)
+    lib = SLLibrary((LearnerSpec("ols"), _intercept_only(), LearnerSpec("tree", {"max_depth": 2})),
+                    ("ols", "mean", "tree"))
+    return X, y, lib
 
 
-class TestRiskReport:
-    def test_perfect_learner_near_zero_risk(self):
-        rng = rng_from(11)
-        X = rng.standard_normal((40, 2))
-        y = X @ np.array([1.0, 2.0])
-        lib = SLLibrary((LearnerSpec("ols"),), ("ols",))
-        rep = sl_risk_report(lib, X, y, V_outer=4, V_inner=3, seed=0)
-        assert rep.candidate_risks[0] < 1e-20
-        assert rep.convex_risk < 1e-20
-        assert rep.kind == "outer_cv"
-
-    def test_all_rows_present_and_finite(self):
-        rng = rng_from(12)
-        X = rng.standard_normal((50, 2))
-        y = rng.standard_normal(50)
-        lib = SLLibrary((LearnerSpec("ols"), _intercept_only()), ("ols", "mean"))
-        rep = sl_risk_report(lib, X, y, V_outer=3, V_inner=3, seed=1)
-        assert len(rep.candidate_risks) == 2
-        assert np.isfinite(rep.candidate_risks).all()
-        assert np.isfinite(rep.discrete_risk) and np.isfinite(rep.convex_risk)
-        csv = rep.to_csv()
-        assert csv.splitlines()[0] == "name,cv_risk"
-        assert len(csv.splitlines()) == 5  # header + 2 candidates + discrete + convex
-
-    def test_dominant_candidate_ranks_better(self):
-        wins = 0
-        for seed in range(30):
-            rng = rng_from(4000 + seed)
-            X = rng.standard_normal((60, 2))
-            y = X @ np.array([2.0, -1.0]) + 0.2 * rng.standard_normal(60)
-            lib = SLLibrary((LearnerSpec("ols"), _intercept_only()), ("ols", "mean"))
-            rep = sl_risk_report(lib, X, y, V_outer=3, V_inner=3, seed=seed)
-            wins += rep.candidate_risks[0] < rep.candidate_risks[1]
-        assert wins >= 27  # >= 90% of seeds rank the informative model first
-
-    def test_honest_holdout_for_interpolating_learner(self):
-        # a depth-unbounded tree memorises its training data; an honest
-        # report must still show positive out-of-sample risk on noise
-        rng = rng_from(13)
-        X = rng.standard_normal((60, 2))
-        y = rng.standard_normal(60)
-        lib = SLLibrary((LearnerSpec("tree", {"max_depth": 30, "min_leaf": 1}),), ("deep_tree",))
-        rep = sl_risk_report(lib, X, y, V_outer=3, V_inner=3, seed=2)
-        in_sample = np.mean((y - y) ** 2)  # the memorised fit would be exact
-        assert rep.candidate_risks[0] > 0.1
-        assert rep.candidate_risks[0] > in_sample
-
-    def test_library_validation(self):
-        with pytest.raises(ValueError):
-            SLLibrary((), ())
-        with pytest.raises(ValueError):
-            SLLibrary((LearnerSpec("ols"), LearnerSpec("ols")), ("same", "same"))
+def test_library_validation():
+    with pytest.raises(ValueError):
+        SLLibrary((), ())
+    with pytest.raises(ValueError):
+        SLLibrary((LearnerSpec("ols"), LearnerSpec("ols")), ("same", "same"))
