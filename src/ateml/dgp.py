@@ -41,8 +41,11 @@ class DgpSpec:
     "normal" or "bernoulli" (success probabilities in ``bernoulli_p``).
     The treatment score is logit-linear in the Bernoulli columns; the outcome
     is linear (continuous) or logit-linear (binary) in all columns, the
-    treatment, and optional per-column quadratic terms, the misspecification
-    hook for analysts who fit linear models.
+    treatment, and optional per-column quadratic terms. The quadratic terms
+    do not misspecify a linear outcome model for the effect: on a Bernoulli
+    column x^2 = x, and a normal column never enters the treatment score, so
+    its square is independent of treatment (arm-wise OLS ``reg`` stays
+    unbiased on ``confounded_linear`` with quadratics on x1..x4).
     """
 
     name: str

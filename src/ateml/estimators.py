@@ -363,13 +363,12 @@ def tmle_ate(dataset: Dataset, nuisance: NuisanceFits) -> AteResult:
 
 @dataclass(frozen=True)
 class DmlConfig:
-    """Cross-fitting configuration: K folds, S split repetitions, aggregation,
-    the two nuisance ``Learner`` objects and the propensity ``trim``, which
-    must lie in (0, 0.5)."""
+    """Cross-fitting configuration: K folds, S split repetitions, the two
+    nuisance ``Learner`` objects and the propensity ``trim``, which must lie
+    in (0, 0.5)."""
 
     k: int = 2
     s: int = 11
-    aggregate: str = "median"
     ps_spec: Learner = field(default_factory=lambda: LearnerSpec("logistic"))
     outcome_spec: Learner = field(default_factory=lambda: LearnerSpec("ols"))
     trim: float = 0.01
@@ -380,8 +379,6 @@ class DmlConfig:
             raise ValueError("need K >= 2 folds")
         if self.s < 1:
             raise ValueError("need S >= 1 repetitions")
-        if self.aggregate not in ("mean", "median"):
-            raise ValueError("aggregate must be 'mean' or 'median'")
         _check_trim(self.trim)
 
 
@@ -391,9 +388,10 @@ def dml_ate(dataset: Dataset, config: DmlConfig) -> tuple[AteResult, NuisanceFit
     Each repetition stratifies folds by treatment arm, fits nuisances on the
     training side, applies the augmented form to the held-out predictions,
     and records an influence-function variance. Repetitions are combined by
-    the configured aggregate; the variance adds the split spread
-    (se_s^2 + (psi_s - psi)^2) before aggregation. A fold draw is redrawn,
-    up to ten times, only when a training block loses a treatment arm.
+    their median; the variance adds the split spread
+    (se_s^2 + (psi_s - psi)^2) before the median is taken. A fold draw is
+    redrawn, up to ten times, only when a training block loses a treatment
+    arm.
     Returns the result and the ``NuisanceFits`` of the first repetition,
     which the diagnostics name as ``nuisance_repetition``.
     """
@@ -419,16 +417,15 @@ def dml_ate(dataset: Dataset, config: DmlConfig) -> tuple[AteResult, NuisanceFit
             first_nuis = nuis
 
     estimates = [r.estimate for r in results]
-    agg = np.median if config.aggregate == "median" else np.mean
-    est = float(agg(estimates))
-    var = float(agg([r.se**2 + (r.estimate - est) ** 2 for r in results]))
+    est = float(np.median(estimates))
+    var = float(np.median([r.se**2 + (r.estimate - est) ** 2 for r in results]))
     se = float(np.sqrt(var))
     if_values = results[0].if_values if config.s == 1 else None
     diagnostics = {
         "provenance": "cross_fitted",
         "k": config.k,
         "s": config.s,
-        "aggregate": config.aggregate,
+        "aggregate": "median",
         "split_estimates": [float(e) for e in estimates],
         "nuisance_repetition": 1,
     }

@@ -11,11 +11,14 @@ penalised, the squared-error part of the objective carries a 1/(2n) factor,
 and coefficients are reported on the original scale.
 
 The logistic and lasso solvers are exact too: ``fit_logistic`` and a stack
-of logistic fits (``_irls``, used by greedy collaborative targeting for all
-the candidates of a stage) return bit for bit the coefficients and flags of
-the plain per-problem IRLS, and the coordinate-descent lassos those of a
-numpy-scalar loop (both kept as the reference in the tests). The rules that
-keep them so, checked by ``tests/test_numeric_stack.py``:
+of logistic fits (``_irls`` through ``_fit_logistic_candidates``) return bit
+for bit the coefficients and flags of the plain per-problem IRLS, and the
+coordinate-descent lassos those of a numpy-scalar loop (both kept as the
+reference in the tests). Collaborative targeting fits every logistic
+propensity candidate as a stack: all the candidates of a greedy stage, the
+one-column fits that rank the covariates of the pre-ordered variant, and
+each nested candidate of a pre-ordered sequence (a stack of one). The rules
+that keep them so, checked by ``tests/test_numeric_stack.py``:
 
 - Python float arithmetic equals numpy float64 scalar arithmetic, so the
   coordinate loops run on Python floats; ``_soft`` reproduces numpy's signed

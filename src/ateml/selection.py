@@ -10,7 +10,7 @@ whose targeted fit cross-validates best.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .estimators import (
 )
 from .learners import (
     _fit_logistic_candidates,
-    fit_logistic,
     fit_logistic_lasso,
     lasso_cv,
     logistic_lasso_cv,
@@ -135,13 +134,16 @@ def post_double_ate(
 
 @dataclass(frozen=True)
 class CtmleCandidate:
-    """One propensity model in the candidate sequence and its targeted fit."""
+    """One propensity model in the candidate sequence and its targeted fit:
+    the losses, epsilon and, outside comparisons and the repr, the
+    full-sample ``_Targeted`` the estimate is read from."""
 
     covariates: tuple[int, ...] | None  # None for penalty-path candidates
     lam: float | None
     cv_loss: float
     emp_loss: float
     epsilon: float
+    fit: _Targeted = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,14 @@ class CtmleTrace:
 
 
 class _TargetingEngine:
-    """Shared mechanics: scaled outcome, propensity refits, fluctuations.
+    """Shared mechanics: one fit step and one score step.
 
-    The initial outcome fit enters as fixed per-unit arrays (matching the
-    convention of treating it as an external input); cross-validation refits
-    only the propensity model and the fluctuation in each fold.
+    ``fit`` fits the propensity models of a candidate set once per block: the
+    full sample, then each fold's training rows. ``score`` fluctuates the
+    working initial fit ``q`` with them. The initial fit enters as fixed
+    per-unit arrays (matching the convention of treating it as an external
+    input), and the propensity fits depend only on the covariates and the
+    rows, so a caller that replaces ``q`` rescores the same fitted models.
     """
 
     def __init__(self, dataset: Dataset, initial: NuisanceFits, V: int, trim: float, seed: int):
@@ -179,76 +184,65 @@ class _TargetingEngine:
         self.q = (mu1s, mu0s)
         self.trim = float(trim)
         self.folds = make_stratified_folds(dataset.treatment, V, seed)
-        self.n_ps_model_evals = 0
+        self.all_rows = np.ones(dataset.n, dtype=bool)
+        self.n_scorings = 0
 
-    # -- propensity refits ---------------------------------------------------
+    # -- fit step --------------------------------------------------------------
 
-    def _ps_model(self, model_desc, train_mask):
-        """Propensity model fitted on the training rows, as a function from a
-        covariate matrix to clipped scores."""
-        cols, lam = model_desc
-        A_tr = self.A[train_mask]
+    def fit(self, base=(), extra=None, lam=None):
+        """The clipped propensity functions of a candidate set on each block,
+        the full sample first: one list per block, one function per
+        candidate. The set is ``base + (j,)`` for each j in ``extra``, the l1
+        logit at ``lam``, or, given neither, the intercept alone."""
+        blocks = [self.all_rows] + [self.folds.train_mask(v) for v in range(1, self.folds.V + 1)]
+        return [self.fit_block(rows, base, extra, lam) for rows in blocks]
+
+    def fit_block(self, rows, base, extra, lam):
+        """``fit`` on one block of training rows."""
+        X, A = self.X[rows], self.A[rows]
         if lam is not None:
-            raw = fit_logistic_lasso(self.X[train_mask], A_tr, lam).predict_proba
-        elif len(cols) == 0:
-            mean = A_tr.mean()
-            raw = lambda M: np.full(M.shape[0], mean)  # noqa: E731
-        else:
-            return self._clipped(fit_logistic(self.X[train_mask][:, list(cols)], A_tr), cols)
-        return lambda M: np.clip(raw(M), self.trim, 1.0 - self.trim)
+            return [self._clipped(fit_logistic_lasso(X, A, lam).predict_proba)]
+        if extra is None:
+            mean = A.mean()
+            return [self._clipped(lambda M: np.full(M.shape[0], mean))]
+        fits = _fit_logistic_candidates(X, A, base, extra)
+        return [self._clipped(fit.predict_proba, list(base) + [j]) for fit, j in zip(fits, extra)]
 
-    def _clipped(self, fit, cols):
-        sub = list(cols)
-        return lambda M: np.clip(fit.predict_proba(M[:, sub]), self.trim, 1.0 - self.trim)
+    def _clipped(self, predict, cols=slice(None)):
+        return lambda M: np.clip(predict(M[:, cols]), self.trim, 1.0 - self.trim)
 
-    def _stage_models(self, current, remaining, train_mask):
-        """The propensity models of ``current + (j,)`` for each j in
-        ``remaining``, fitted on the training rows as stacks."""
-        fits = _fit_logistic_candidates(self.X[train_mask], self.A[train_mask], current, remaining)
-        return [self._clipped(fit, current + (j,)) for fit, j in zip(fits, remaining)]
+    # -- score step ------------------------------------------------------------
 
-    # -- targeted evaluation ---------------------------------------------------
-
-    def _update(self, p, rows, eps=None, q=None):
-        """Targeted update on ``rows`` given propensity p (all rows); solves
-        the fluctuation there unless ``eps`` is given. ``q`` pins the
-        initial-fit arrays (default: the working ones)."""
-        mu1s, mu0s = self.q if q is None else q
+    def _update(self, p, rows, eps=None):
+        """Targeted update of the working initial fit on ``rows`` given
+        propensity p (all rows); solves the fluctuation there unless ``eps``
+        is given."""
+        mu1s, mu0s = self.q
         return _Targeted(self.A[rows], self.ys[rows], mu1s[rows], mu0s[rows], p[rows], eps)
 
     def _loss(self, targeted, rows):
         return float(np.mean((self.ys[rows] - targeted.muA) ** 2))
 
-    def evaluate(self, model_desc):
-        """Full-sample fluctuation plus the cross-validated loss of the
-        targeted fit; one candidate evaluation for the instrumented count."""
-        return self._evaluate(lambda rows: [self._ps_model(model_desc, rows)])[0]
-
-    def evaluate_stage(self, current, remaining):
-        """``evaluate((current + (j,), None))`` for each j in ``remaining``,
-        with all the stage's propensity models on the same rows fitted at
-        once."""
-        return self._evaluate(lambda rows: self._stage_models(current, remaining, rows))
-
-    def _evaluate(self, models):
-        """(cv loss, full-sample loss, epsilon) of each candidate; ``models``
-        maps training rows to the candidates' fitted propensity models."""
+    def score(self, fits):
+        """(cv loss, full-sample loss, epsilon, full-sample targeted fit) of
+        each candidate of ``fits`` (the output of ``fit``) under the working
+        initial fit; one scoring per candidate for the instrumented count."""
         n = self.dataset.n
-        all_rows = np.ones(n, dtype=bool)
-        fulls = [self._update(model(self.X), all_rows) for model in models(all_rows)]
-        self.n_ps_model_evals += len(fulls)
+        full_models, *fold_models = fits
+        fulls = [self._update(model(self.X), self.all_rows) for model in full_models]
+        self.n_scorings += len(fulls)
         cv_losses = [[] for _ in fulls]
-        for v in range(1, self.folds.V + 1):
+        for v, models in enumerate(fold_models, 1):
             tr = self.folds.train_mask(v)
             te = self.folds.test_mask(v)
             X_tr, X_te = self.X[tr], self.X[te]
-            for losses, model in zip(cv_losses, models(tr)):
+            for losses, model in zip(cv_losses, models):
                 p = np.empty(n)
                 p[tr] = model(X_tr)
                 p[te] = model(X_te)
                 eps_v = self._update(p, tr).eps
                 losses.append(self._loss(self._update(p, te, eps_v), te))
-        return [(float(np.mean(cv)), self._loss(full, all_rows), full.eps)
+        return [(float(np.mean(cv)), self._loss(full, self.all_rows), full.eps, full)
                 for cv, full in zip(cv_losses, fulls)]
 
     def q_loss(self):
@@ -257,39 +251,25 @@ class _TargetingEngine:
         muAs = np.where(self.A == 1.0, mu1s, mu0s)
         return float(np.mean((self.ys - muAs) ** 2))
 
-    def targeted(self, c: CtmleCandidate, q=None):
-        """Full-sample targeted fit of a candidate at its fluctuation.
-
-        ``q`` pins the initial-fit arrays the fluctuation applies to; the
-        greedy variant replaces the working q mid-run, so results must be
-        rebuilt against the snapshot the candidate was evaluated under.
-        """
-        all_rows = np.ones(self.dataset.n, dtype=bool)
-        p = self._ps_model((c.covariates, c.lam), all_rows)(self.X)
-        return self._update(p, all_rows, c.epsilon, q)
-
     # -- the cross-validated choice --------------------------------------------
 
-    def report(self, candidates, method: str, diag: dict, evals, flags=(),
-               qs=None) -> tuple[AteResult, CtmleTrace]:
+    def report(self, candidates, method: str, diag: dict, evals,
+               flags=()) -> tuple[AteResult, CtmleTrace]:
         """The targeted estimate of the first candidate with the smallest cv
         loss, and the trace of the sequence.
 
         ``diag`` gains the chosen covariates (or penalty), cv loss and
-        epsilon. ``qs`` holds the initial-fit arrays each candidate was
-        evaluated under, when they differ from the working ones.
+        epsilon.
         """
         trace = CtmleTrace(tuple(candidates), tuple(evals), tuple(flags))
-        chosen = trace.chosen_index
-        c = candidates[chosen]
+        c = candidates[trace.chosen_index]
         if c.lam is None:
             diag["chosen_covariates"] = [self.dataset.names[j] for j in c.covariates]
         else:
             diag["chosen_lambda"] = c.lam
         diag["cv_loss"] = c.cv_loss
         diag["epsilon"] = c.epsilon
-        t = self.targeted(c, None if qs is None else qs[chosen])
-        res = _if_result(self.span * t.estimate, self.span * t.phi, method, diag)
+        res = _if_result(self.span * c.fit.estimate, self.span * c.fit.phi, method, diag)
         return res, trace
 
 
@@ -306,23 +286,24 @@ def ctmle_greedy(
     Stage k augments the current covariate set with the single covariate whose
     targeted fit cross-validates best. If even the best stage candidate fails
     to improve the full-sample fit of the current initial estimator, that
-    estimator is replaced by the last accepted targeted fit and the stage is
-    retried once; the covariates accepted so far are retained throughout. The
-    sequence starts at the intercept-only model and ends with all covariates;
-    the reported estimate is the cross-validation argmin over the sequence.
+    estimator is replaced by the last accepted targeted fit and the stage's
+    fitted models are rescored once; the covariates accepted so far are
+    retained throughout. The sequence starts at the intercept-only model and
+    ends with all covariates; the reported estimate is the cross-validation
+    argmin over the sequence.
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
-    candidates = [CtmleCandidate((), None, *eng.evaluate(((), None)))]
-    qs = [eng.q]  # the initial-fit arrays each candidate was evaluated under
+    candidates = [CtmleCandidate((), None, *eng.score(eng.fit())[0])]
     flags: list[str] = []
     evals_per_round: list[int] = []
 
     current: tuple[int, ...] = ()
     remaining = list(range(dataset.d))
-    round_evals = 1  # the intercept-only evaluation opens the first round
+    round_evals = 1  # the intercept-only scoring opens the first round
     while remaining:
+        fits = eng.fit(current, remaining)
         for restarted in (False, True):
-            stage = eng.evaluate_stage(current, remaining)
+            stage = eng.score(fits)
             round_evals += len(stage)
             k = min(range(len(stage)), key=lambda i: stage[i][0])  # first cv-loss argmin
             improved = stage[k][1] < eng.q_loss()
@@ -331,16 +312,15 @@ def ctmle_greedy(
                     flags.append(f"forced_accept_stage_{len(current) + 1}")
                 break
             # replace the initial estimator with the last accepted targeted
-            # fit, close the round, and rerun the stage once
-            last = eng.targeted(candidates[-1], qs[-1])
+            # fit, close the round, and rescore the stage once
+            last = candidates[-1].fit
             eng.q = tuple(np.clip(m, Q_BOUND, 1.0 - Q_BOUND) for m in (last.mu1, last.mu0))
             evals_per_round.append(round_evals)
             round_evals = 0
         current = current + (remaining.pop(k),)
         candidates.append(CtmleCandidate(current, None, *stage[k]))
-        qs.append(eng.q)
     evals_per_round.append(round_evals)
-    return eng.report(candidates, "ctmle_greedy", {}, evals_per_round, flags, qs)
+    return eng.report(candidates, "ctmle_greedy", {}, evals_per_round, flags)
 
 
 def _ctmle_from_order(eng: _TargetingEngine, order, method: str) -> tuple[AteResult, CtmleTrace]:
@@ -350,16 +330,16 @@ def _ctmle_from_order(eng: _TargetingEngine, order, method: str) -> tuple[AteRes
     strictly decreasing; the first non-improving extension stops the
     sequence.
     """
-    candidates = [CtmleCandidate((), None, *eng.evaluate(((), None)))]
+    candidates = [CtmleCandidate((), None, *eng.score(eng.fit())[0])]
     current: tuple[int, ...] = ()
     for j in order:
-        current = current + (int(j),)
-        c = CtmleCandidate(current, None, *eng.evaluate((current, None)))
+        c = CtmleCandidate(current + (int(j),), None, *eng.score(eng.fit(current, (int(j),)))[0])
         if not c.emp_loss < candidates[-1].emp_loss:
             break
         candidates.append(c)
+        current = c.covariates
     diag = {"order": [eng.dataset.names[int(j)] for j in order]}
-    return eng.report(candidates, method, diag, (eng.n_ps_model_evals,))
+    return eng.report(candidates, method, diag, (eng.n_scorings,))
 
 
 def ctmle_preorder_logistic(
@@ -372,17 +352,15 @@ def ctmle_preorder_logistic(
 ) -> tuple[AteResult, CtmleTrace]:
     """Scalable variant: rank covariates by their one-variable targeting loss.
 
-    Each covariate gets a univariable logistic propensity fit; the initial
-    outcome fit is fluctuated along the resulting clever covariate and the
-    full-sample loss of that targeted fit scores the covariate. Covariates
-    are then added in ascending-loss order (ties keep column order).
+    Each covariate gets a univariable logistic propensity fit on the full
+    sample (all of them fitted as one stack); the initial outcome fit is
+    fluctuated along the resulting clever covariate and the full-sample loss
+    of that targeted fit scores the covariate. Covariates are then added in
+    ascending-loss order (ties keep column order).
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
-    all_rows = np.ones(dataset.n, dtype=bool)
-    losses = np.empty(dataset.d)
-    for j in range(dataset.d):
-        p = eng._ps_model(((j,), None), all_rows)(eng.X)
-        losses[j] = eng._loss(eng._update(p, all_rows), all_rows)
+    models = eng.fit_block(eng.all_rows, (), range(dataset.d), None)
+    losses = [eng._loss(eng._update(model(eng.X), eng.all_rows), eng.all_rows) for model in models]
     return _ctmle_from_order(eng, np.argsort(losses, kind="stable"), "ctmle_logistic")
 
 
@@ -440,6 +418,5 @@ def ctmle_lasso(
     if path.size > 1 and not (np.diff(path) < 0).all():
         raise ValueError("lambda path must be strictly decreasing")
     lams = [float(lam) for lam in path]
-    candidates = [CtmleCandidate(None, lam, *eng.evaluate((None, lam))) for lam in lams]
-    return eng.report(candidates, "ctmle_lasso", {"lambda_path": lams},
-                      (eng.n_ps_model_evals,))
+    candidates = [CtmleCandidate(None, lam, *eng.score(eng.fit(lam=lam))[0]) for lam in lams]
+    return eng.report(candidates, "ctmle_lasso", {"lambda_path": lams}, (eng.n_scorings,))

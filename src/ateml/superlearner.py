@@ -61,7 +61,7 @@ class SLLibrary:
 
     def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "regression",
             seed: int = 0) -> "SLModel":
-        return fit_super_learner(self, X, y, V=self.V, seed=seed, target_kind=target_kind)
+        return fit_super_learner(self, X, y, seed=seed, target_kind=target_kind)
 
 
 @dataclass(frozen=True)
@@ -227,12 +227,12 @@ def fit_super_learner(
     library: SLLibrary,
     features: np.ndarray,
     target: np.ndarray,
-    V: int = 10,
     seed: int = 0,
     target_kind: str = "regression",
 ) -> SLModel:
-    """Level-one fit, meta-weights, and full-data refits, in library order, of
-    the candidates with a non-zero weight.
+    """Level-one fit on the library's ``V`` folds, meta-weights, and
+    full-data refits, in library order, of the candidates with a non-zero
+    weight.
 
     Probability targets get treatment-arm style stratified folds so no
     training fold can lose a class.
@@ -240,9 +240,9 @@ def fit_super_learner(
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
     if target_kind == "probability":
-        folds = make_stratified_folds(y, V, seed)
+        folds = make_stratified_folds(y, library.V, seed)
     else:
-        folds = make_folds(X.shape[0], V, seed)
+        folds = make_folds(X.shape[0], library.V, seed)
     Z = level_one(library, X, y, folds, target_kind=target_kind)
     w, flags = meta_weights(Z, y)
     cand_risks = tuple(loss_mse(Z[:, k], y) for k in range(len(library)))

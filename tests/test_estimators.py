@@ -285,7 +285,7 @@ class TestDml:
             return real(seed, n)
 
         monkeypatch.setattr(est_mod, "child_seeds", forced)
-        double, _ = dml_ate(ds, DmlConfig(k=2, s=2, aggregate="mean", seed=17))
+        double, _ = dml_ate(ds, DmlConfig(k=2, s=2, seed=17))
         assert double.estimate == pytest.approx(single.estimate, abs=1e-12)
 
     def test_cross_fitted_fold_bookkeeping(self):
@@ -352,7 +352,7 @@ class TestDml:
 
     def test_split_spread_enters_variance(self):
         ds, _ = make_confounded(n=240, seed=12)
-        res, _ = dml_ate(ds, DmlConfig(k=2, s=5, aggregate="median", seed=2))
+        res, _ = dml_ate(ds, DmlConfig(k=2, s=5, seed=2))
         ests = res.diagnostics["split_estimates"]
         assert len(ests) == 5
         assert res.se is not None and res.se > 0
@@ -362,8 +362,6 @@ class TestDml:
             DmlConfig(k=1)
         with pytest.raises(ValueError):
             DmlConfig(s=0)
-        with pytest.raises(ValueError):
-            DmlConfig(aggregate="mode")
         for trim in (0.7, 0.0):
             with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
                 DmlConfig(trim=trim)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,8 @@ class TestFitSuperLearner:
         rng = rng_from(6)
         X = rng.standard_normal((50, 2))
         y = X @ np.array([1.0, -1.0])
-        lib = SLLibrary((LearnerSpec("ols"),), ("ols",))
-        sl = fit_super_learner(lib, X, y, V=5, seed=0)
+        lib = SLLibrary((LearnerSpec("ols"),), ("ols",), V=5)
+        sl = fit_super_learner(lib, X, y, seed=0)
         assert np.array_equal(sl.weights, [1.0])
         assert np.allclose(sl.predict(X), y, atol=1e-10)
 
@@ -121,8 +123,8 @@ class TestFitSuperLearner:
         rng = rng_from(7)
         X = rng.standard_normal((60, 2))
         y = X @ np.array([2.0, 1.0])
-        lib = SLLibrary((_intercept_only(), LearnerSpec("ols")), ("mean", "ols"))
-        sl = fit_super_learner(lib, X, y, V=5, seed=1)
+        lib = SLLibrary((_intercept_only(), LearnerSpec("ols")), ("mean", "ols"), V=5)
+        sl = fit_super_learner(lib, X, y, seed=1)
         assert sl.weights[1] > 0.99
         assert sl.candidate_risks[1] < 1e-20  # OLS recovers the noiseless line out of fold
         assert sl.meta_risk <= min(sl.candidate_risks) + 1e-10
@@ -131,9 +133,9 @@ class TestFitSuperLearner:
         rng = rng_from(8)
         X = rng.standard_normal((40, 2))
         y = X[:, 0] + rng.standard_normal(40)
-        lib = SLLibrary((LearnerSpec("ols"), LearnerSpec("ols")), ("a", "b"))
-        sl = fit_super_learner(lib, X, y, V=4, seed=2)
-        solo = fit_super_learner(SLLibrary((LearnerSpec("ols"),), ("a",)), X, y, V=4, seed=2)
+        lib = SLLibrary((LearnerSpec("ols"), LearnerSpec("ols")), ("a", "b"), V=4)
+        sl = fit_super_learner(lib, X, y, seed=2)
+        solo = fit_super_learner(SLLibrary((LearnerSpec("ols"),), ("a",), V=4), X, y, seed=2)
         assert np.allclose(sl.predict(X), solo.predict(X), atol=1e-10)
 
     def test_deterministic_weights(self):
@@ -141,9 +143,10 @@ class TestFitSuperLearner:
         X = rng.standard_normal((50, 3))
         y = rng.standard_normal(50)
         lib = SLLibrary((LearnerSpec("ols"), _intercept_only(),
-                         LearnerSpec("forest", {"n_trees": 5, "seed": 11})), ("ols", "mean", "forest"))
-        first = fit_super_learner(lib, X, y, V=5, seed=3)
-        again = fit_super_learner(lib, X, y, V=5, seed=3)
+                         LearnerSpec("forest", {"n_trees": 5, "seed": 11})), ("ols", "mean", "forest"),
+                        V=5)
+        first = fit_super_learner(lib, X, y, seed=3)
+        again = fit_super_learner(lib, X, y, seed=3)
         assert np.array_equal(first.weights, again.weights)
         assert first.candidate_risks == again.candidate_risks
 
@@ -151,8 +154,8 @@ class TestFitSuperLearner:
         rng = rng_from(10)
         X = rng.standard_normal((60, 2))
         y = (rng.random(60) < 0.5).astype(float)
-        lib = SLLibrary((LearnerSpec("ols"),), ("lpm",))
-        sl = fit_super_learner(lib, X, y, V=4, seed=0, target_kind="probability")
+        lib = SLLibrary((LearnerSpec("ols"),), ("lpm",), V=4)
+        sl = fit_super_learner(lib, X, y, seed=0, target_kind="probability")
         pred = sl.predict(X * 50)
         assert pred.min() >= 0.0 and pred.max() <= 1.0
 
@@ -162,8 +165,8 @@ class TestFitSuperLearner:
         y = X[:, 0] + rng.standard_normal(60)
         lib = SLLibrary((LearnerSpec("ols"), _intercept_only()), ("ols", "mean"), V=4)
         model = lib.fit(X, y, "regression", 5)
-        direct = fit_super_learner(lib, X, y, V=4, seed=5)
-        other_v = fit_super_learner(lib, X, y, V=10, seed=5)
+        direct = fit_super_learner(lib, X, y, seed=5)
+        other_v = fit_super_learner(replace(lib, V=10), X, y, seed=5)
         assert np.array_equal(model.weights, direct.weights)
         assert not np.array_equal(model.weights, other_v.weights)
         assert model.meta["sl_weights"] == direct.weight_table()
@@ -178,7 +181,7 @@ class TestFitSuperLearner:
             return fit_learner(spec, X_fit, *args, **kwargs)
 
         monkeypatch.setattr(superlearner, "fit_learner", counting_fit)
-        sl = fit_super_learner(lib, X, y, V=5, seed=1)
+        sl = fit_super_learner(lib, X, y, seed=1)
         kept = [spec for spec, w in zip(lib.candidates, sl.weights) if w != 0.0]
         assert (sl.weights == 0.0).sum() == 1
         assert full_fits == kept
@@ -186,7 +189,7 @@ class TestFitSuperLearner:
 
     def test_prediction_equals_the_sum_over_every_refit(self):
         X, y, lib = _one_zero_weight_problem()
-        sl = fit_super_learner(lib, X, y, V=5, seed=1)
+        sl = fit_super_learner(lib, X, y, seed=1)
         by_hand = np.zeros(X.shape[0])
         for w, spec in zip(sl.weights, lib.candidates):
             by_hand += w * fit_learner(spec, X, y).predict(X)
@@ -214,7 +217,7 @@ def _one_zero_weight_problem():
     X = rng.standard_normal((60, 2))
     y = X @ np.array([2.0, 1.0]) + 0.5 * rng.standard_normal(60)
     lib = SLLibrary((LearnerSpec("ols"), _intercept_only(), LearnerSpec("tree", {"max_depth": 2})),
-                    ("ols", "mean", "tree"))
+                    ("ols", "mean", "tree"), V=5)
     return X, y, lib
 
 
