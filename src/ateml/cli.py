@@ -19,6 +19,7 @@ import math
 import sys
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -134,12 +135,20 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
+def _check_named_once(what: str, names) -> None:
+    repeated = sorted(name for name, k in Counter(names).items() if k > 1)
+    if repeated:
+        raise ValueError(f"{repeated} named more than once in the {what}")
+
+
 def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
     """Parse the selected columns; drop (and count) incomplete rows.
 
     Refuses to continue if more than half of the rows are dropped, if the
-    treatment column is not strictly {0,1}, or if a requested column is
-    missing.
+    treatment column is not strictly {0,1}, if a requested column is
+    missing, if the header or the covariates name a column twice, if the
+    treatment and the outcome are one column, or if the covariates include
+    either of them.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -149,15 +158,23 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
             raise ValueError(f"{path}: empty file") from None
         rows = list(reader)
     header = [h.strip() for h in header]
-    for col in (config.treatment, config.outcome):
+    roles = (config.treatment, config.outcome)
+    if config.treatment == config.outcome:
+        raise ValueError(f"treatment and outcome are the same column {config.treatment!r}")
+    _check_named_once(f"header of {path}", header)
+    for col in roles:
         if col not in header:
             raise ValueError(f"{path}: missing column {col!r}")
     if config.covariates is None:
-        cov_names = [h for h in header if h not in (config.treatment, config.outcome)]
+        cov_names = [h for h in header if h not in roles]
     else:
         for col in config.covariates:
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
+        _check_named_once("covariates", config.covariates)
+        in_two_roles = sorted(set(roles) & set(config.covariates))
+        if in_two_roles:
+            raise ValueError(f"covariates include the treatment or outcome column {in_two_roles}")
         cov_names = list(config.covariates)
     if not cov_names:
         raise ValueError(f"{path}: no covariate columns selected")

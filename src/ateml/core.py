@@ -180,8 +180,10 @@ class FoldAssignment:
         f = np.asarray(self.fold_of, dtype=np.int64)
         if f.ndim != 1:
             raise ValueError("fold_of must be a vector")
+        if ((f < 1) | (f > self.V)).any():
+            raise ValueError(f"fold labels must lie in 1..{self.V}")
         counts = np.bincount(f, minlength=self.V + 1)[1:]
-        if len(counts) != self.V or (counts == 0).any():
+        if (counts == 0).any():
             raise ValueError("every fold label 1..V must appear")
         if counts.max() - counts.min() > 1:
             raise ValueError("fold sizes must differ by at most one")

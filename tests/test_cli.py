@@ -380,6 +380,29 @@ def test_ingest_drops_and_counts_rows_with_a_bad_cell(tmp_path):
     assert ds.outcome.tolist() == [0.5 * k for k in range(10)]
 
 
+def test_ingest_rejects_a_header_that_names_a_column_twice(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("treatment,outcome,x1,x1\n" + "".join(f"{k % 2},{k},{k},{-k}\n" for k in range(6)))
+    with pytest.raises(ValueError, match=re.escape("['x1'] named more than once in the header")):
+        ingest_csv(str(path), RunConfig(data=str(path)))
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--covariates", "x1,x2,treatment"), "covariates include the treatment or outcome column"),
+    (("--covariates", "x1,outcome"), "covariates include the treatment or outcome column"),
+    (("--covariates", "x1,x2,x1"), "['x1'] named more than once in the covariates"),
+    (("--treatment", "outcome", "--outcome", "outcome"),
+     "treatment and outcome are the same column 'outcome'"),
+], ids=["covariate_is_treatment", "covariate_is_outcome", "covariate_twice", "treatment_is_outcome"])
+def test_run_rejects_columns_in_two_roles(data, tmp_path, capsys, flags, message):
+    out = tmp_path / "r.json"
+    code = main(["run", "--data", data["lin"], "--estimator", "aiptw", "--out", str(out), *flags])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "ValueError" and message in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [
     ("simulate", ("--spec", "confounded_linear", "--ps-learner", "no_such_learner")),
     ("simulate", ("--spec", "confounded_linear", "--bootstrap", "10")),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,10 @@ class TestFolds:
             FoldAssignment(np.array([1, 1, 1, 3]), 3)  # fold 2 missing
         with pytest.raises(ValueError):
             FoldAssignment(np.array([1, 1, 1, 2]), 2)  # sizes differ by 2
+        # a row labelled 0 sits in no test fold, so no fold would predict it
+        for labels in ([0, 1, 2, 1, 2, 0], [1, 2, 3, 1, 2, 3], [-1, 1, 2, 1, 2, -1]):
+            with pytest.raises(ValueError, match=re.escape("fold labels must lie in 1..2")):
+                FoldAssignment(np.array(labels), 2)
 
 
 class TestLosses:

@@ -1,0 +1,61 @@
+"""What a fresh ``ateml`` process imports.
+
+``scipy.optimize`` serves only the Super Learner's meta-weights, and
+importing it costs every process about 0.3 s and 22 MB, so it loads on the
+first ``superlearner.meta_weights`` call. Each case runs in a fresh
+interpreter, since this test process may have imported it already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ateml
+from ateml.cli import main
+
+SRC = str(Path(ateml.__file__).resolve().parents[1])
+
+
+def loads_scipy_optimize(code: str, cwd: Path) -> bool:
+    """Run ``code`` in a fresh interpreter; whether scipy.optimize was imported."""
+    script = f"{code}\nimport sys\nprint('scipy.optimize' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+@pytest.fixture(scope="module")
+def lin_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports") / "lin.csv"
+    assert main(["export-dgp", "--spec", "confounded_linear", "--n", "200", "--seed", "3",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+def main_call(*argv: str) -> str:
+    return f"from ateml.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    assert not loads_scipy_optimize("import ateml, ateml.cli", tmp_path)
+
+
+def test_export_dgp_leaves_scipy_optimize_unloaded(tmp_path):
+    call = main_call("export-dgp", "--spec", "confounded_binary", "--n", "200", "--out", "bin.csv")
+    assert not loads_scipy_optimize(call, tmp_path)
+
+
+def test_parametric_run_leaves_scipy_optimize_unloaded(lin_csv, tmp_path):
+    call = main_call("run", "--data", lin_csv, "--out", "r.json", "--estimator", "aiptw")
+    assert not loads_scipy_optimize(call, tmp_path)
+
+
+def test_super_learner_run_loads_scipy_optimize(lin_csv, tmp_path):
+    call = main_call("run", "--data", lin_csv, "--out", "r.json", "--estimator", "iptw",
+                     "--ps-learner", "sl_small", "--v-folds", "3")
+    assert loads_scipy_optimize(call, tmp_path)
