@@ -33,9 +33,7 @@ from .balance import (
 )
 from .estimators import (
     AteResult,
-    DmlConfig,
     NuisanceFits,
-    SingleArmFoldError,
     aiptw_ate,
     bootstrap_ci,
     dml_ate,

@@ -29,7 +29,6 @@ from .balance import BalanceBoostedPS, balance_table, iptw_weights, ps_match
 from .dgp import DgpSpec, McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
     AteResult,
-    DmlConfig,
     aiptw_ate,
     bootstrap_ci,
     dml_ate,
@@ -247,8 +246,8 @@ def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = F
     form (``ols`` in place of every logistic candidate).
     """
     name = (config.ps_learner if role == "ps" else config.outcome_learner).strip()
-    if name == "auto":
-        return LearnerSpec("logistic") if outcome_binary else LearnerSpec("ols")
+    if name == "auto":  # the treatment is always binary
+        return LearnerSpec("logistic") if role == "ps" or outcome_binary else LearnerSpec("ols")
     if role == "outcome" and (name in _PS_ONLY
                               or (name in _BINARY_TARGET_ONLY and not outcome_binary)):
         raise ValueError(f"{name!r} cannot be the outcome learner for this outcome")
@@ -294,9 +293,8 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
         return reg_ate(ds, fit_nuisances(ds, None, outcome_learner, trim=trim, seed=seed)), None
     if est in ("iptw", "match", "aiptw", "tmle", "dml"):
         if est == "dml":
-            cfg = DmlConfig(k=config.dml_k, s=config.dml_s, ps_spec=ps_learner,
-                            outcome_spec=outcome_learner, trim=trim, seed=seed)
-            res, nuis = dml_ate(ds, cfg)
+            res, nuis = dml_ate(ds, ps_learner, outcome_learner, k=config.dml_k,
+                                s=config.dml_s, trim=trim, seed=seed)
             return res, nuis.ps_fit
         outcome = outcome_learner if est in ("aiptw", "tmle") else None
         nuis = fit_nuisances(ds, ps_learner, outcome, trim=trim, seed=seed)
@@ -378,7 +376,8 @@ def run(config: RunConfig) -> dict:
                           diagnostics={**res.diagnostics, "se_method": "bootstrap"})
         extras = _report_extras(ds, fit)
         t2 = time.time()
-    warns = extras["warnings"] + [str(w.message) for w in caught]
+    # each distinct warning once, in first-seen order: "always" repeats one per call
+    warns = list(dict.fromkeys(extras["warnings"] + [str(w.message) for w in caught]))
     report = {
         "schema": SCHEMA_VERSION,
         "config": _jsonable({f.name: getattr(config, f.name) for f in fields(config)}),

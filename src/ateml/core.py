@@ -271,12 +271,6 @@ class LearnerSpec:
         if self.family not in self.FAMILIES:
             raise ValueError(f"unknown learner family {self.family!r}")
 
-    def describe(self) -> str:
-        if not self.params:
-            return self.family
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.family}({inner})"
-
     def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "regression",
             seed: int = 0) -> "FittedModel":
         from . import learners  # deferred to avoid a module cycle

@@ -32,8 +32,6 @@ from .balance import MatchResult, PsFit, _as_ps, _check_trim
 __all__ = [
     "NuisanceFits",
     "AteResult",
-    "DmlConfig",
-    "SingleArmFoldError",
     "fit_nuisances",
     "naive_ate",
     "reg_ate",
@@ -111,10 +109,6 @@ def _if_result(est: float, phi: np.ndarray, method: str, diagnostics: dict) -> A
 # ---------------------------------------------------------------------------
 
 
-class SingleArmFoldError(ValueError):
-    """A cross-fitting training block holds units of one treatment arm only."""
-
-
 def fit_nuisances(
     dataset: Dataset,
     ps_spec: Learner | None = None,
@@ -131,7 +125,7 @@ def fit_nuisances(
     seed)``: the propensity model on (X, A) as a probability, the outcome
     model once per treatment arm. The full sample is one block that predicts
     itself; cross-fitting has one block per fold and, before any fit, raises
-    ``SingleArmFoldError`` if a training block holds one treatment arm. The
+    ValueError if a training block holds one treatment arm. The
     propensity record is one ``PsFit``: the pooled raw scores, ``trim``, the
     union of the block models' flags in first-seen order, and the model's
     meta ({} when cross-fitted).
@@ -151,7 +145,7 @@ def fit_nuisances(
         blocks = [(fold_of.train_mask(v), fold_of.test_mask(v)) for v in range(1, fold_of.V + 1)]
         for v, (tr, _) in enumerate(blocks, start=1):
             if A[tr].min() == A[tr].max():
-                raise SingleArmFoldError(f"training block for fold {v} has a single treatment arm")
+                raise ValueError(f"training block for fold {v} has a single treatment arm")
     raw = np.empty(dataset.n) if ps_spec is not None else None
     mu1 = np.empty(dataset.n) if outcome_spec is not None else None
     mu0 = np.empty(dataset.n) if outcome_spec is not None else None
@@ -361,57 +355,41 @@ def tmle_ate(dataset: Dataset, nuisance: NuisanceFits) -> AteResult:
     return _if_result(span * t.estimate, span * t.phi, "tmle", diagnostics)
 
 
-@dataclass(frozen=True)
-class DmlConfig:
-    """Cross-fitting configuration: K folds, S split repetitions, the two
-    nuisance ``Learner`` objects and the propensity ``trim``, which must lie
-    in (0, 0.5)."""
+def dml_ate(
+    dataset: Dataset,
+    ps_spec: Learner = LearnerSpec("logistic"),
+    outcome_spec: Learner = LearnerSpec("ols"),
+    *,
+    k: int = 2,
+    s: int = 11,
+    trim: float = 0.01,
+    seed: int = 0,
+) -> tuple[AteResult, NuisanceFits]:
+    """Cross-fitted augmented estimator, aggregated over ``s`` random splits.
 
-    k: int = 2
-    s: int = 11
-    ps_spec: Learner = field(default_factory=lambda: LearnerSpec("logistic"))
-    outcome_spec: Learner = field(default_factory=lambda: LearnerSpec("ols"))
-    trim: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("need K >= 2 folds")
-        if self.s < 1:
-            raise ValueError("need S >= 1 repetitions")
-        _check_trim(self.trim)
-
-
-def dml_ate(dataset: Dataset, config: DmlConfig) -> tuple[AteResult, NuisanceFits]:
-    """Cross-fitted augmented estimator, aggregated over S random splits.
-
-    Each repetition stratifies folds by treatment arm, fits nuisances on the
-    training side, applies the augmented form to the held-out predictions,
-    and records an influence-function variance. Repetitions are combined by
-    their median; the variance adds the split spread
-    (se_s^2 + (psi_s - psi)^2) before the median is taken. A fold draw is
-    redrawn, up to ten times, only when a training block loses a treatment
-    arm.
+    Each repetition draws ``k`` folds once, stratified by treatment arm, fits
+    the two nuisance ``Learner`` objects on the training side, applies the
+    augmented form to the held-out predictions, and records an
+    influence-function variance. Repetitions are combined by their median;
+    the variance adds the split spread (se_s^2 + (psi_s - psi)^2) before the
+    median is taken. Stratified folds deal each arm round-robin, so every
+    training block keeps both arms unless an arm has a single unit, and then
+    the first draw raises ValueError: no redraw could help. ``k >= 2``,
+    ``s >= 1`` and ``trim`` in (0, 0.5) are checked before any fit.
     Returns the result and the ``NuisanceFits`` of the first repetition,
     which the diagnostics name as ``nuisance_repetition``.
     """
-    rep_seeds = child_seeds(config.seed, config.s)
+    if k < 2:
+        raise ValueError("need K >= 2 folds")
+    if s < 1:
+        raise ValueError("need S >= 1 repetitions")
+    _check_trim(trim)
     results = []
-    for s_i, rep_seed in enumerate(rep_seeds):
-        for att in child_seeds(rep_seed, 10):
-            folds = make_stratified_folds(dataset.treatment, config.k, att)
-            try:
-                nuis = fit_nuisances(
-                    dataset, config.ps_spec, config.outcome_spec,
-                    fold_of=folds, trim=config.trim, seed=att,
-                )
-                break
-            except SingleArmFoldError as exc:
-                last_err = exc
-        else:
-            raise ValueError(
-                f"could not form usable folds in repetition {s_i + 1}: {last_err}"
-            )
+    for s_i, rep_seed in enumerate(child_seeds(seed, s)):
+        fold_seed = child_seeds(rep_seed, 1)[0]
+        folds = make_stratified_folds(dataset.treatment, k, fold_seed)
+        nuis = fit_nuisances(dataset, ps_spec, outcome_spec, fold_of=folds, trim=trim,
+                             seed=fold_seed)
         results.append(aiptw_ate(dataset, nuis))
         if s_i == 0:
             first_nuis = nuis
@@ -420,11 +398,11 @@ def dml_ate(dataset: Dataset, config: DmlConfig) -> tuple[AteResult, NuisanceFit
     est = float(np.median(estimates))
     var = float(np.median([r.se**2 + (r.estimate - est) ** 2 for r in results]))
     se = float(np.sqrt(var))
-    if_values = results[0].if_values if config.s == 1 else None
+    if_values = results[0].if_values if s == 1 else None
     diagnostics = {
         "provenance": "cross_fitted",
-        "k": config.k,
-        "s": config.s,
+        "k": k,
+        "s": s,
         "aggregate": "median",
         "split_estimates": [float(e) for e in estimates],
         "nuisance_repetition": 1,

@@ -494,8 +494,12 @@ def fit_logistic_lasso(
 
     Each of at most 50 outer passes forms the usual quadratic
     (working-response) approximation; the inner loop soft-thresholds one
-    standardized coordinate at a time.
-    Objective: (1/n) * Bernoulli deviance/2 ... + lam*||b||_1, intercept free.
+    standardized coordinate at a time. The objective is the mean negative
+    Bernoulli log-likelihood, (1/n) sum_i [log(1 + exp(eta_i)) - y_i eta_i]
+    with eta_i = b0 + z_i @ b, plus ``lam`` * ||b||_1, where z_i is row i on
+    columns standardised to mean 0 and population sd 1 (constant columns
+    dropped) and the intercept b0 is unpenalised. The returned coefficients
+    are mapped back to the original columns.
     """
     X, y = _check_matrix(features, target)
     lam = float(lam)
@@ -709,6 +713,10 @@ class _Grower:
     """
 
     def __init__(self, nodes, XT, y, src, order, n_trees, max_depth, min_leaf):
+        if max_depth is not None and max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
         self.nodes, self.XT, self.y, self.src, self.order = nodes, XT, y, src, order
         self.d = XT.shape[0]
         # flat views: entry (j, s) of order is oflat[j*S + s], X[r, j] is xflat[j*n + r]
@@ -1000,10 +1008,6 @@ def fit_tree(
     when no split lowers its squared error by more than 1e-12.
     """
     X, y = _check_matrix(features, target)
-    if max_depth is not None and max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
     nodes = _Nodes()
     grower = _Grower(nodes, np.ascontiguousarray(X.T), y, None, _presort(X), 1,
                      max_depth, min_leaf)

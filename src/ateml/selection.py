@@ -174,8 +174,6 @@ class _TargetingEngine:
     def __init__(self, dataset: Dataset, initial: NuisanceFits, V: int, trim: float, seed: int):
         if initial.mu1 is None or initial.mu0 is None:
             raise ValueError("collaborative targeting needs initial outcome predictions")
-        if V < 2:
-            raise ValueError("need V >= 2")
         _check_trim(trim)
         self.dataset = dataset
         self.X = dataset.covariates

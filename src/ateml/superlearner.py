@@ -157,9 +157,7 @@ def _pgd_simplex(Z, y, w0, max_iter=20000, gap_tol=1e-9):
     of a convex objective over the simplex, so the returned point is within
     gap_tol of the optimum. Steps use deterministic backtracking.
     """
-    n, m = Z.shape
-    if m == 1:
-        return np.array([1.0])
+    n = Z.shape[0]
 
     def value(w):
         r = Z @ w - y

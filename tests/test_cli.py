@@ -212,6 +212,33 @@ def test_sl_for_a_continuous_outcome_swaps_logistic_for_ols():
         assert lib.candidates[:k] == (LearnerSpec("ols"), LearnerSpec("ols", {"interactions": True}))[:k]
 
 
+def test_auto_propensity_learner_is_logistic(data, tmp_path):
+    # the treatment is binary whatever the outcome, so auto never means OLS
+    # in the propensity role
+    auto = cli_report(data["lin"], tmp_path / "a.json", "iptw", ("--ps-learner", "auto"))
+    logistic = cli_report(data["lin"], tmp_path / "b.json", "iptw", ("--ps-learner", "logistic"))
+    for report in (auto, logistic):
+        report.pop("timings")
+        report["config"].pop("out")
+    assert auto["config"].pop("ps_learner") == "auto"
+    assert logistic["config"].pop("ps_learner") == "logistic"
+    assert auto == logistic
+
+
+def test_run_reports_each_distinct_warning_once(data, tmp_path):
+    # x1 equal to the treatment is degenerate within each arm, which every
+    # ASAM stage of twang warns about
+    rows = [line.split(",") for line in open(data["lin"], encoding="utf-8").read().splitlines()]
+    x1, a = rows[0].index("x1"), rows[0].index("treatment")
+    for row in rows[1:]:
+        row[x1] = row[a]
+    path = tmp_path / "x1_is_treatment.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    report = cli_report(str(path), tmp_path / "r.json", "iptw", ("--ps-learner", "twang"))
+    assert report["warnings"] == ["positivity_warning",
+                                  "degenerate covariate columns excluded from ASAM: [0]"]
+
+
 def test_one_balance_table_and_no_learner_parse_per_replicate(data, tmp_path, monkeypatch):
     import ateml.cli as cli_mod
 

@@ -8,9 +8,7 @@ from ateml.core import Dataset, LearnerSpec, OutcomeKind, Z95, rng_from
 from ateml.balance import PsFit, ps_match
 from ateml.estimators import (
     AteResult,
-    DmlConfig,
     NuisanceFits,
-    SingleArmFoldError,
     aiptw_ate,
     bootstrap_ci,
     dml_ate,
@@ -242,10 +240,20 @@ class TestTmle:
         assert res.estimate == pytest.approx(1.0, abs=1e-6)
 
 
+class _Counting:
+    """A logistic propensity learner that records every fit."""
+
+    def __init__(self):
+        self.fits = []
+
+    def fit(self, X, y, target_kind, seed):
+        self.fits.append(len(y))
+        return LearnerSpec("logistic").fit(X, y, target_kind, seed)
+
+
 class TestDml:
     def test_config_error_is_not_retried(self, monkeypatch):
-        # only a single-arm training block is retried; a bad hyperparameter
-        # surfaces at once with its own message
+        # a bad hyperparameter surfaces at once with its own message
         import ateml.learners as learners_mod
 
         calls = []
@@ -257,23 +265,55 @@ class TestDml:
 
         monkeypatch.setattr(learners_mod, "fit_learner", counted)
         ds, _ = make_confounded(n=120, seed=8)
-        cfg = DmlConfig(k=2, s=1, outcome_spec=LearnerSpec("ols", {"bogus": 1}))
         with pytest.raises(ValueError, match="^unknown ols hyperparameters"):
-            dml_ate(ds, cfg)
+            dml_ate(ds, outcome_spec=LearnerSpec("ols", {"bogus": 1}), k=2, s=1)
         assert len(calls) == 2  # the propensity fit, then the failing outcome fit
 
-    def test_single_arm_training_block_is_its_own_error(self):
+    def test_single_arm_training_block_is_a_value_error(self):
         from ateml.core import FoldAssignment
 
         ds = _tiny([1, 1, 0, 0], [1.0, 2.0, 0.0, 1.0])
         folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
-        with pytest.raises(SingleArmFoldError, match="single treatment arm"):
-            fit_nuisances(ds, LearnerSpec("logistic"), None, fold_of=folds)
-        assert issubclass(SingleArmFoldError, ValueError)
+        ps = _Counting()
+        with pytest.raises(ValueError, match="^training block for fold 1 has a single treatment arm$"):
+            fit_nuisances(ds, ps, None, fold_of=folds)
+        assert ps.fits == []
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_one_fold_draw_and_one_cross_fit_per_repetition(self, monkeypatch, s):
+        import ateml.estimators as est_mod
+
+        draws, fits = [], []
+        real_folds, real_fit = est_mod.make_stratified_folds, est_mod.fit_nuisances
+        monkeypatch.setattr(est_mod, "make_stratified_folds",
+                            lambda *a, **kw: draws.append(1) or real_folds(*a, **kw))
+        monkeypatch.setattr(est_mod, "fit_nuisances",
+                            lambda *a, **kw: fits.append(1) or real_fit(*a, **kw))
+        ds, _ = make_confounded(n=120, seed=8)
+        dml_ate(ds, k=2, s=s, seed=3)
+        assert len(draws) == len(fits) == s
+
+    def test_one_unit_arm_fails_after_one_fold_draw(self, monkeypatch):
+        # stratified folds deal the controls first and the one treated unit
+        # last, into fold 2, so fold 2's training block holds controls only
+        import ateml.estimators as est_mod
+
+        draws = []
+        real = est_mod.make_stratified_folds
+        monkeypatch.setattr(est_mod, "make_stratified_folds",
+                            lambda *a, **kw: draws.append(1) or real(*a, **kw))
+        A = np.zeros(30, dtype=int)
+        A[7] = 1
+        ds = _tiny(A, np.linspace(0.0, 1.0, 30))
+        ps = _Counting()
+        with pytest.raises(ValueError,
+                           match="^training block for fold 2 has a single treatment arm$"):
+            dml_ate(ds, ps, k=2, s=1)
+        assert len(draws) == 1 and ps.fits == []
 
     def test_identical_repetition_seeds_collapse(self, monkeypatch):
         ds, _ = make_confounded(n=200, seed=9)
-        single, _ = dml_ate(ds, DmlConfig(k=2, s=1, seed=17))
+        single, _ = dml_ate(ds, k=2, s=1, seed=17)
         import ateml.estimators as est_mod
 
         real = est_mod.child_seeds
@@ -285,7 +325,7 @@ class TestDml:
             return real(seed, n)
 
         monkeypatch.setattr(est_mod, "child_seeds", forced)
-        double, _ = dml_ate(ds, DmlConfig(k=2, s=2, seed=17))
+        double, _ = dml_ate(ds, k=2, s=2, seed=17)
         assert double.estimate == pytest.approx(single.estimate, abs=1e-12)
 
     def test_cross_fitted_fold_bookkeeping(self):
@@ -339,45 +379,40 @@ class TestDml:
 
     def test_returns_the_fits_of_its_first_repetition(self):
         ds, _ = make_confounded(n=200, seed=14)
-        res, nuis = dml_ate(ds, DmlConfig(k=2, s=3, seed=5))
+        res, nuis = dml_ate(ds, k=2, s=3, seed=5)
         assert res.diagnostics["nuisance_repetition"] == 1
         assert aiptw_ate(ds, nuis).estimate == res.diagnostics["split_estimates"][0]
         assert nuis.provenance == "cross_fitted"
 
     def test_mean_influence_zero_single_split(self):
         ds, _ = make_confounded(n=240, seed=11)
-        res, _ = dml_ate(ds, DmlConfig(k=2, s=1, seed=1))
+        res, _ = dml_ate(ds, k=2, s=1, seed=1)
         assert res.if_values is not None
         assert abs(np.mean(res.if_values)) < 1e-8
 
     def test_split_spread_enters_variance(self):
         ds, _ = make_confounded(n=240, seed=12)
-        res, _ = dml_ate(ds, DmlConfig(k=2, s=5, seed=2))
+        res, _ = dml_ate(ds, k=2, s=5, seed=2)
         ests = res.diagnostics["split_estimates"]
         assert len(ests) == 5
         assert res.se is not None and res.se > 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DmlConfig(k=1)
-        with pytest.raises(ValueError):
-            DmlConfig(s=0)
-        for trim in (0.7, 0.0):
-            with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
-                DmlConfig(trim=trim)
+        ds, _ = make_confounded(n=120, seed=8)
+        ps, outcome = _Counting(), _Counting()
+        for kwargs, message in (({"k": 1}, "need K >= 2 folds"),
+                                ({"s": 0}, "need S >= 1 repetitions")):
+            with pytest.raises(ValueError, match=message):
+                dml_ate(ds, ps, outcome, **kwargs)
+        assert ps.fits == outcome.fits == []
 
     def test_bad_trim_is_rejected_before_any_fit(self):
-        fits = []
-
-        class Counting:
-            def fit(self, X, y, target_kind, seed):
-                fits.append(len(y))
-                return LearnerSpec("logistic").fit(X, y, target_kind, seed)
-
         ds, _ = make_confounded(n=120, seed=8)
-        with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
-            dml_ate(ds, DmlConfig(k=2, s=1, ps_spec=Counting(), trim=0.7))
-        assert fits == []
+        ps, outcome = _Counting(), _Counting()
+        for trim in (0.7, 0.0):
+            with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
+                dml_ate(ds, ps, outcome, k=2, s=1, trim=trim)
+        assert ps.fits == outcome.fits == []
 
 
 class TestIfSe:

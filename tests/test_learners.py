@@ -271,6 +271,15 @@ class TestTree:
 
         assert depth(root) <= 2
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"min_leaf": 0}, "min_leaf must be >= 1"),
+        ({"min_leaf": -4}, "min_leaf must be >= 1"),
+        ({"max_depth": 0}, "max_depth must be >= 1"),
+    ])
+    def test_growth_limits_validated(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_tree(np.arange(8.0)[:, None], np.arange(8.0), **kwargs)
+
 
 class TestForest:
     def test_degenerate_ensemble_equals_tree(self):
@@ -310,6 +319,15 @@ class TestForest:
     def test_mtry_validated(self):
         with pytest.raises(ValueError):
             fit_forest(np.zeros((5, 2)), np.zeros(5), mtry=3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"min_leaf": 0}, "min_leaf must be >= 1"),
+        ({"min_leaf": -4}, "min_leaf must be >= 1"),
+        ({"max_depth": 0}, "max_depth must be >= 1"),
+    ])
+    def test_growth_limits_validated(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_forest(np.arange(8.0)[:, None], np.arange(8.0), n_trees=2, **kwargs)
 
     def test_predict_rejects_too_few_columns(self):
         rng = rng_from(19)
@@ -355,6 +373,11 @@ class TestBoost:
     def test_invalid_shrinkage(self):
         with pytest.raises(ValueError):
             fit_boost(np.zeros((4, 1)), np.zeros(4), shrinkage=0.0)
+
+    @pytest.mark.parametrize("min_leaf", [0, -4])
+    def test_min_leaf_validated(self, min_leaf):
+        with pytest.raises(ValueError, match="min_leaf must be >= 1"):
+            fit_boost(np.arange(8.0)[:, None], np.arange(8.0), n_trees=2, min_leaf=min_leaf)
 
     @pytest.mark.parametrize("loss", ["squared", "bernoulli"])
     def test_callback_sees_each_stage_of_the_kept_model(self, loss):

@@ -19,7 +19,7 @@ from scipy.stats import norm
 
 from ateml.core import LearnerSpec
 from ateml.dgp import builtin_specs, mc_eval
-from ateml.estimators import DmlConfig, dml_ate
+from ateml.estimators import dml_ate
 
 
 def coverage_band(R: int, level: float = 0.999) -> tuple[float, float]:
@@ -38,7 +38,6 @@ def test_cross_fitted_forest_dml_bias_and_coverage():
     spec = replace(builtin_specs()["confounded_linear"], n=500)
 
     def estimate(draw, s):
-        cfg = DmlConfig(k=2, s=1, ps_spec=forest, outcome_spec=forest, seed=s)
-        return dml_ate(draw.dataset, cfg)[0]
+        return dml_ate(draw.dataset, forest, forest, k=2, s=1, seed=s)[0]
 
     assert_within_bands(mc_eval(estimate, spec, R=60, seed=20261018, label="dml_forest"))
