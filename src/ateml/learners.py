@@ -1118,7 +1118,7 @@ def fit_boost(
     features: np.ndarray,
     target: np.ndarray,
     n_trees: int = 100,
-    max_depth: int = 3,
+    max_depth: int | None = 3,
     shrinkage: float = 0.1,
     loss: str = "squared",
     *,
@@ -1132,11 +1132,12 @@ def fit_boost(
     negative gradient (y - p) with one Newton leaf update per stage.
     ``callback(t, F)``, if given, sees the training-row raw scores after
     t = 0, 1, ..., n_trees stages; F is overwritten by later stages.
+    ``max_depth=None`` grows every stage tree without a depth limit.
     """
     X, y = _check_matrix(features, target)
     if not 0 < shrinkage <= 1:
         raise ValueError("shrinkage must be in (0, 1]")
-    if n_trees < 1 or max_depth < 1:
+    if n_trees < 1 or (max_depth is not None and max_depth < 1):
         raise ValueError("n_trees and max_depth must be >= 1")
     if loss not in ("squared", "bernoulli"):
         raise ValueError(f"unknown boosting loss {loss!r}")

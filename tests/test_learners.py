@@ -379,6 +379,32 @@ class TestBoost:
         with pytest.raises(ValueError, match="min_leaf must be >= 1"):
             fit_boost(np.arange(8.0)[:, None], np.arange(8.0), n_trees=2, min_leaf=min_leaf)
 
+    def test_max_depth_none_is_unbounded(self):
+        rng = rng_from(22)
+        X = rng.standard_normal((8, 2))
+        y = rng.standard_normal(8)
+        unbounded = fit_boost(X, y, n_trees=3, max_depth=None, shrinkage=0.5)
+        deep = fit_boost(X, y, n_trees=3, max_depth=8, shrinkage=0.5)
+        M = rng.standard_normal((20, 2))
+        assert np.array_equal(unbounded.predict(M), deep.predict(M))
+        assert np.array_equal(unbounded.predict(X), deep.predict(X))
+
+    def test_spec_with_max_depth_none_fits(self):
+        rng = rng_from(23)
+        X = rng.standard_normal((8, 2))
+        y = rng.standard_normal(8)
+        model = fit_learner(LearnerSpec("boost", {"max_depth": None, "n_trees": 3}), X, y)
+        deep = fit_boost(X, y, n_trees=3, max_depth=8)
+        assert np.array_equal(model.predict(X), deep.predict(X))
+
+    @pytest.mark.parametrize("kwargs", [{"max_depth": 0}, {"max_depth": -2}, {"n_trees": 0}])
+    def test_depth_and_stage_count_rejected_before_stage_zero(self, kwargs):
+        seen = []
+        with pytest.raises(ValueError, match="n_trees and max_depth must be >= 1"):
+            fit_boost(np.arange(8.0)[:, None], np.arange(8.0),
+                      callback=lambda t, F: seen.append(t), **kwargs)
+        assert seen == []
+
     @pytest.mark.parametrize("loss", ["squared", "bernoulli"])
     def test_callback_sees_each_stage_of_the_kept_model(self, loss):
         from dataclasses import replace
