@@ -34,31 +34,38 @@ that keep them so, checked by ``tests/test_numeric_stack.py``:
 
 Trees, forests and boosting stages grow on one exact greedy engine
 (``_Grower``). A fit sorts each column once, stably; every node keeps its
-samples in that order through stable partitions, and one kernel scores the
-splits of many nodes at a time. The engine's contract is exactness: bit for
-bit the splits, thresholds, leaf values and predictions of a grower that
-argsorts each node's columns and grows one tree at a time, level by level
-(kept as the reference in the tests). Three rules keep it:
+samples in that order through stable partitions. Each level takes one of two
+steps, chosen from its count of open nodes and their sizes: a few large
+nodes (a boosting stage, the top of a tree) are tested, scored, split and
+partitioned one at a time on plain slices of their segments; many nodes (a
+forest level) go through block kernels that handle many nodes per numpy
+call. The engine's contract is exactness: bit for bit the splits,
+thresholds, leaf values and predictions of a grower that argsorts each
+node's columns and grows one tree at a time, level by level (kept as the
+reference in the tests). Three rules keep it in either step:
 
-- Prefix sums run along each node's own padded row of a block, so they
-  restart at the node and add in that node's order.
+- Prefix sums run along each node's own slice, or its own padded row of a
+  block, so they restart at the node and add in that node's order.
 - Leaf values and the parent's squared error are pairwise (numpy) sums over
-  the node's samples in sample order. Nodes of equal length are summed as
-  rows of one C-contiguous block, which numpy reduces exactly as it reduces
-  each row alone. The split test uses the parent SSE from prefix sums only
-  where its rounding error cannot change the decision.
+  the node's samples in sample order: a 1-D slice, or a row of one
+  C-contiguous block of equal-length nodes, which numpy reduces exactly as
+  it reduces that row alone. The split test uses the parent SSE from prefix
+  sums only where its rounding error cannot change the decision.
 - Every tree grows level by level. A forest tree with ``mtry`` < d draws
   the features of all its open nodes of a level from its own generator in
   one call, one row per node in level order (parents in order, left child
   first); a tree with no open node makes no call, a node that stays a leaf
   on depth, size or a constant target gets no row, and one that then finds
   no split still uses its row. The draws therefore do not depend on which
-  trees grow together.
+  trees grow together. Both steps visit a level's nodes in this order, and
+  both call a node pure when no sample's target differs from its first's.
 
 Fitted trees are flat arrays (``_Nodes``) seen through ``TreeNode`` views;
-prediction walks every tree of a model at once. Scratch memory is bounded
-by ``_BLOCK`` entries per step and ``_FOREST_SAMPLES`` samples per group of
-forest trees.
+prediction walks every tree of a model at once. Beyond the presort ((d + 1)
+ids per sample, and the (n, d) argsort that makes them) and a few entries
+per open node (d per node for forest feature draws), no scratch array holds
+more than max(``_BLOCK``, n) entries, n the largest node's sample count; a
+forest grows at most ``_FOREST_SAMPLES`` samples per group of trees.
 """
 
 from __future__ import annotations
@@ -577,8 +584,8 @@ def logistic_lasso_cv(
 # trees, forests, boosting
 # ---------------------------------------------------------------------------
 
-# Largest number of elements in one padded scoring or partition block. It
-# bounds the engine's scratch memory however many nodes a step handles.
+# Largest number of elements in one padded scoring or partition block (a
+# larger node takes one of its own): the scratch-memory bound of a step.
 _BLOCK = 1 << 15
 # Padding a scoring block may carry beyond its real entries (an entry costs
 # about as much as a numpy call's overhead over a few hundred entries).
@@ -586,6 +593,11 @@ _PAD = 1 << 12
 # Largest number of bootstrap samples a forest grows at once; trees beyond
 # it are grown in further groups, which bounds the per-sample buffers.
 _FOREST_SAMPLES = 1 << 17
+# Open nodes, beyond one per _BLOCK scoring entries, up to which a level is
+# grown node by node (see _Grower.grow): the measured crossover, where the
+# block step's per-level bookkeeping stops costing more than one numpy call
+# per node.
+_FEW = 4
 _EPS = np.finfo(float).eps
 
 
@@ -701,6 +713,13 @@ def _presort(X: np.ndarray, src=None, n_trees: int = 1) -> np.ndarray:
     return order
 
 
+def _margin(best, sse, scale, count):
+    """A split's child SSE less the parent SSE from prefix sums (and 1e-12),
+    and the margin within which rounding may decide the sign of that gap;
+    elementwise over arrays or for one node's scalars."""
+    return best - (sse - 1e-12), 8.0 * (count + 2) * _EPS * scale
+
+
 class _Grower:
     """Exact greedy growth of a batch of trees over presorted columns.
 
@@ -710,6 +729,12 @@ class _Grower:
     segment, the same in all rows: row j < d lists its samples sorted by
     (feature j, sample id) and row d in sample order. Splitting a node
     partitions its segment stably in every row, so no node sorts again.
+
+    ``grow`` gives each level the per-node step (``_each``: one node per
+    numpy call, on plain slices of its segment, with the decision and the
+    node table in scalars) or the block step (``_best``, ``_split``: many
+    nodes per call). Both score with ``_score`` and decide with ``_margin``
+    and ``_beats_parent``; ``set_leaves`` sums a few leaves one at a time.
     """
 
     def __init__(self, nodes, XT, y, src, order, n_trees, max_depth, min_leaf):
@@ -740,14 +765,20 @@ class _Grower:
         (parents in order, left child first). With ``mtry`` < d each tree's
         generator draws the feature subsets of all its open nodes of a level
         in one call: the sorted first ``mtry`` columns of
-        ``rng.random((k, d)).argsort(axis=1)``, one row per node.
+        ``rng.random((k, d)).argsort(axis=1)``, one row per node. A level
+        takes the per-node step when its open nodes number at most ``_FEW``
+        plus one per ``_BLOCK`` entries its scoring reads.
         """
-        ids = np.arange(self.tree.size)
-        term = self._terminal(ids)
-        self.leaves.append(ids[term])
-        ready = ids[~term]
+        roots = level = np.arange(self.tree.size)
         draws = rngs is not None and mtry < self.d
-        while ready.size:
+        f = mtry if draws else self.d
+        while level.size:
+            each = level.size <= _FEW + f * int(self.count[level].sum()) // _BLOCK
+            term = self._terminal(level, each)
+            self.leaves.append(level[term])
+            ready = level[~term]
+            if not ready.size:
+                break
             if draws:
                 trees, k = np.unique(self.tree[ready], return_counts=True)
                 keys = np.concatenate([rngs[t].random((c, self.d))
@@ -755,44 +786,60 @@ class _Grower:
                 feats = np.sort(keys.argsort(axis=1)[:, :mtry], axis=1)
             else:
                 feats = np.broadcast_to(np.arange(self.d), (ready.size, self.d))
-            split, feat, thr = self._best(ready, feats)
-            self.leaves.append(ready[~split])
-            ready = self._split(ready[split], feat[split], thr[split])
-        return self.base + ids
+            if each:
+                level = self._each(ready, feats)
+            else:
+                split, feat, thr = self._best(ready, feats)
+                self.leaves.append(ready[~split])
+                level = self._split(ready[split], feat[split], thr[split])
+        return self.base + roots
 
     def set_leaves(self, vecs, combine):
         """Give every leaf the value ``combine(sums, counts)``, where ``sums``
         holds each vector's sum over the leaf's samples in sample order.
         Returns the leaves' (starts, counts, values).
 
-        Leaves of one length are summed as rows of one C-contiguous block,
-        which numpy reduces exactly as it reduces each leaf's own array.
+        Up to ``_FEW`` leaves are summed one at a time from slices; more are
+        grouped by length, and leaves of one length summed as rows of one
+        C-contiguous block, which numpy reduces exactly as it reduces each
+        leaf's own array.
         """
         leaves = np.concatenate(self.leaves)
         starts, counts = self.start[leaves], self.count[leaves]
         sums = [np.empty(leaves.size) for _ in vecs]
-        by_len = np.argsort(counts, kind="stable")
-        for same in np.split(by_len, np.flatnonzero(np.diff(counts[by_len])) + 1):
-            c = int(counts[same[0]])
-            step = max(1, _BLOCK // max(c, 1))
-            for i in range(0, same.size, step):
-                grp = same[i:i + step]
-                samp = self.order[self.d].take(starts[grp][:, None] + np.arange(c))
+        if leaves.size <= _FEW:
+            for u, (a, c) in enumerate(zip(starts.tolist(), counts.tolist())):
+                samp = self.order[self.d, a:a + c]
                 for out, v in zip(sums, vecs):
-                    out[grp] = v.take(samp).sum(axis=1)
+                    out[u] = v.take(samp).sum()
+        else:
+            by_len = np.argsort(counts, kind="stable")
+            for same in np.split(by_len, np.flatnonzero(np.diff(counts[by_len])) + 1):
+                c = int(counts[same[0]])
+                step = max(1, _BLOCK // c)
+                for i in range(0, same.size, step):
+                    grp = same[i:i + step]
+                    samp = self.order[self.d].take(starts[grp][:, None] + np.arange(c))
+                    for out, v in zip(sums, vecs):
+                        out[grp] = v.take(samp).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             values = combine(sums, counts)
         self.nodes.value[leaves + self.base] = values
         return starts, counts, values
 
-    # -- per step ------------------------------------------------------------
+    # -- per level -----------------------------------------------------------
 
-    def _terminal(self, ids):
+    def _terminal(self, ids, each):
         """Nodes that stay leaves without a draw: at depth, too small, or with
-        a constant target."""
+        a constant target (with ``each``, tested one node at a time)."""
         term = (self.depth[ids] >= self.max_depth) | (self.count[ids] < 2 * self.min_leaf)
-        rest = ~term
-        if rest.any():
+        rest = np.flatnonzero(~term)
+        if each:
+            for u in rest.tolist():
+                a, c = int(self.start[ids[u]]), int(self.count[ids[u]])
+                vals = self.y.take(self.order[self.d, a:a + c])
+                term[u] = not (vals != vals[0]).any()
+        elif rest.size:
             term[rest] = self._pure(ids[rest])
         return term
 
@@ -803,14 +850,39 @@ class _Grower:
         for i, j in _chunks(counts):
             c = counts[i:j]
             vals = self.y.take(self.order[self.d].take(_ranges(starts[i:j], c)))
-            if not vals.size:
-                out[i:j] = True
-                continue
             rel = np.cumsum(c) - c
-            first = vals[np.minimum(rel, vals.size - 1)]
-            differs = np.concatenate(([0], np.cumsum(vals != np.repeat(first, c))))
+            differs = np.concatenate(([0], np.cumsum(vals != np.repeat(vals[rel], c))))
             out[i:j] = differs[rel + c] == differs[rel]
         return out
+
+    def _each(self, ready, feats):
+        """The per-node step: score, decide, partition and record each ready
+        node on its own; returns the children in order, left before right."""
+        d, kids = self.d, []
+        for u, i in enumerate(ready.tolist()):
+            a, c = int(self.start[i]), int(self.count[i])
+            best, sse, scale, f, t = (v[0] for v in self._score(
+                ready[u:u + 1], feats[u:u + 1], self.count[i:i + 1]))
+            gap, margin = _margin(best, sse, scale, c)
+            if not (self._beats_parent(i, best) if abs(gap) <= margin and np.isfinite(best)
+                    else gap < -margin):
+                self.leaves.append(ready[u:u + 1])
+                continue
+            samp = self.order[d, a:a + c]
+            left = self.XT[f].take(samp if self.src is None else self.src.take(samp)) <= t
+            self.is_left[samp] = left
+            nl = int(np.count_nonzero(left))
+            deep = self.depth[i] + 1 < self.max_depth and max(nl, c - nl) >= 2 * self.min_leaf
+            self._cut(np.arange(d + 1) if deep else np.array([d]), a, a + nl, a + c)
+            first = self._add(2)
+            self.start[first], self.start[first + 1] = a, a + nl
+            self.count[first], self.count[first + 1] = nl, c - nl
+            self.depth[first:first + 2] = self.depth[i] + 1
+            self.tree[first:first + 2] = self.tree[i]
+            g = i + self.base
+            self.nodes.feature[g], self.nodes.threshold[g], self.nodes.left[g] = f, t, first + self.base
+            kids += [first, first + 1]
+        return np.array(kids, np.int64)
 
     def _best(self, ready, feats):
         """Best split of each ready node and whether it is taken."""
@@ -833,18 +905,19 @@ class _Grower:
             best[blk], sse[blk], scale[blk], feat[blk], thr[blk] = self._score(
                 ready[blk], feats[blk], counts[blk])
             i = j
-        # The parent SSE from prefix sums can differ from the pairwise one by
-        # rounding; decide with it only when the margin covers that, else
-        # compute the exact value the way a per-node fit would.
-        gap = best - (sse - 1e-12)
-        margin = 8.0 * (counts + 2) * _EPS * scale
+        gap, margin = _margin(best, sse, scale, counts)
         split = gap < -margin
         for u in np.flatnonzero((np.abs(gap) <= margin) & np.isfinite(best)):
-            a = self.start[ready[u]]
-            sub = self.y[self.order[self.d, a:a + counts[u]]]
-            mean = float(sub.mean())
-            split[u] = not best[u] >= float(np.sum((sub - mean) ** 2)) - 1e-12
+            split[u] = self._beats_parent(ready[u], best[u])
         return split, feat, thr
+
+    def _beats_parent(self, i, best):
+        """Whether child SSE ``best`` beats node i's parent SSE, summed
+        pairwise in sample order as a per-node fit would, by over 1e-12."""
+        a = self.start[i]
+        sub = self.y[self.order[self.d, a:a + self.count[i]]]
+        mean = float(sub.mean())
+        return not best >= float(np.sum((sub - mean) ** 2)) - 1e-12
 
     def _score(self, ids, feats, counts):
         """Score every split of a block of nodes.
@@ -855,54 +928,61 @@ class _Grower:
         two values it falls between, or the lower one when the midpoint is not
         below the upper. Ties go to the lowest feature, then the lowest
         threshold.
+
+        A node scored on its own reads slices of its segment, a group of
+        features at a time, each group of at most max(_BLOCK, node size)
+        entries. One flat argmin is feature-major and its first minimum wins,
+        so a later group wins only when strictly lower; the parent SSE comes
+        from the first feature's sums either way.
         """
         k, f = feats.shape
         mb = int(counts.max())
-        off = np.arange(mb)
-        feats = feats[:, :, None]
-        if k == 1:
-            a = int(self.start[ids[0]])
-            samp = self.order[feats[0, :, 0], a:a + mb][None]
-        else:
+        if k > 1:
             # padding repeats a node's last sample, so no split is valid there
-            pos = self.start[ids][:, None] + np.minimum(off, counts[:, None] - 1)
-            samp = self.oflat.take(feats * self.y.size + pos[:, None, :])
+            pos = self.start[ids][:, None] + np.minimum(np.arange(mb), counts[:, None] - 1)
+            return self._scan(self.oflat.take(feats[:, :, None] * self.y.size + pos[:, None, :]),
+                              feats, counts)
+        a, step = int(self.start[ids[0]]), max(1, _BLOCK // mb)
+        for g in range(0, f, step):
+            grp = feats[:, g:g + step]
+            new = self._scan(self.order[grp[0], a:a + mb][None], grp, counts)
+            if g == 0 or new[0][0] < out[0][0]:
+                out = new if g == 0 else new[:1] + out[1:3] + new[3:]
+        return out
+
+    def _scan(self, samp, feats, counts):
+        """``_score`` of k nodes over their (k, f, mb) sample ids ``samp``,
+        row (i, j) listing node i's samples in the order of its feature j."""
+        k, f, mb = samp.shape
         rows = samp if self.src is None else self.src.take(samp)
-        xs = self.xflat.take(feats * self.XT.shape[1] + rows)
+        xs = self.xflat.take(feats[:, :, None] * self.XT.shape[1] + rows)
         ys = self.y.take(samp)
         c1 = ys.cumsum(axis=2)
         c2 = (ys * ys).cumsum(axis=2)
-        rows = np.arange(k)[:, None]
-        last = (counts - 1)[:, None]
-        t1 = c1[rows, np.arange(f), last][:, :, None]
-        t2 = c2[rows, np.arange(f), last][:, :, None]
+        rows = np.arange(k)
+        at = rows[:, None], np.arange(f), (counts - 1)[:, None]
+        t1, t2 = c1[at][:, :, None], c2[at][:, :, None]
         c1, c2 = c1[..., :-1], c2[..., :-1]
-        j = off[1:]  # left-child sizes
+        j = np.arange(1.0, mb)  # left-child sizes
         n_j = counts[:, None, None] - j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse = (c2 - c1 ** 2 / j.astype(float)) + ((t2 - c2) - (t1 - c1) ** 2 / n_j.astype(float))
-        sizes_ok = (j >= self.min_leaf) & (n_j >= self.min_leaf)
-        valid = (xs[..., 1:] > xs[..., :-1]) & sizes_ok
-        total = np.where(valid, sse, np.inf).reshape(k, -1)
-        flat = total.argmin(axis=1)
-        rows = rows[:, 0]
-        slot, p = np.divmod(flat, mb - 1)
-        lo, hi = xs[rows, slot, p], xs[rows, slot, p + 1]
-        with np.errstate(over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sse = (c2 - c1 ** 2 / j) + ((t2 - c2) - (t1 - c1) ** 2 / n_j)
+            valid = (xs[..., 1:] > xs[..., :-1]) & (j >= self.min_leaf) & (n_j >= self.min_leaf)
+            total = np.where(valid, sse, np.inf).reshape(k, -1)
+            flat = total.argmin(axis=1)
+            slot, p = np.divmod(flat, mb - 1)
+            lo, hi = xs[rows, slot, p], xs[rows, slot, p + 1]
             mid = (lo + hi) / 2.0
         # a midpoint that rounds up to (or overflows past) the upper value
         # would send every row left; the lower value splits the same rows
         thr = np.where(mid < hi, mid, lo)
         s1, s2 = t1[:, 0, 0], t2[:, 0, 0]
-        return total[rows, flat], s2 - s1 ** 2 / counts, s2, feats[rows, slot, 0], thr
+        return total[rows, flat], s2 - s1 ** 2 / counts, s2, feats[rows, slot], thr
 
     def _split(self, ids, feat, thr):
-        """Split nodes ``ids``; returns their open children in order, left before right."""
-        k = ids.size
-        if k == 0:
-            return ids
+        """Split nodes ``ids``; returns their children in order, left before right."""
         starts, counts, d = self.start[ids], self.count[ids], self.d
-        n_left = np.empty(k, np.int32)
+        n_left = np.empty(ids.size, np.int32)
         for i, j in _chunks(counts):
             c = counts[i:j]
             samp = self.order[d].take(_ranges(starts[i:j], c))
@@ -912,47 +992,54 @@ class _Grower:
             self.is_left[samp] = goes_left
             n_left[i:j] = np.add.reduceat(goes_left.astype(np.int32), np.cumsum(c) - c)
         # children that can split again need every row; the others only row d
-        depth = self.depth[ids] + 1
-        deep = (depth < self.max_depth) & (np.maximum(n_left, counts - n_left) >= 2 * self.min_leaf)
+        deep = ((self.depth[ids] + 1 < self.max_depth)
+                & (np.maximum(n_left, counts - n_left) >= 2 * self.min_leaf))
         self._partition(np.arange(d + 1) if deep.any() else np.array([d]), starts, counts, n_left)
-
-        first = self.nodes.add(2 * k) - self.base
-        new = first + 2 * k
-        for name in ("start", "count", "depth", "tree"):
-            setattr(self, name, _reserve(getattr(self, name), new, 0))
-        lefts = np.arange(first, new, 2)
-        self.start[lefts], self.start[lefts + 1] = starts, starts + n_left
-        self.count[lefts], self.count[lefts + 1] = n_left, counts - n_left
-        self.depth[first:new] = np.repeat(depth, 2)
+        first = self._add(2 * ids.size)
+        new = first + 2 * ids.size
+        self.start[first:new:2], self.start[first + 1:new:2] = starts, starts + n_left
+        self.count[first:new:2], self.count[first + 1:new:2] = n_left, counts - n_left
+        self.depth[first:new] = np.repeat(self.depth[ids] + 1, 2)
         self.tree[first:new] = np.repeat(self.tree[ids], 2)
-
         g = ids + self.base
-        self.nodes.feature[g] = feat
-        self.nodes.threshold[g] = thr
-        self.nodes.left[g] = lefts + self.base
-        kids = np.arange(first, new)
-        term = self._terminal(kids)
-        self.leaves.append(kids[term])
-        return kids[~term]
+        self.nodes.feature[g], self.nodes.threshold[g] = feat, thr
+        self.nodes.left[g] = np.arange(first, new, 2) + self.base
+        return np.arange(first, new)
 
     def _partition(self, cols, starts, counts, n_left):
         """Stable left/right partition of the segments in the given rows."""
         rows = (cols * self.y.size)[:, None]
         for i, j in _chunks(counts, cols.size):
             a, c, nl = starts[i:j], counts[i:j], n_left[i:j]
-            if j == i + 1:  # one segment: plain slices
-                lo, mid, hi = int(a[0]), int(a[0] + nl[0]), int(a[0] + c[0])
-                samp = self.order[cols, lo:hi]
-                left = self.is_left.take(samp)
-                self.order[cols, lo:mid] = samp[left].reshape(cols.size, -1)
-                self.order[cols, mid:hi] = samp[~left].reshape(cols.size, -1)
+            if j == i + 1:
+                self._cut(cols, int(a[0]), int(a[0] + nl[0]), int(a[0] + c[0]))
             else:
                 samp = self.oflat.take(rows + _ranges(a, c))
-                left = self.is_left.take(samp)
+                left = self.is_left.take(samp).ravel()
                 # each segment has the same left count in every row, so the
                 # row-major left and right runs land on fixed positions
-                self.oflat[rows + _ranges(a, nl)] = samp[left].reshape(cols.size, -1)
-                self.oflat[rows + _ranges(a + nl, c - nl)] = samp[~left].reshape(cols.size, -1)
+                self.oflat[rows + _ranges(a, nl)] = samp.compress(left).reshape(cols.size, -1)
+                self.oflat[rows + _ranges(a + nl, c - nl)] = samp.compress(~left).reshape(cols.size, -1)
+
+    def _cut(self, cols, lo, mid, hi):
+        """Stable partition of the one segment [lo, hi) in the given rows,
+        ``mid - lo`` samples to the left, with plain slices, in groups of
+        rows of at most max(_BLOCK, hi - lo) entries."""
+        step = max(1, _BLOCK // (hi - lo))
+        for r in range(0, cols.size, step):
+            grp = cols[r:r + step]
+            samp = self.order[grp, lo:hi]
+            left = self.is_left.take(samp).ravel()
+            self.order[grp, lo:mid] = samp.compress(left).reshape(grp.size, -1)
+            self.order[grp, mid:hi] = samp.compress(~left).reshape(grp.size, -1)
+
+    def _add(self, k):
+        """Append ``k`` nodes to the table and the growth data; returns the
+        first one's id less ``base``."""
+        first = self.nodes.add(k) - self.base
+        for name in ("start", "count", "depth", "tree"):
+            setattr(self, name, _reserve(getattr(self, name), first + k, 0))
+        return first
 
 
 def _leaf_ids(nodes: _Nodes, roots, X: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
-"""The batched tree engine against the per-node reference grower.
+"""The tree engine against the per-node reference grower.
 
-Every comparison is exact: the same splits, thresholds and leaf values, the
-same predictions, and the same training scores after every boosting stage.
+The engine grows each level with one of two steps, per node or in blocks of
+nodes; the property tests run each case once with every level forced onto
+each step. Every comparison is exact: the same splits, thresholds and leaf
+values, the same predictions, and the same training scores after every
+boosting stage.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,26 +61,34 @@ def tied_data(draw):
 
 MIN_LEAF = st.sampled_from([1, 2, 5, 10])
 MAX_DEPTH = st.sampled_from([None, 1, 2, 3, 6])
+# _FEW at either extreme sends every level (and every set of leaves) to one step
+STEPS = pytest.mark.parametrize("few", [1 << 30, -(1 << 30)], ids=["per_node", "block"])
 
 
+@STEPS
 @given(tied_data(), MIN_LEAF, MAX_DEPTH)
 @settings(max_examples=120)
-def test_tree_matches_reference(data, min_leaf, max_depth):
+def test_tree_matches_reference(few, data, min_leaf, max_depth):
     X, y = data
-    new = fit_tree(X, y, max_depth, min_leaf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "_FEW", few)
+        new = fit_tree(X, y, max_depth, min_leaf)
     old = oracle.fit_tree(X, y, max_depth, min_leaf)
     assert_same_tree(new, old)
     Q = np.vstack([X, X + 0.25])
     assert np.array_equal(tree_predict(new, Q), oracle.tree_predict(old, Q))
 
 
+@STEPS
 @given(tied_data(), MIN_LEAF, MAX_DEPTH, st.integers(1, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=80)
-def test_forest_matches_reference(data, min_leaf, max_depth, mtry, seed):
+def test_forest_matches_reference(few, data, min_leaf, max_depth, mtry, seed):
     X, y = data
     mtry = min(mtry, X.shape[1])
-    new = fit_forest(X, y, n_trees=3, mtry=mtry, min_leaf=min_leaf, seed=seed,
-                     max_depth=max_depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "_FEW", few)
+        new = fit_forest(X, y, n_trees=3, mtry=mtry, min_leaf=min_leaf, seed=seed,
+                         max_depth=max_depth)
     old = oracle.fit_forest(X, y, n_trees=3, mtry=mtry, min_leaf=min_leaf, seed=seed,
                             max_depth=max_depth)
     for a, b in zip(new.trees, old, strict=True):
@@ -83,24 +96,50 @@ def test_forest_matches_reference(data, min_leaf, max_depth, mtry, seed):
     assert np.array_equal(new.predict(X), oracle.forest_predict(old, X))
 
 
-@given(tied_data(), st.sampled_from(["squared", "bernoulli"]), MIN_LEAF,
-       st.sampled_from([1, 2, 3, 6]))
-@settings(max_examples=80)
-def test_boost_matches_reference_stage_by_stage(data, loss, min_leaf, max_depth):
-    X, y = data
-    if loss == "bernoulli":
-        y = (y > np.median(y)).astype(float)
+def assert_boost_matches_reference(X, y, n_trees, shrinkage, **kw):
+    """Equal training scores after every stage, equal stage trees."""
     seen_new, seen_old = [], []
-    new = fit_boost(X, y, n_trees=4, max_depth=max_depth, shrinkage=0.3, loss=loss,
-                    min_leaf=min_leaf, callback=lambda t, F: seen_new.append(F.copy()))
-    f0, old = oracle.fit_boost(X, y, n_trees=4, max_depth=max_depth, shrinkage=0.3, loss=loss,
-                               min_leaf=min_leaf, callback=lambda t, F: seen_old.append(F.copy()))
+    new = fit_boost(X, y, n_trees=n_trees, shrinkage=shrinkage,
+                    callback=lambda t, F: seen_new.append(F.copy()), **kw)
+    f0, old = oracle.fit_boost(X, y, n_trees=n_trees, shrinkage=shrinkage,
+                               callback=lambda t, F: seen_old.append(F.copy()), **kw)
     assert new.f0 == f0
+    assert len(seen_new) == n_trees + 1
     for a, b in zip(seen_new, seen_old, strict=True):
         assert np.array_equal(a, b)
     for a, b in zip(new.trees, old, strict=True):
         assert_same_tree(a, b)
-    assert np.array_equal(new.predict_raw(X), oracle.boost_predict_raw(f0, old, 0.3, X))
+    assert np.array_equal(new.predict_raw(X), oracle.boost_predict_raw(f0, old, shrinkage, X))
+
+
+@STEPS
+@given(tied_data(), st.sampled_from(["squared", "bernoulli"]), MIN_LEAF,
+       st.sampled_from([1, 2, 3, 6]))
+@settings(max_examples=80)
+def test_boost_matches_reference_stage_by_stage(few, data, loss, min_leaf, max_depth):
+    X, y = data
+    if loss == "bernoulli":
+        y = (y > np.median(y)).astype(float)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "_FEW", few)
+        assert_boost_matches_reference(X, y, 4, 0.3, max_depth=max_depth, loss=loss,
+                                       min_leaf=min_leaf)
+
+
+@pytest.mark.parametrize("loss, min_leaf", [("bernoulli", 1), ("bernoulli", 10), ("squared", 1)])
+def test_boost_matches_reference_on_the_benchmark_shape(loss, min_leaf):
+    # The shape of the benchmark's boosting: 1,800 rows, three Bernoulli and
+    # three normal columns, depth-2 stages; every level of every stage takes
+    # the engine's default step.
+    rng = np.random.default_rng(17)
+    n = 1800
+    X = np.column_stack([rng.integers(0, 2, (n, 3)).astype(float), rng.standard_normal((n, 3))])
+    eta = X @ np.array([0.4, -0.3, 0.2, 0.6, -0.5, 0.3])
+    if loss == "bernoulli":
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = eta + rng.standard_normal(n)
+    assert_boost_matches_reference(X, y, 50, 0.05, max_depth=2, loss=loss, min_leaf=min_leaf)
 
 
 def test_forest_feature_draws_follow_level_order():
@@ -137,6 +176,10 @@ def test_small_caps_split_every_batch(monkeypatch):
     boost = fit_boost(X, y, n_trees=3, max_depth=4)
     f0, stages = oracle.fit_boost(X, y, n_trees=3, max_depth=4)
     assert np.array_equal(boost.predict_raw(X), oracle.boost_predict_raw(f0, stages, 0.1, X))
+    # A node scored on its own takes one feature per group here; the copy of
+    # column 0 ties with it everywhere, and the tie must still go to column 0.
+    Xd = np.column_stack([X, X[:, 0]])
+    assert_same_tree(fit_tree(Xd, y, max_depth=4), oracle.fit_tree(Xd, y, max_depth=4))
 
 
 @pytest.mark.parametrize("offset", [1e5, 3e5, 1e6, 7e6, 1e8])
@@ -175,3 +218,19 @@ def test_midpoint_overflowing_to_inf_splits_at_the_lower_value():
     new = fit_tree(X, y, max_depth=None, min_leaf=1)
     assert new.threshold == 1.5e308
     assert_same_tree(new, oracle.fit_tree(X, y, max_depth=None, min_leaf=1))
+
+
+def test_one_large_node_is_scored_in_bounded_memory():
+    # Scoring the root's six features in one piece takes ~43 MB of scratch
+    # on this 4.8 MB design; a feature group at a time, the fit peaks near
+    # the presort's 12.4 MB plus the transposed design.
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((100_000, 6))
+    y = X[:, 0] + rng.standard_normal(100_000)
+    tracemalloc.start()
+    try:
+        fit_tree(X, y, max_depth=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
