@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import Dataset, Learner, LearnerSpec, OutcomeKind
+from .core import Dataset, Learner, LearnerSpec, OutcomeKind, make_folds
 from .balance import BalanceBoostedPS, balance_table, iptw_weights, ps_match
 from .dgp import DgpSpec, McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
@@ -306,7 +306,7 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
         return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis.ps_fit
     if est == "double_lasso":
         sel = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
-                                  v_folds=min(config.v_folds, 5), seed=seed)
+                                  make_folds(ds.n, min(config.v_folds, 5), seed))
         return post_double_ate(ds, sel, config.pd_method, trim=trim, seed=seed), None
     fn = {
         "ctmle_greedy": ctmle_greedy,

@@ -9,6 +9,7 @@ global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Protocol
 
 import numpy as np
@@ -171,7 +172,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Partition of rows into folds labelled 1..V."""
+    """Partition of rows into folds labelled 1..V. Every cross-validation
+    loop checks its data with ``check_rows`` and iterates ``blocks``."""
 
     fold_of: np.ndarray
     V: int
@@ -189,15 +191,16 @@ class FoldAssignment:
             raise ValueError("fold sizes must differ by at most one")
         object.__setattr__(self, "fold_of", f)
 
-    @property
-    def n(self) -> int:
-        return self.fold_of.shape[0]
+    @cached_property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """One (train, test) pair of row masks per fold, folds 1..V in order:
+        test selects the fold's rows, train every other row."""
+        return tuple((self.fold_of != v, self.fold_of == v) for v in range(1, self.V + 1))
 
-    def test_mask(self, v: int) -> np.ndarray:
-        return self.fold_of == v
-
-    def train_mask(self, v: int) -> np.ndarray:
-        return self.fold_of != v
+    def check_rows(self, n: int) -> None:
+        """Raise ValueError unless the assignment covers exactly ``n`` rows."""
+        if n != self.fold_of.shape[0]:
+            raise ValueError("fold assignment does not match the data")
 
 
 def make_folds(n: int, V: int, seed: int) -> FoldAssignment:

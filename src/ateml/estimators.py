@@ -114,7 +114,7 @@ def fit_nuisances(
     ps_spec: Learner | None = None,
     outcome_spec: Learner | None = None,
     *,
-    fold_of: FoldAssignment | None = None,
+    folds: FoldAssignment | None = None,
     trim: float = 0.01,
     seed: int = 0,
 ) -> NuisanceFits:
@@ -124,8 +124,9 @@ def fit_nuisances(
     Both are ``Learner`` objects fitted as ``learner.fit(X, y, target_kind,
     seed)``: the propensity model on (X, A) as a probability, the outcome
     model once per treatment arm. The full sample is one block that predicts
-    itself; cross-fitting has one block per fold and, before any fit, raises
-    ValueError if a training block holds one treatment arm. The
+    itself; cross-fitting has the blocks of ``folds``. Before any fit,
+    ValueError is raised for a bad ``trim`` when a propensity is requested,
+    for ``folds`` of another length, or for a single-arm training block. The
     propensity record is one ``PsFit``: the pooled raw scores, ``trim``, the
     union of the block models' flags in first-seen order, and the model's
     meta ({} when cross-fitted).
@@ -139,10 +140,13 @@ def fit_nuisances(
         model = learner.fit(X_fit, y_fit, target, seed)
         return model.predict(X_pred), model.flags, model.meta
 
-    if fold_of is None:
+    if ps_spec is not None:
+        _check_trim(trim)
+    if folds is None:
         blocks = [(slice(None), slice(None))]  # views: X's own layout and bits
     else:
-        blocks = [(fold_of.train_mask(v), fold_of.test_mask(v)) for v in range(1, fold_of.V + 1)]
+        folds.check_rows(dataset.n)
+        blocks = folds.blocks
         for v, (tr, _) in enumerate(blocks, start=1):
             if A[tr].min() == A[tr].max():
                 raise ValueError(f"training block for fold {v} has a single treatment arm")
@@ -160,8 +164,8 @@ def fit_nuisances(
                 mu[te] = np.clip(fit_predict(outcome_spec, X_tr[arm], y_tr[arm], kind, X_te)[0],
                                  lo, hi)
     ps_fit = None if raw is None else PsFit(raw, float(trim), tuple(flags),
-                                            dict(meta) if fold_of is None else {})
-    return NuisanceFits(ps_fit, mu1, mu0, None if fold_of is None else fold_of.fold_of.copy())
+                                            dict(meta) if folds is None else {})
+    return NuisanceFits(ps_fit, mu1, mu0, None if folds is None else folds.fold_of.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +379,8 @@ def dml_ate(
     median is taken. Stratified folds deal each arm round-robin, so every
     training block keeps both arms unless an arm has a single unit, and then
     the first draw raises ValueError: no redraw could help. ``k >= 2``,
-    ``s >= 1`` and ``trim`` in (0, 0.5) are checked before any fit.
+    ``s >= 1`` and, by ``fit_nuisances``, ``trim`` in (0, 0.5) are checked
+    before any fit.
     Returns the result and the ``NuisanceFits`` of the first repetition,
     which the diagnostics name as ``nuisance_repetition``.
     """
@@ -383,12 +388,11 @@ def dml_ate(
         raise ValueError("need K >= 2 folds")
     if s < 1:
         raise ValueError("need S >= 1 repetitions")
-    _check_trim(trim)
     results = []
     for s_i, rep_seed in enumerate(child_seeds(seed, s)):
         fold_seed = child_seeds(rep_seed, 1)[0]
         folds = make_stratified_folds(dataset.treatment, k, fold_seed)
-        nuis = fit_nuisances(dataset, ps_spec, outcome_spec, fold_of=folds, trim=trim,
+        nuis = fit_nuisances(dataset, ps_spec, outcome_spec, folds=folds, trim=trim,
                              seed=fold_seed)
         results.append(aiptw_ate(dataset, nuis))
         if s_i == 0:

@@ -75,7 +75,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import FittedModel, LearnerSpec, child_seeds, loss_logloss, make_folds, rng_from
+from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, loss_logloss,
+                   make_folds, rng_from)
 
 __all__ = [
     "LinearModel",
@@ -89,7 +90,6 @@ __all__ = [
     "lasso_lambda_max",
     "lasso_cv",
     "fit_logistic_lasso",
-    "logistic_lasso_cv",
     "fit_tree",
     "tree_predict",
     "fit_forest",
@@ -441,23 +441,19 @@ def default_lambda_grid(features: np.ndarray, target: np.ndarray, n_lambda: int 
     return np.geomspace(lmax, lmax * ratio, n_lambda)
 
 
-def _cv_penalty(X, y, lambda_grid, folds, v_folds, seed, fold_losses) -> float:
-    """The grid penalty with the smallest mean held-out loss over the folds,
-    the first on exact ties: the grid must be descending, so ties resolve
-    toward the larger penalty (more regularisation). ``fold_losses(X_tr,
-    y_tr, X_te, y_te, lams)`` gives one held-out loss per penalty."""
+def _cv_penalty(X, y, lambda_grid, folds, fold_losses) -> float:
+    """The grid penalty with the smallest mean held-out loss over the blocks
+    of ``folds``, the first on exact ties: the grid must be descending, so
+    ties resolve toward the larger penalty (more regularisation).
+    ``fold_losses(X_tr, y_tr, X_te, y_te, lams)`` gives one held-out loss per
+    penalty."""
     lams = np.asarray(lambda_grid, dtype=float)
     if lams.size < 1:
         raise ValueError("lambda grid must be non-empty")
     if lams.size > 1 and not (np.diff(lams) <= 0).all():
         raise ValueError("lambda grid must be descending")
-    if folds is None:
-        folds = make_folds(X.shape[0], v_folds, seed)
-    losses = np.zeros((folds.V, lams.size))
-    for v in range(1, folds.V + 1):
-        tr = folds.train_mask(v)
-        te = folds.test_mask(v)
-        losses[v - 1] = fold_losses(X[tr], y[tr], X[te], y[te], lams)
+    folds.check_rows(X.shape[0])
+    losses = np.array([fold_losses(X[tr], y[tr], X[te], y[te], lams) for tr, te in folds.blocks])
     return float(lams[int(np.argmin(losses.mean(axis=0)))])
 
 
@@ -469,22 +465,19 @@ def _lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams):
 def lasso_cv(
     features: np.ndarray,
     target: np.ndarray,
+    folds: FoldAssignment,
     lambda_grid: np.ndarray | None = None,
-    folds=None,
-    *,
-    v_folds: int = 5,
-    seed: int = 0,
-) -> tuple[float, LassoFit]:
-    """Pick the penalty by V-fold cross-validated MSE and refit on all rows.
+) -> LassoFit:
+    """Pick the penalty by cross-validated MSE over ``folds`` and refit on
+    all rows; the refit's ``lam`` is the chosen penalty.
 
-    The grid must be descending; exact risk ties resolve toward the larger
-    penalty (more regularisation).
+    The grid (``default_lambda_grid`` when None) must be descending; exact
+    risk ties resolve toward the larger penalty (more regularisation).
     """
     X, y = _check_matrix(features, target)
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(X, y)
-    lam = _cv_penalty(X, y, lambda_grid, folds, v_folds, seed, _lasso_fold_losses)
-    return lam, fit_lasso(X, y, lam)
+    return fit_lasso(X, y, _cv_penalty(X, y, lambda_grid, folds, _lasso_fold_losses))
 
 
 # ---------------------------------------------------------------------------
@@ -559,25 +552,6 @@ def fit_logistic_lasso(
 def _logistic_lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams):
     return [loss_logloss(fit_logistic_lasso(X_tr, y_tr, float(lam)).predict_proba(X_te), y_te)
             for lam in lams]
-
-
-def logistic_lasso_cv(
-    features: np.ndarray,
-    target: np.ndarray,
-    lambda_grid: np.ndarray | None = None,
-    folds=None,
-    *,
-    n_lambda: int = 30,
-    v_folds: int = 5,
-    seed: int = 0,
-) -> tuple[float, LinearModel]:
-    """Cross-validated penalty selection (held-out log-loss) for the l1 logit,
-    with the grid rules of ``lasso_cv``."""
-    X, y = _check_matrix(features, target)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(X, y, n_lambda, ratio=1e-3)
-    lam = _cv_penalty(X, y, lambda_grid, folds, v_folds, seed, _logistic_lasso_fold_losses)
-    return lam, fit_logistic_lasso(X, y, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -1321,11 +1295,8 @@ def fit_learner(
     elif spec.family == "lasso":
         lam = p.get("lam")
         if lam is None:
-            _, model = lasso_cv(
-                X, y,
-                lambda_grid=default_lambda_grid(X, y, p.get("n_lambda", 100)),
-                v_folds=p.get("v", 5), seed=seed,
-            )
+            model = lasso_cv(X, y, make_folds(X.shape[0], p.get("v", 5), seed),
+                             default_lambda_grid(X, y, p.get("n_lambda", 100)))
         else:
             model = fit_lasso(X, y, lam)
         predict = model.predict

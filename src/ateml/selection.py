@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import _check_trim
-from .core import Dataset, LearnerSpec, make_folds, make_stratified_folds
+from .core import Dataset, FoldAssignment, LearnerSpec, make_stratified_folds
 from .estimators import (
     AteResult,
     NuisanceFits,
@@ -30,10 +30,11 @@ from .estimators import (
     reg_ate,
 )
 from .learners import (
+    _cv_penalty,
     _fit_logistic_candidates,
+    _logistic_lasso_fold_losses,
     fit_logistic_lasso,
     lasso_cv,
-    logistic_lasso_cv,
     default_lambda_grid,
 )
 
@@ -68,24 +69,21 @@ def double_lasso_select(
     X: np.ndarray,
     A: np.ndarray,
     Y: np.ndarray,
-    folds=None,
+    folds: FoldAssignment,
     *,
     n_lambda: int = 100,
-    v_folds: int = 5,
-    seed: int = 0,
 ) -> SelectionResult:
     """Union of the l1-active sets from a Y-on-X and an A-on-X regression.
 
-    Both penalties are chosen by cross-validation; the treatment step is a
+    Both penalties are chosen by ``lasso_cv`` on the same ``folds``, each
+    from its own ``n_lambda``-point default grid; the treatment step is a
     linear fit (the partially-linear convention).
     """
     X = np.asarray(X, dtype=float)
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if folds is None:
-        folds = make_folds(X.shape[0], v_folds, seed)
-    _, fit_y = lasso_cv(X, Y, default_lambda_grid(X, Y, n_lambda), folds)
-    _, fit_a = lasso_cv(X, A, default_lambda_grid(X, A, n_lambda), folds)
+    fit_y = lasso_cv(X, Y, folds, default_lambda_grid(X, Y, n_lambda))
+    fit_a = lasso_cv(X, A, folds, default_lambda_grid(X, A, n_lambda))
     return SelectionResult(fit_y.active_set, fit_a.active_set)
 
 
@@ -192,7 +190,7 @@ class _TargetingEngine:
         the full sample first: one list per block, one function per
         candidate. The set is ``base + (j,)`` for each j in ``extra``, the l1
         logit at ``lam``, or, given neither, the intercept alone."""
-        blocks = [self.all_rows] + [self.folds.train_mask(v) for v in range(1, self.folds.V + 1)]
+        blocks = [self.all_rows] + [tr for tr, _ in self.folds.blocks]
         return [self.fit_block(rows, base, extra, lam) for rows in blocks]
 
     def fit_block(self, rows, base, extra, lam):
@@ -230,9 +228,7 @@ class _TargetingEngine:
         fulls = [self._update(model(self.X), self.all_rows) for model in full_models]
         self.n_scorings += len(fulls)
         cv_losses = [[] for _ in fulls]
-        for v, models in enumerate(fold_models, 1):
-            tr = self.folds.train_mask(v)
-            te = self.folds.test_mask(v)
+        for models, (tr, te) in zip(fold_models, self.folds.blocks):
             X_tr, X_te = self.X[tr], self.X[te]
             for losses, model in zip(cv_losses, models):
                 p = np.empty(n)
@@ -397,18 +393,15 @@ def ctmle_lasso(
 ) -> tuple[AteResult, CtmleTrace]:
     """Candidate propensity models along a decreasing l1 penalty path.
 
-    The path starts at the cross-validation-selected penalty of an l1 logit
-    for the treatment and shrinks geometrically (ratio 0.75, ten points) by
-    default. Each penalty yields one targeted fit; cross-validated loss picks
-    the winner.
+    By default the path starts at the penalty, from a 20-point grid, whose
+    l1 logit for the treatment has the smallest held-out log-loss over the
+    engine's folds, and shrinks geometrically (ratio 0.75, ten points). Each
+    penalty yields one targeted fit; cross-validated loss picks the winner.
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
     if lambda_path is None:
-        lam1, _ = logistic_lasso_cv(
-            dataset.covariates, dataset.treatment.astype(float),
-            folds=eng.folds, n_lambda=20,
-        )
-        lam1 = max(lam1, 1e-8)
+        grid = default_lambda_grid(eng.X, eng.A, 20, ratio=1e-3)
+        lam1 = max(_cv_penalty(eng.X, eng.A, grid, eng.folds, _logistic_lasso_fold_losses), 1e-8)
         lambda_path = lam1 * (0.75 ** np.arange(10))
     path = np.asarray(lambda_path, dtype=float)
     if path.size < 1:

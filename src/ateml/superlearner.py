@@ -123,13 +123,10 @@ def level_one(
     prediction for row i from the fit that excluded i's fold."""
     X = np.asarray(features, dtype=float)
     y = np.asarray(target, dtype=float)
-    if X.shape[0] != folds.n:
-        raise ValueError("fold assignment does not match the data")
+    folds.check_rows(X.shape[0])
     Z = np.empty((X.shape[0], len(library)))
     for k, spec in enumerate(library.candidates):
-        for v in range(1, folds.V + 1):
-            tr = folds.train_mask(v)
-            te = folds.test_mask(v)
+        for v, (tr, te) in enumerate(folds.blocks, start=1):
             try:
                 model = fit_learner(spec, X[tr], y[tr], target_kind=target_kind)
             except (ValueError, RuntimeError) as exc:

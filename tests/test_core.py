@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ateml.core import (
     Dataset,
     FoldAssignment,
+    LearnerSpec,
     OutcomeKind,
     child_seeds,
     loss_logloss,
@@ -16,6 +17,11 @@ from ateml.core import (
     make_stratified_folds,
     rng_from,
 )
+from ateml import learners, superlearner
+from ateml.estimators import fit_nuisances
+from ateml.learners import lasso_cv
+from ateml.selection import double_lasso_select
+from ateml.superlearner import SLLibrary, level_one
 
 
 class TestFolds:
@@ -50,18 +56,26 @@ class TestFolds:
     def test_partition_property(self, n, data):
         V = data.draw(st.integers(2, n))
         seed = data.draw(st.integers(0, 2**32))
-        f = make_folds(n, V, seed)
+        strata = data.draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        f = make_folds(n, V, seed) if strata is None else make_stratified_folds(strata, V, seed)
         counts = np.bincount(f.fold_of, minlength=V + 1)[1:]
         assert counts.sum() == n
         assert counts.min() >= 1
         assert counts.max() - counts.min() <= 1
+        # the blocks: fold v's test mask holds exactly the rows labelled v,
+        # its train mask the rest, so the test masks tile the rows
+        assert len(f.blocks) == V
+        for v, (train, test) in enumerate(f.blocks, start=1):
+            assert np.array_equal(test, f.fold_of == v)
+            assert np.array_equal(train, ~test)
+        assert (np.sum([test for _, test in f.blocks], axis=0) == 1).all()
 
     def test_stratified_spreads_arms(self):
         rng = rng_from(5)
         strata = (rng.random(83) < 0.3).astype(int)
         f = make_stratified_folds(strata, 4, seed=2)
         for arm in (0, 1):
-            per_fold = [np.sum(strata[f.test_mask(v)] == arm) for v in range(1, 5)]
+            per_fold = [np.sum(strata[test] == arm) for _, test in f.blocks]
             assert max(per_fold) - min(per_fold) <= 1
 
     def test_fold_assignment_validates(self):
@@ -73,6 +87,37 @@ class TestFolds:
         for labels in ([0, 1, 2, 1, 2, 0], [1, 2, 3, 1, 2, 3], [-1, 1, 2, 1, 2, -1]):
             with pytest.raises(ValueError, match=re.escape("fold labels must lie in 1..2")):
                 FoldAssignment(np.array(labels), 2)
+
+
+def _fitted(*args, **kwargs):
+    raise AssertionError("fitted before the fold check")
+
+
+class _NoFit:
+    fit = staticmethod(_fitted)
+
+
+FOLD_CONSUMERS = {
+    "fit_nuisances": lambda ds, folds: fit_nuisances(ds, _NoFit(), _NoFit(), folds=folds),
+    "level_one": lambda ds, folds: level_one(SLLibrary((LearnerSpec("ols"),), ("ols",)),
+                                             ds.covariates, ds.outcome, folds),
+    "lasso_cv": lambda ds, folds: lasso_cv(ds.covariates, ds.outcome, folds),
+    "double_lasso_select": lambda ds, folds: double_lasso_select(
+        ds.covariates, ds.treatment, ds.outcome, folds),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(FOLD_CONSUMERS))
+def test_folds_for_other_rows_are_rejected_before_any_fit(consumer, monkeypatch):
+    for module, name in ((learners, "_lasso_path"), (learners, "fit_lasso"),
+                         (superlearner, "fit_learner")):
+        monkeypatch.setattr(module, name, _fitted)
+    rng = rng_from(3)
+    ds = Dataset(rng.standard_normal((20, 2)), np.tile([0, 1], 10), rng.standard_normal(20),
+                 OutcomeKind.bounded(-10.0, 10.0))
+    for n in (19, 21):
+        with pytest.raises(ValueError, match="^fold assignment does not match the data$"):
+            FOLD_CONSUMERS[consumer](ds, make_folds(n, 3, seed=0))
 
 
 class TestLosses:

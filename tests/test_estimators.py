@@ -241,14 +241,14 @@ class TestTmle:
 
 
 class _Counting:
-    """A logistic propensity learner that records every fit."""
+    """A learner that records every fit, logistic unless given a spec."""
 
-    def __init__(self):
-        self.fits = []
+    def __init__(self, spec=LearnerSpec("logistic")):
+        self.spec, self.fits = spec, []
 
     def fit(self, X, y, target_kind, seed):
         self.fits.append(len(y))
-        return LearnerSpec("logistic").fit(X, y, target_kind, seed)
+        return self.spec.fit(X, y, target_kind, seed)
 
 
 class TestDml:
@@ -276,7 +276,7 @@ class TestDml:
         folds = FoldAssignment(np.array([1, 1, 2, 2]), 2)
         ps = _Counting()
         with pytest.raises(ValueError, match="^training block for fold 1 has a single treatment arm$"):
-            fit_nuisances(ds, ps, None, fold_of=folds)
+            fit_nuisances(ds, ps, None, folds=folds)
         assert ps.fits == []
 
     @pytest.mark.parametrize("s", [1, 3])
@@ -342,9 +342,8 @@ class TestDml:
 
         folds = make_stratified_folds(A, 2, seed=5)
         spec = LearnerSpec("lasso", {"lam": 1e12})
-        nuis = fit_nuisances(ds, None, spec, fold_of=folds)
-        for v in (1, 2):
-            tr, te = folds.train_mask(v), folds.test_mask(v)
+        nuis = fit_nuisances(ds, None, spec, folds=folds)
+        for tr, te in folds.blocks:
             lo, hi = ds.outcome_kind.bounds
             want1 = np.clip(y[tr & (A == 1)].mean(), lo, hi)
             want0 = np.clip(y[tr & (A == 0)].mean(), lo, hi)
@@ -365,10 +364,9 @@ class TestDml:
         ds, _ = make_confounded(n=200, seed=13)
         X, A = ds.covariates, ds.treatment
         folds = make_stratified_folds(A, 3, seed=4)
-        nuis = fit_nuisances(ds, SizeFlagged(), None, fold_of=folds, trim=0.05)
+        nuis = fit_nuisances(ds, SizeFlagged(), None, folds=folds, trim=0.05)
         want, flags = np.empty(ds.n), []
-        for v in (1, 2, 3):
-            tr, te = folds.train_mask(v), folds.test_mask(v)
+        for tr, te in folds.blocks:
             model = LearnerSpec("logistic").fit(X[tr], A[tr].astype(float), "probability")
             want[te] = np.clip(model.predict(X[te]), 0.05, 0.95)
             flags += [f for f in (f"n{tr.sum()}", "shared") if f not in flags]
@@ -413,6 +411,17 @@ class TestDml:
             with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
                 dml_ate(ds, ps, outcome, k=2, s=1, trim=trim)
         assert ps.fits == outcome.fits == []
+
+    def test_fit_nuisances_rejects_a_bad_trim_before_any_fit(self):
+        # trim only clips a propensity: an outcome-only fit ignores it
+        ds, _ = make_confounded(n=120, seed=8)
+        ps, outcome = _Counting(), _Counting(LearnerSpec("ols"))
+        for trim in (0.7, 0.0):
+            with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
+                fit_nuisances(ds, ps, outcome, trim=trim)
+        assert ps.fits == outcome.fits == []
+        assert fit_nuisances(ds, None, outcome, trim=0.7).ps_fit is None
+        assert outcome.fits == [int(ds.treatment.sum()), int(ds.n - ds.treatment.sum())]
 
 
 class TestIfSe:

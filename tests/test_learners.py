@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ateml.core import LearnerSpec, child_seeds, rng_from
+from ateml.core import LearnerSpec, child_seeds, make_folds, rng_from
 from ateml.learners import (
     BoostModel,
+    _cv_penalty,
+    _logistic_lasso_fold_losses,
+    default_lambda_grid,
     fit_boost,
     fit_forest,
     fit_lasso,
@@ -15,7 +18,6 @@ from ateml.learners import (
     fit_tree,
     lasso_cv,
     lasso_lambda_max,
-    logistic_lasso_cv,
     tree_predict,
 )
 
@@ -202,8 +204,8 @@ class TestLassoCv:
         rng = rng_from(11)
         X = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
-        lam, fit = lasso_cv(X, y, np.array([0.123]), v_folds=3, seed=0)
-        assert lam == 0.123 and fit.lam == 0.123
+        fit = lasso_cv(X, y, make_folds(30, 3, seed=0), np.array([0.123]))
+        assert fit.lam == 0.123
 
     def test_pure_noise_selects_heavy_penalty(self):
         hits = 0
@@ -211,7 +213,7 @@ class TestLassoCv:
             rng = rng_from(1000 + seed)
             X = rng.standard_normal((200, 8))
             y = rng.standard_normal(200)
-            _, fit = lasso_cv(X, y, v_folds=4, seed=seed)
+            fit = lasso_cv(X, y, make_folds(200, 4, seed))
             hits += len(fit.active_set) <= 2
         assert hits >= 27  # >= 90% of seeds keep at most two columns
 
@@ -221,14 +223,14 @@ class TestLassoCv:
             rng = rng_from(2000 + seed)
             X = rng.standard_normal((80, 10))
             y = 3.0 * X[:, 0] + 0.1 * rng.standard_normal(80)
-            _, fit = lasso_cv(X, y, v_folds=4, seed=seed)
+            fit = lasso_cv(X, y, make_folds(80, 4, seed))
             hits += 0 in fit.active_set
         assert hits == 20
 
     def test_descending_grid_required(self):
         with pytest.raises(ValueError, match="descending"):
             lasso_cv(np.zeros((10, 1)) + np.arange(10.0)[:, None], np.arange(10.0),
-                     np.array([0.1, 0.2]))
+                     make_folds(10, 5, seed=0), np.array([0.1, 0.2]))
 
 
 class TestTree:
@@ -449,8 +451,9 @@ class TestLogisticLasso:
         rng = rng_from(25)
         X = rng.standard_normal((150, 3))
         y = (rng.random(150) < expit(1.5 * X[:, 0])).astype(float)
-        lam, fit = logistic_lasso_cv(X, y, n_lambda=10, v_folds=3, seed=1)
-        assert lam > 0 and fit.coef[0] != 0.0
+        grid = default_lambda_grid(X, y, 10, ratio=1e-3)
+        lam = _cv_penalty(X, y, grid, make_folds(150, 3, seed=1), _logistic_lasso_fold_losses)
+        assert lam > 0 and fit_logistic_lasso(X, y, lam).coef[0] != 0.0
 
     @pytest.mark.parametrize("grid,message", [([], "non-empty"), ([0.01, 0.1], "descending")])
     def test_cv_rejects_an_empty_or_ascending_grid(self, grid, message):
@@ -458,7 +461,8 @@ class TestLogisticLasso:
         X = rng.standard_normal((60, 2))
         y = (rng.random(60) < expit(X[:, 0])).astype(float)
         with pytest.raises(ValueError, match=message):
-            logistic_lasso_cv(X, y, np.array(grid), v_folds=3)
+            _cv_penalty(X, y, np.array(grid), make_folds(60, 3, seed=0),
+                        _logistic_lasso_fold_losses)
 
 
 class TestFitLearnerDispatch:

@@ -6,7 +6,7 @@ import pytest
 
 import solver_oracle
 from ateml import learners, selection
-from ateml.core import Dataset, LearnerSpec
+from ateml.core import Dataset, LearnerSpec, make_folds
 from ateml.dgp import builtin_specs, gen_dataset
 from ateml.estimators import fit_nuisances
 
@@ -107,11 +107,30 @@ def test_preorder_ranking_is_one_stack_of_per_column_fits(monkeypatch):
     _same_result(got, want)
 
 
+def test_ctmle_lasso_fits_only_the_penalty_search_and_the_candidates(monkeypatch):
+    # V = 5 folds: the default path's starting penalty is chosen on a 20-point
+    # grid in every fold, then each of the 10 path penalties is fitted on the
+    # full sample and every fold; no full-sample refit at the chosen penalty
+    ds, initial = _greedy_data(4)
+    calls = []
+    real = learners.fit_logistic_lasso
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(learners, "fit_logistic_lasso", counted)
+    monkeypatch.setattr(selection, "fit_logistic_lasso", counted)
+    _, trace = selection.ctmle_lasso(ds, initial, V=5, seed=0)
+    assert len(trace.candidates) == 10
+    assert len(calls) == 5 * 20 + (5 + 1) * 10
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_double_lasso_keeps_the_confounders(seed):
     # x1..x3 enter both the propensity and the outcome of sparse_highdim; at
     # n = 2000 both cross-validated lasso fits keep all three
     ds = gen_dataset(builtin_specs()["sparse_highdim"], seed=seed).dataset
     sel = selection.double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
-                                        seed=seed)
+                                        make_folds(ds.n, 5, seed))
     assert sel.outcome_selected[:3] == sel.treatment_selected[:3] == (0, 1, 2)

@@ -29,8 +29,8 @@ class TestLevelOne:
         y = rng.standard_normal(24) * 2.0 + 1.0
         folds = make_folds(24, 4, seed=3)
         expected = np.empty(24)
-        for v in range(1, 5):
-            expected[folds.test_mask(v)] = y[folds.train_mask(v)].mean()
+        for tr, te in folds.blocks:
+            expected[te] = y[tr].mean()
         Z = level_one(lib, X, y, folds)
         assert np.allclose(Z.ravel(), expected, rtol=1e-12, atol=0.0)
 
