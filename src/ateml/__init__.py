@@ -54,7 +54,6 @@ from .selection import (
     ctmle_preorder_correlation,
     ctmle_preorder_logistic,
     double_lasso_select,
-    post_double_ate,
 )
 from .superlearner import (
     SLLibrary,

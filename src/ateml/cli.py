@@ -6,6 +6,8 @@ over the built-in generators), and ``export-dgp`` (write a generated dataset
 as CSV). ``run`` and ``simulate`` share one estimator dispatch and accept the
 same estimators: naive, reg, iptw, match, aiptw, tmle, dml, double_lasso,
 ctmle_greedy, ctmle_logistic, ctmle_correlation and ctmle_lasso.
+``double_lasso`` selects covariates by post-double-selection and runs its
+``pd_method`` (reg, iptw or aiptw) with the configured learners on the union.
 Configuration can come from a flat key = value file; any flag given on the
 command line wins over the file.
 """
@@ -19,6 +21,7 @@ import math
 import sys
 import time
 import warnings
+from array import array
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 
@@ -46,7 +49,6 @@ from .selection import (
     ctmle_preorder_correlation,
     ctmle_preorder_logistic,
     double_lasso_select,
-    post_double_ate,
 )
 from .superlearner import SLLibrary, demo_library
 
@@ -56,6 +58,8 @@ ESTIMATORS = (
     "naive", "reg", "iptw", "match", "aiptw", "tmle", "dml", "double_lasso",
     "ctmle_greedy", "ctmle_logistic", "ctmle_correlation", "ctmle_lasso",
 )
+# The estimators that double_lasso can run on its selected covariates.
+PD_METHODS = ("reg", "iptw", "aiptw")
 
 
 @dataclass(frozen=True)
@@ -140,23 +144,9 @@ def _check_named_once(what: str, names) -> None:
         raise ValueError(f"{repeated} named more than once in the {what}")
 
 
-def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
-    """Parse the selected columns; drop (and count) incomplete rows.
-
-    Refuses to continue if more than half of the rows are dropped, if the
-    treatment column is not strictly {0,1}, if a requested column is
-    missing, if the header or the covariates name a column twice, if the
-    treatment and the outcome are one column, or if the covariates include
-    either of them.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    header = [h.strip() for h in header]
+def _covariate_names(path: str, header: list[str], config: RunConfig) -> list[str]:
+    """The covariate columns ``config`` selects from ``header``, after the
+    column checks of ``ingest_csv``."""
     roles = (config.treatment, config.outcome)
     if config.treatment == config.outcome:
         raise ValueError(f"treatment and outcome are the same column {config.treatment!r}")
@@ -177,42 +167,53 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
         cov_names = list(config.covariates)
     if not cov_names:
         raise ValueError(f"{path}: no covariate columns selected")
-    sel = [header.index(c) for c in cov_names]
-    a_ix, y_ix = header.index(config.treatment), header.index(config.outcome)
+    return cov_names
 
-    def cell(row, ix):
+
+def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
+    """Parse the selected columns in one pass over the rows; drop (and
+    count) rows with a bad, missing or non-finite selected cell.
+
+    Refuses to continue if more than half of the rows are dropped, if the
+    treatment column is not strictly {0,1}, if a requested column is
+    missing, if the header or the covariates name a column twice, if the
+    treatment and the outcome are one column, or if the covariates include
+    either of them.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            v = float(row[ix])
-        except (ValueError, IndexError):
-            return None
-        return v if math.isfinite(v) else None
-
-    X_rows, a_vals, y_vals = [], [], []
-    dropped = 0
-    for row in rows:
-        vals = [cell(row, ix) for ix in sel]
-        a = cell(row, a_ix)
-        y = cell(row, y_ix)
-        if any(v is None for v in vals) or a is None or y is None:
-            dropped += 1
-            continue
-        X_rows.append(vals)
-        a_vals.append(a)
-        y_vals.append(y)
-    if not X_rows:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        cov_names = _covariate_names(path, header, config)
+        cols = [header.index(c) for c in cov_names + [config.treatment, config.outcome]]
+        # the selected cells of each row that parses, covariates then A and y,
+        # one float64 each; a row with a bad or missing cell adds nothing
+        cells = array("d")
+        n_rows = 0
+        for n_rows, row in enumerate(reader, start=1):
+            try:
+                cells.extend([float(row[ix]) for ix in cols])
+            except (ValueError, IndexError):
+                pass
+    table = np.frombuffer(cells).reshape(-1, len(cols))
+    table = table[np.isfinite(table).all(axis=1)]
+    dropped = n_rows - table.shape[0]
+    if not table.shape[0]:
         raise ValueError(f"{path}: no complete rows after dropping {dropped}")
-    if dropped > 0.5 * len(rows):
-        raise ValueError(f"{path}: {dropped}/{len(rows)} rows incomplete; refusing to continue")
-    A = np.asarray(a_vals)
+    if dropped > 0.5 * n_rows:
+        raise ValueError(f"{path}: {dropped}/{n_rows} rows incomplete; refusing to continue")
+    # C-contiguous copies, the layout the fits' BLAS results depend on
+    X, A, y = (np.ascontiguousarray(part) for part in (table[:, :-2], table[:, -2], table[:, -1]))
     if not np.isin(A, (0.0, 1.0)).all():
         bad = sorted(set(A[~np.isin(A, (0.0, 1.0))]))[:3]
         raise ValueError(f"{path}: treatment column must be strictly 0/1, saw {bad}")
-    y = np.asarray(y_vals)
     if np.isin(y, (0.0, 1.0)).all():
         kind = OutcomeKind.binary()
     else:
         kind = OutcomeKind.bounded(float(y.min()), float(y.max()))
-    ds = Dataset(np.asarray(X_rows), A.astype(int), y, kind, tuple(cov_names))
+    ds = Dataset(X, A.astype(int), y, kind, tuple(cov_names))
     info = {"n": ds.n, "d": ds.d, "rows_dropped": dropped, "outcome_kind": kind.kind}
     return ds, info
 
@@ -276,6 +277,11 @@ def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = F
     return table[name]
 
 
+def _check_pd_method(config: RunConfig) -> None:
+    if config.pd_method not in PD_METHODS:
+        raise ValueError(f"unknown pd_method {config.pd_method!r}; choose from {PD_METHODS}")
+
+
 def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
               outcome_learner: Learner) -> tuple[AteResult, object]:
     """Run the configured estimator on ``ds``: the one estimator dispatch,
@@ -284,7 +290,10 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
     Returns (result, fit), where ``fit`` is what a report describes: the
     propensity ``PsFit`` from ``fit_nuisances`` (iptw, aiptw, tmle, and for
     dml that of its first repetition), the ``(PsFit, MatchResult)`` pair
-    (match), the ``CtmleTrace`` (ctmle_*), or None.
+    (match), the ``CtmleTrace`` (ctmle_*), or None. ``double_lasso`` returns
+    its ``pd_method``'s pair on the selected covariates, renamed
+    ``post_double_<pd_method>`` with the selected names in its diagnostics;
+    an empty selection gives the naive contrast, flagged there.
     """
     est, trim, seed = config.estimator, config.trim, config.seed
     if est == "naive":
@@ -305,9 +314,17 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
             return match_ate(ds, matches), (nuis.ps_fit, matches)
         return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis.ps_fit
     if est == "double_lasso":
-        sel = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
-                                  make_folds(ds.n, min(config.v_folds, 5), seed))
-        return post_double_ate(ds, sel, config.pd_method, trim=trim, seed=seed), None
+        _check_pd_method(config)
+        cols = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
+                                   make_folds(ds.n, min(config.v_folds, 5), seed)).union_set
+        if cols:
+            res, fit = _estimate(replace(config, estimator=config.pd_method),
+                                 ds.select_covariates(cols), ps_learner, outcome_learner)
+            diag = {**res.diagnostics, "selected": [ds.names[j] for j in cols]}
+        else:
+            res, fit = naive_ate(ds), None
+            diag = {**res.diagnostics, "warning": "empty_selection_naive_comparison", "selected": []}
+        return replace(res, method=f"post_double_{config.pd_method}", diagnostics=diag), fit
     fn = {
         "ctmle_greedy": ctmle_greedy,
         "ctmle_logistic": ctmle_preorder_logistic,
@@ -460,12 +477,14 @@ def simulate_cmd(spec_name: str, estimator_ids: list[str], R: int, seed: int,
     and the replicate's seed on one draw of the generator.
     """
     spec = _builtin_spec(spec_name)
-    # Reject bad ids and learners up front: inside mc_eval a ValueError only
-    # counts as a failed replicate. Every draw of a spec has the same d and
-    # outcome kind, so the learners parse once.
+    # Reject bad ids, a bad pd_method and learners up front: inside mc_eval a
+    # ValueError only counts as a failed replicate. Every draw of a spec has
+    # the same d and outcome kind, so the learners parse once.
     for est_id in estimator_ids:
         if est_id not in ESTIMATORS:
             raise ValueError(f"unknown estimator {est_id!r}; choose from {ESTIMATORS}")
+    if "double_lasso" in estimator_ids:
+        _check_pd_method(config)
     d = len(spec.covariate_kinds)
     out_learner = parse_learner(config, d, "outcome", spec.outcome_kind == "binary")
     ps_learner = parse_learner(config, d, "ps")
@@ -509,7 +528,7 @@ _FLAG_EXTRAS = {
     "config": {"help": "flat key = value config file"},
     "covariates": {"help": "comma-separated covariate columns (default: all others)"},
     "estimator": {"choices": ESTIMATORS},
-    "pd_method": {"choices": ("reg", "iptw", "aiptw")},
+    "pd_method": {"choices": PD_METHODS},
 }
 # The RunConfig flags each command reads; any other flag is an argparse error.
 _COMMAND_FLAGS = {

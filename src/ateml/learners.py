@@ -466,17 +466,16 @@ def lasso_cv(
     features: np.ndarray,
     target: np.ndarray,
     folds: FoldAssignment,
-    lambda_grid: np.ndarray | None = None,
+    lambda_grid: np.ndarray,
 ) -> LassoFit:
-    """Pick the penalty by cross-validated MSE over ``folds`` and refit on
-    all rows; the refit's ``lam`` is the chosen penalty.
+    """Pick the penalty from ``lambda_grid`` by cross-validated MSE over
+    ``folds`` and refit on all rows; the refit's ``lam`` is the chosen
+    penalty.
 
-    The grid (``default_lambda_grid`` when None) must be descending; exact
-    risk ties resolve toward the larger penalty (more regularisation).
+    The grid must be descending; exact risk ties resolve toward the larger
+    penalty (more regularisation).
     """
     X, y = _check_matrix(features, target)
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(X, y)
     return fit_lasso(X, y, _cv_penalty(X, y, lambda_grid, folds, _lasso_fold_losses))
 
 

@@ -1,9 +1,10 @@
 """Data-adaptive confounder selection.
 
-Two families live here. Post-double-selection runs one l1-penalised
-regression for the outcome and one for the treatment and adjusts for the
-union of their active sets. The collaborative targeting family builds a
-sequence of propensity models (greedy, pre-ordered, or along an l1 penalty
+Two families live here. Post-double-selection is the selection alone: one
+l1-penalised regression for the outcome and one for the treatment, whose
+active sets form the adjustment set; the command line's ``double_lasso``
+runs its estimator on that union. The collaborative targeting family builds
+a sequence of propensity models (greedy, pre-ordered, or along an l1 penalty
 path), fluctuates the initial outcome fit with each, and picks the candidate
 whose targeted fit cross-validates best.
 """
@@ -15,20 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .balance import _check_trim
-from .core import Dataset, FoldAssignment, LearnerSpec, make_stratified_folds
-from .estimators import (
-    AteResult,
-    NuisanceFits,
-    Q_BOUND,
-    _if_result,
-    _scaled,
-    _Targeted,
-    aiptw_ate,
-    fit_nuisances,
-    iptw_ate,
-    naive_ate,
-    reg_ate,
-)
+from .core import Dataset, FoldAssignment, make_stratified_folds
+from .estimators import AteResult, NuisanceFits, Q_BOUND, _if_result, _scaled, _Targeted
 from .learners import (
     _cv_penalty,
     _fit_logistic_candidates,
@@ -42,7 +31,6 @@ __all__ = [
     "SelectionResult",
     "CtmleTrace",
     "double_lasso_select",
-    "post_double_ate",
     "ctmle_greedy",
     "ctmle_preorder_logistic",
     "ctmle_preorder_correlation",
@@ -85,44 +73,6 @@ def double_lasso_select(
     fit_y = lasso_cv(X, Y, folds, default_lambda_grid(X, Y, n_lambda))
     fit_a = lasso_cv(X, A, folds, default_lambda_grid(X, A, n_lambda))
     return SelectionResult(fit_y.active_set, fit_a.active_set)
-
-
-def post_double_ate(
-    dataset: Dataset,
-    selection: SelectionResult,
-    method: str = "aiptw",
-    *,
-    trim: float = 0.01,
-    seed: int = 0,
-) -> AteResult:
-    """Parametric estimate adjusted for the selected union set.
-
-    Logistic propensity model; logistic or linear outcome model per the
-    outcome kind, fit separately by arm. An empty union set degrades to the
-    naive contrast, flagged in the diagnostics. Bootstrap callers should
-    rerun the selection inside each resample.
-    """
-    if method not in ("reg", "iptw", "aiptw"):
-        raise ValueError(f"unknown method {method!r}")
-    cols = list(selection.union_set)
-    name = f"post_double_{method}"
-    if not cols:
-        res = naive_ate(dataset)
-        diag = dict(res.diagnostics)
-        diag.update({"warning": "empty_selection_naive_comparison", "selected": []})
-        return AteResult(res.estimate, res.se, res.ci95, res.if_values, name, diag)
-    outcome_spec = LearnerSpec("logistic") if dataset.outcome_kind.is_binary else LearnerSpec("ols")
-    nuis = fit_nuisances(dataset.select_covariates(cols), LearnerSpec("logistic"), outcome_spec,
-                         trim=trim, seed=seed)
-    if method == "reg":
-        res = reg_ate(dataset, nuis)
-    elif method == "iptw":
-        res = iptw_ate(dataset, nuis.ps)
-    else:
-        res = aiptw_ate(dataset, nuis)
-    diag = dict(res.diagnostics)
-    diag["selected"] = [dataset.names[j] for j in cols]
-    return AteResult(res.estimate, res.se, res.ci95, res.if_values, name, diag)
 
 
 # ---------------------------------------------------------------------------

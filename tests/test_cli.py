@@ -11,11 +11,17 @@ Super Learners gained their regression form. The balance blocks of the
 six dml cases were written when dml began to report the propensity record
 of its first repetition; ``test_estimators.py`` recomputes that record by
 hand. ``CTMLE_GOLDEN`` pins the diagnostics and the candidate path of every
-CTMLE case as well.
+CTMLE case as well. The balance blocks of the three plain ``double_lasso``
+cases were written when ``double_lasso`` began to run its ``pd_method``
+through the estimator dispatch, from a logistic propensity fitted by the
+library on the selected covariates and weighed against all of them;
+``POST_DOUBLE_GOLDEN`` pins the method and diagnostics of every
+``double_lasso`` case.
 """
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +43,7 @@ CASES = (
     [(stem, est, ()) for stem in ("lin", "bin") for est in ESTIMATORS]
     + [("sparse", est, ()) for est in ("double_lasso", "ctmle_logistic",
                                        "ctmle_correlation", "ctmle_lasso")]
+    + [("lin", "double_lasso", ("--pd-method", pd)) for pd in ("reg", "iptw")]
     + [("sparse", "ctmle_greedy", ("--covariates", SPARSE_GREEDY)),
        ("lin", "reg", ("--bootstrap", "100")),
        ("lin", "match", ("--bootstrap", "100"))]
@@ -94,6 +101,8 @@ def test_golden_report(data, tmp_path, stem, est, flags):
     assert got["se"] == want["se"]
     for block in ("balance", "sl_weights", "warnings"):
         assert report[block] == want[block], block
+    if est == "double_lasso":
+        assert (got["method"], got["diagnostics"]) == POST_DOUBLE_GOLDEN[case_name(stem, est, flags)]
     ctmle = CTMLE_GOLDEN.get(case_name(stem, est, flags))
     if ctmle is not None:
         assert got["diagnostics"] == ctmle["diagnostics"]
@@ -225,16 +234,22 @@ def test_auto_propensity_learner_is_logistic(data, tmp_path):
     assert auto == logistic
 
 
-def test_run_reports_each_distinct_warning_once(data, tmp_path):
-    # x1 equal to the treatment is degenerate within each arm, which every
-    # ASAM stage of twang warns about
-    rows = [line.split(",") for line in open(data["lin"], encoding="utf-8").read().splitlines()]
+def x1_is_treatment(src, tmp_path):
+    """A copy of the CSV at ``src`` whose x1 column equals the treatment."""
+    rows = [line.split(",") for line in open(src, encoding="utf-8").read().splitlines()]
     x1, a = rows[0].index("x1"), rows[0].index("treatment")
     for row in rows[1:]:
         row[x1] = row[a]
     path = tmp_path / "x1_is_treatment.csv"
     path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
-    report = cli_report(str(path), tmp_path / "r.json", "iptw", ("--ps-learner", "twang"))
+    return str(path)
+
+
+def test_run_reports_each_distinct_warning_once(data, tmp_path):
+    # x1 equal to the treatment is degenerate within each arm, which every
+    # ASAM stage of twang warns about
+    path = x1_is_treatment(data["lin"], tmp_path)
+    report = cli_report(path, tmp_path / "r.json", "iptw", ("--ps-learner", "twang"))
     assert report["warnings"] == ["positivity_warning",
                                   "degenerate covariate columns excluded from ASAM: [0]"]
 
@@ -385,6 +400,85 @@ def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning):
     assert "NaN" not in text
 
 
+def record_fits(monkeypatch):
+    """Record each call of the command line's ``double_lasso_select`` and
+    ``fit_nuisances``; a fit is recorded as which of its two learners were
+    given, (propensity, outcome)."""
+    import ateml.cli as cli_mod
+
+    calls = []
+    select, fit = cli_mod.double_lasso_select, cli_mod.fit_nuisances
+
+    def recorded_select(*args, **kwargs):
+        calls.append("select")
+        return select(*args, **kwargs)
+
+    def recorded_fit(ds, ps_spec=None, outcome_spec=None, **kwargs):
+        calls.append((ps_spec is not None, outcome_spec is not None))
+        return fit(ds, ps_spec, outcome_spec, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "double_lasso_select", recorded_select)
+    monkeypatch.setattr(cli_mod, "fit_nuisances", recorded_fit)
+    return calls
+
+
+@pytest.mark.parametrize("pd_method,fitted", [("reg", (False, True)), ("iptw", (True, False)),
+                                              ("aiptw", (True, True))])
+def test_double_lasso_fits_only_what_its_pd_method_uses(data, monkeypatch, pd_method, fitted):
+    calls = record_fits(monkeypatch)
+    run(RunConfig(data=data["lin"], estimator="double_lasso", pd_method=pd_method))
+    assert calls == ["select", fitted]
+
+
+@pytest.mark.parametrize("pd_method", ["dml", "double_lasso"])
+def test_a_bad_pd_method_is_rejected_before_any_fit(data, tmp_path, capsys, monkeypatch,
+                                                    pd_method):
+    calls = record_fits(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"estimator = double_lasso\npd_method = {pd_method}\n")
+    out = tmp_path / "out"
+    for command, flags in (("run", ("--data", data["lin"])),
+                           ("simulate", ("--spec", "confounded_linear", "--estimators",
+                                         "double_lasso", "-R", "2"))):
+        assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert f"unknown pd_method {pd_method!r}" in record["message"]
+        assert calls == [] and not out.exists()
+
+
+def test_double_lasso_reports_the_warnings_of_its_propensity(data, tmp_path):
+    # x1 equal to the treatment is selected, and its propensity clips more
+    # than a tenth of the units, as it does for aiptw on all covariates
+    path = x1_is_treatment(data["lin"], tmp_path)
+    for est in ("aiptw", "double_lasso"):
+        report = cli_report(path, tmp_path / "r.json", est, ())
+        assert report["warnings"] == ["positivity_warning"], est
+    assert "x1" in report["result"]["diagnostics"]["selected"]
+
+
+def test_double_lasso_with_an_empty_selection_reports_the_naive_contrast(data, monkeypatch):
+    import ateml.cli as cli_mod
+    from ateml.selection import SelectionResult
+
+    monkeypatch.setattr(cli_mod, "double_lasso_select", lambda *args: SelectionResult((), ()))
+    naive = run(RunConfig(data=data["lin"]))["result"]
+    report = run(RunConfig(data=data["lin"], estimator="double_lasso", pd_method="iptw"))
+    got = report["result"]
+    assert (got["estimate"], got["se"]) == (naive["estimate"], naive["se"])
+    assert got["method"] == "post_double_iptw"
+    assert got["diagnostics"] == {**naive["diagnostics"], "selected": [],
+                                  "warning": "empty_selection_naive_comparison"}
+    assert report["balance"] is None and report["warnings"] == []
+
+
+@pytest.mark.parametrize("flags", [("--ps-learner", "forest"), ("--outcome-learner", "tree")])
+def test_double_lasso_runs_the_configured_learners(data, tmp_path, flags):
+    report = cli_report(data["lin"], tmp_path / "r.json", "double_lasso", flags)
+    assert report["result"]["estimate"] != GOLDEN["lin double_lasso"]["estimate"]
+    assert report["result"]["diagnostics"]["selected"] == LIN_SELECTED
+
+
 @pytest.mark.parametrize("est", ["iptw", "match", "aiptw", "tmle", "dml", "double_lasso",
                                  "ctmle_greedy", "ctmle_logistic", "ctmle_correlation",
                                  "ctmle_lasso"])
@@ -405,6 +499,24 @@ def test_ingest_drops_and_counts_rows_with_a_bad_cell(tmp_path):
     assert ds.n == len(good)
     assert ds.covariates.tolist() == [[k, -k] for k in range(10)]
     assert ds.outcome.tolist() == [0.5 * k for k in range(10)]
+
+
+def test_ingest_keeps_one_float_per_selected_cell(tmp_path):
+    # the rows are parsed in one pass into one float64 table: 50,000 rows of
+    # 8 columns are 3.2 MB of it, where one Python string per cell took 49.5
+    path = tmp_path / "big.csv"
+    assert main(["export-dgp", "--spec", "confounded_linear", "--n", "50000", "--seed", "3",
+                 "--out", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        ds, info = ingest_csv(str(path), RunConfig(data=str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+    assert (ds.n, ds.d, info["rows_dropped"]) == (50000, 6, 0)
+    for a in (ds.covariates, ds.treatment, ds.outcome):
+        assert a.flags.c_contiguous
 
 
 def test_ingest_rejects_a_header_that_names_a_column_twice(tmp_path):
@@ -497,7 +609,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
              'warnings': []},
  'lin double_lasso': {'estimate': 0.9432451931101158,
                       'se': 0.1283131398276581,
-                      'balance': None,
+                      'balance': {'asam_iptw': 0.018706077111528285,
+                                  'asam_unweighted': 0.23808687260614284,
+                                  'flagged_iptw': 0,
+                                  'flagged_unweighted': 4},
                       'sl_weights': None,
                       'warnings': []},
  'lin ctmle_greedy': {'estimate': 0.9672300980450854,
@@ -572,7 +687,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
              'warnings': []},
  'bin double_lasso': {'estimate': 0.18285822853878458,
                       'se': 0.054086619619599985,
-                      'balance': None,
+                      'balance': {'asam_iptw': 0.02016405204727877,
+                                  'asam_unweighted': 0.22767444403166684,
+                                  'flagged_iptw': 0,
+                                  'flagged_unweighted': 5},
                       'sl_weights': None,
                       'warnings': []},
  'bin ctmle_greedy': {'estimate': 0.1818322739281439,
@@ -597,7 +715,10 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                      'warnings': []},
  'sparse double_lasso': {'estimate': 1.0150130902829573,
                          'se': 0.12277992093481016,
-                         'balance': None,
+                         'balance': {'asam_iptw': 0.07894739063106682,
+                                     'asam_unweighted': 0.09979705707518301,
+                                     'flagged_iptw': 15,
+                                     'flagged_unweighted': 22},
                          'sl_weights': None,
                          'warnings': []},
  'sparse ctmle_logistic': {'estimate': 1.1323448816649553,
@@ -865,7 +986,39 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                              'flagged_iptw': 2,
                                              'flagged_unweighted': 5},
                                  'sl_weights': None,
-                                 'warnings': []}}
+                                 'warnings': []},
+ 'lin double_lasso --pd-method reg': {'estimate': 0.9672815345323704,
+                                      'se': None,
+                                      'balance': None,
+                                      'sl_weights': None,
+                                      'warnings': []},
+ 'lin double_lasso --pd-method iptw': {'estimate': 0.9518027206038908,
+                                       'se': 0.2653928017741435,
+                                       'balance': {'asam_iptw': 0.018706077111528285,
+                                                   'asam_unweighted': 0.23808687260614284,
+                                                   'flagged_iptw': 0,
+                                                   'flagged_unweighted': 4},
+                                       'sl_weights': None,
+                                       'warnings': []}}
+
+
+# Method and diagnostics of every double_lasso case, written by the command
+# line while it ran its own copy of the post-selection estimators.
+LIN_SELECTED = ['x1', 'x2', 'x3', 'x4', 'x5', 'x6']
+POST_DOUBLE_GOLDEN = {
+    'lin double_lasso': ('post_double_aiptw',
+                         {'provenance': 'full_sample', 'selected': LIN_SELECTED}),
+    'bin double_lasso': ('post_double_aiptw',
+                         {'provenance': 'full_sample', 'selected': LIN_SELECTED}),
+    'sparse double_lasso': ('post_double_aiptw',
+                            {'provenance': 'full_sample',
+                             'selected': ['x1', 'x2', 'x3', 'x4', 'x5', 'x6', 'x14', 'x28',
+                                          'x41', 'x45', 'x46']}),
+    'lin double_lasso --pd-method reg': ('post_double_reg',
+                                         {'provenance': 'full_sample', 'selected': LIN_SELECTED}),
+    'lin double_lasso --pd-method iptw': ('post_double_iptw',
+                                          {'ps_known_se': True, 'selected': LIN_SELECTED}),
+}
 
 
 # Diagnostics and path of every CTMLE case, written before each candidate

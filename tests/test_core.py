@@ -19,7 +19,7 @@ from ateml.core import (
 )
 from ateml import learners, superlearner
 from ateml.estimators import fit_nuisances
-from ateml.learners import lasso_cv
+from ateml.learners import default_lambda_grid, lasso_cv
 from ateml.selection import double_lasso_select
 from ateml.superlearner import SLLibrary, level_one
 
@@ -101,7 +101,8 @@ FOLD_CONSUMERS = {
     "fit_nuisances": lambda ds, folds: fit_nuisances(ds, _NoFit(), _NoFit(), folds=folds),
     "level_one": lambda ds, folds: level_one(SLLibrary((LearnerSpec("ols"),), ("ols",)),
                                              ds.covariates, ds.outcome, folds),
-    "lasso_cv": lambda ds, folds: lasso_cv(ds.covariates, ds.outcome, folds),
+    "lasso_cv": lambda ds, folds: lasso_cv(ds.covariates, ds.outcome, folds,
+                                           default_lambda_grid(ds.covariates, ds.outcome)),
     "double_lasso_select": lambda ds, folds: double_lasso_select(
         ds.covariates, ds.treatment, ds.outcome, folds),
 }

@@ -213,7 +213,7 @@ class TestLassoCv:
             rng = rng_from(1000 + seed)
             X = rng.standard_normal((200, 8))
             y = rng.standard_normal(200)
-            fit = lasso_cv(X, y, make_folds(200, 4, seed))
+            fit = lasso_cv(X, y, make_folds(200, 4, seed), default_lambda_grid(X, y))
             hits += len(fit.active_set) <= 2
         assert hits >= 27  # >= 90% of seeds keep at most two columns
 
@@ -223,7 +223,7 @@ class TestLassoCv:
             rng = rng_from(2000 + seed)
             X = rng.standard_normal((80, 10))
             y = 3.0 * X[:, 0] + 0.1 * rng.standard_normal(80)
-            fit = lasso_cv(X, y, make_folds(80, 4, seed))
+            fit = lasso_cv(X, y, make_folds(80, 4, seed), default_lambda_grid(X, y))
             hits += 0 in fit.active_set
         assert hits == 20
 
