@@ -24,6 +24,7 @@ import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -172,7 +173,9 @@ def _covariate_names(path: str, header: list[str], config: RunConfig) -> list[st
 
 def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
     """Parse the selected columns in one pass over the rows; drop (and
-    count) rows with a bad, missing or non-finite selected cell.
+    count) rows with a bad, missing or non-finite selected cell, a selected
+    cell with a digit separator (``1_0``), or more or fewer cells than the
+    header.
 
     Refuses to continue if more than half of the rows are dropped, if the
     treatment column is not strictly {0,1}, if a requested column is
@@ -187,17 +190,22 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         cov_names = _covariate_names(path, header, config)
-        cols = [header.index(c) for c in cov_names + [config.treatment, config.outcome]]
+        pick = itemgetter(*(header.index(c) for c in cov_names + [config.treatment, config.outcome]))
         # the selected cells of each row that parses, covariates then A and y,
-        # one float64 each; a row with a bad or missing cell adds nothing
+        # one float64 each; any other row adds nothing
         cells = array("d")
         n_rows = 0
+        width = len(header)
         for n_rows, row in enumerate(reader, start=1):
-            try:
-                cells.extend([float(row[ix]) for ix in cols])
-            except (ValueError, IndexError):
-                pass
-    table = np.frombuffer(cells).reshape(-1, len(cols))
+            if len(row) == width:
+                picked = pick(row)
+                try:
+                    # float() reads 1_0 as 10; the tuple is whole before a cell is added
+                    if "_" not in "".join(picked):
+                        cells.extend(tuple(map(float, picked)))
+                except ValueError:
+                    pass
+    table = np.frombuffer(cells).reshape(-1, len(cov_names) + 2)
     table = table[np.isfinite(table).all(axis=1)]
     dropped = n_rows - table.shape[0]
     if not table.shape[0]:
@@ -374,8 +382,10 @@ def run(config: RunConfig) -> dict:
 
     Returns the report dict; the caller writes it and decides the exit code.
     Identical config and seed produce identical reports apart from timings.
-    ``reg`` and ``match`` take their standard error from ``config.bootstrap``
-    replicates when it is set.
+    An estimate without an analytic standard error (``reg``, ``match``, and
+    ``double_lasso`` with ``pd_method`` reg) takes it from
+    ``config.bootstrap`` replicates when that is set; each replicate reruns
+    the whole estimator, covariate selection included.
     """
     t0 = time.time()
     with warnings.catch_warnings(record=True) as caught:
@@ -385,7 +395,7 @@ def run(config: RunConfig) -> dict:
         out_learner = parse_learner(config, ds.d, "outcome", ds.outcome_kind.is_binary)
         ps_learner = parse_learner(config, ds.d, "ps")
         res, fit = _estimate(config, ds, ps_learner, out_learner)
-        if config.bootstrap and config.estimator in ("reg", "match"):
+        if config.bootstrap and res.se is None:
             se, ci = bootstrap_ci(
                 lambda d2, s2: _estimate(replace(config, seed=s2), d2, ps_learner, out_learner)[0],
                 ds, B=config.bootstrap, seed=config.seed)

@@ -1,16 +1,10 @@
 """V-fold stacking: convex combinations of candidate learners.
 
 The level-one matrix holds out-of-fold predictions, the meta-learner finds
-the simplex weights of least squared error on it, and the candidates with a
-non-zero weight are refit on the full data to carry the weights forward.
-The fitted ensemble keeps each candidate's level-one CV risk and that of the
-combination.
-
-``scipy.optimize`` (for ``nnls``) is imported on the first ``meta_weights``
-call, not with this module. Nothing else in ateml uses it, and importing it
-made up about a third of the start-up time of every ``ateml`` process
-(0.3 of 0.9 s for ``import ateml.cli``), which a run that fits no Super
-Learner never needs.
+the simplex weights of least squared error on it with an exact active-set
+method (numpy only), and the candidates with a non-zero weight are refit on
+the full data to carry the weights forward. The fitted ensemble keeps each
+candidate's level-one CV risk and that of the combination.
 """
 
 from __future__ import annotations
@@ -77,8 +71,7 @@ class SLModel:
     ``models[k]`` is candidate k's full-data refit, or None when its weight
     is 0. ``candidate_risks`` and ``meta_risk`` are the level-one CV mean
     squared errors of each candidate and of the combination. ``flags`` lists
-    the meta-weight flags, then those of the refits, each once in first-seen
-    order.
+    the flags of the refits, each once in first-seen order.
     """
 
     library: SLLibrary
@@ -87,7 +80,6 @@ class SLModel:
     candidate_risks: tuple[float, ...]
     meta_risk: float
     target_kind: str
-    weight_flags: tuple[str, ...] = ()
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -101,8 +93,7 @@ class SLModel:
 
     @property
     def flags(self) -> tuple[str, ...]:
-        refit_flags = (f for m in self.models if m is not None for f in m.flags)
-        return tuple(dict.fromkeys((*self.weight_flags, *refit_flags)))
+        return tuple(dict.fromkeys(f for m in self.models if m is not None for f in m.flags))
 
     def weight_table(self) -> dict[str, float]:
         return {n: float(w) for n, w in zip(self.library.names, self.weights)}
@@ -137,93 +128,63 @@ def level_one(
     return Z
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.max(np.flatnonzero(u - css / np.arange(1, v.size + 1) > 0)) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _pgd_simplex(Z, y, w0, max_iter=20000, gap_tol=1e-9):
-    """Projected gradient descent for the mean squared error on the simplex,
-    with a duality-gap stop.
-
-    The Frank-Wolfe gap max_j <grad, w - e_j> upper-bounds the suboptimality
-    of a convex objective over the simplex, so the returned point is within
-    gap_tol of the optimum. Steps use deterministic backtracking.
-    """
-    n = Z.shape[0]
-
-    def value(w):
-        r = Z @ w - y
-        return float(r @ r) / n
-
-    def grad(w):
-        return 2.0 * (Z.T @ (Z @ w - y)) / n
-    step = 1.0 / max(2.0 * np.linalg.norm(Z, 2) ** 2 / n, 1e-12)
-
-    w = w0.copy()
-    f = value(w)
-    for _ in range(max_iter):
-        g = grad(w)
-        gap = float(g @ w - g.min())
-        if gap < gap_tol:
-            break
-        while True:
-            w_new = _project_simplex(w - step * g)
-            d = w_new - w
-            f_new = value(w_new)
-            if f_new <= f + float(g @ d) + float(d @ d) / (2.0 * step) + 1e-15:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return w
-        w, f = w_new, f_new
-        step *= 1.25
-    return w
-
-
-def meta_weights(Z: np.ndarray, target: np.ndarray):
+def meta_weights(Z: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Simplex weights minimising the mean squared error of Z @ w against the
     target.
 
-    Starts from non-negative least squares (normalised to the simplex) and is
-    polished by projected gradient until a duality-gap certificate shows the
-    weights are within 1e-9 of optimal. Returns (weights, flags).
+    Lawson and Hanson's active-set method with the sum-to-one constraint:
+    start at the best single candidate, add the candidate of most negative
+    gradient, solve the equality-constrained least-squares problem on the
+    chosen set and, where a weight would fall to 0 or below, stop at that
+    bound and drop the candidate. The subproblem is solved on Z itself, not
+    on Z'Z, whose squared condition number left near-collinear candidates
+    uncertified: w = e_a + sum_j u_j (e_j - e_a) for the set's first
+    candidate a, u the minimum-norm least-squares solution, and a weight
+    within 1e-12 of 0 there counts as 0. It ends when the Frank-Wolfe gap
+    max_j <grad, w - e_j>, which bounds the distance to the optimum, is
+    below 1e-9 (times the target's mean square where that exceeds 1), and
+    raises FitError if 3m additions do not get there. Ties go to the lower
+    index, a column equal to an earlier one weighs 0, and every candidate
+    outside the final set weighs exactly 0.0.
     """
     Z = np.asarray(Z, dtype=float)
     y = np.asarray(target, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != y.shape[0] or Z.shape[1] < 1:
+    if Z.ndim != 2 or y.shape != Z.shape[:1] or Z.shape[1] < 1:
         raise ValueError("level-one matrix and target are inconsistent")
-    m = Z.shape[1]
-    flags: tuple[str, ...] = ()
-    if m == 1:
-        return np.array([1.0]), flags
-    # imported here: at module top it cost every process 0.3 s and 22 MB (2-core host)
-    from scipy.optimize import nnls
-
-    w, _ = nnls(Z, y)
-    s = w.sum()
-    if s <= 0:
-        w = np.full(m, 1.0 / m)
-        flags = ("nnls_zero_uniform_fallback",)
-    else:
-        w = w / s
-    w = _pgd_simplex(Z, y, w)
-    w = np.maximum(w, 0.0)
-    w = w / w.sum()
-    # hard guard for the convexity guarantee: never report weights that lose
-    # to a single candidate in mean squared error
-    best_val = loss_mse(Z @ w, y)
-    for k in range(m):
-        val = loss_mse(Z[:, k], y)
-        if val < best_val - 1e-12:
-            w = np.zeros(m)
-            w[k] = 1.0
-            best_val = val
-    return w, flags
+    if not (np.isfinite(Z).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite values in the level-one matrix or target")
+    n, m = Z.shape
+    tol = 1e-9 * max(1.0, float(y @ y) / n)
+    barred = np.array([any(np.array_equal(Z[:, j], Z[:, k]) for j in range(k)) for k in range(m)])
+    w = np.zeros(m)
+    active = np.zeros(m, dtype=bool)
+    active[np.where(barred, np.inf, ((Z - y[:, None]) ** 2).mean(axis=0)).argmin()] = True
+    w[active] = 1.0
+    for _ in range(3 * m):
+        g = Z.T @ (Z @ w - y)  # the gradient times n/2
+        if 2.0 * float(g @ w - g.min()) / n < tol:
+            return w / w.sum()
+        active[np.where(active | barred, np.inf, g).argmin()] = True
+        while True:
+            idx = np.flatnonzero(active)
+            Za = Z[:, idx]
+            u = np.linalg.lstsq(Za[:, 1:] - Za[:, :1], y - Za[:, 0], rcond=None)[0]
+            z = np.concatenate(([1.0 - u.sum()], u))
+            z[np.abs(z) <= 1e-12] = 0.0  # round-off of a weight that is 0 at this optimum
+            if (z > 0).all():
+                w[idx] = z
+                break
+            # step from w towards z until the first weight reaches 0
+            cur = w[idx]
+            out = np.flatnonzero(z <= 0)
+            ratios = np.divide(cur[out], cur[out] - z[out], out=np.zeros(out.size),
+                               where=cur[out] > 0)
+            cur += ratios.min() * (z - cur)
+            cur[out[ratios.argmin()]] = 0.0
+            dropped = cur <= 0
+            active[idx[dropped]] = False
+            w[idx] = np.where(dropped, 0.0, cur)
+    raise FitError(f"meta-weights not certified optimal after {3 * m} additions")
 
 
 def fit_super_learner(
@@ -247,13 +208,13 @@ def fit_super_learner(
     else:
         folds = make_folds(X.shape[0], library.V, seed)
     Z = level_one(library, X, y, folds, target_kind=target_kind)
-    w, flags = meta_weights(Z, y)
+    w = meta_weights(Z, y)
     cand_risks = tuple(loss_mse(Z[:, k], y) for k in range(len(library)))
     models = tuple(
         fit_learner(spec, X, y, target_kind=target_kind) if w_k != 0.0 else None
         for spec, w_k in zip(library.candidates, w)
     )
-    return SLModel(library, w, models, cand_risks, loss_mse(Z @ w, y), target_kind, flags)
+    return SLModel(library, w, models, cand_risks, loss_mse(Z @ w, y), target_kind)
 
 
 def demo_library(d: int) -> SLLibrary:

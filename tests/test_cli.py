@@ -16,7 +16,12 @@ cases were written when ``double_lasso`` began to run its ``pd_method``
 through the estimator dispatch, from a logistic propensity fitted by the
 library on the selected covariates and weighed against all of them;
 ``POST_DOUBLE_GOLDEN`` pins the method and diagnostics of every
-``double_lasso`` case.
+``double_lasso`` case. The seven ``sl_small`` cases (estimate, SE, balance
+and weights) were rewritten when the meta-weights moved to an exact
+active-set solver. A rewrite of that kind is held to a bound fixed before
+it: per case, the estimate and the SE each move by at most 1e-6 times the
+SE, and the set of zero weights and the warnings stay the same (they moved
+by at most 1.5e-8 and 5.1e-9 times the SE).
 """
 
 import json
@@ -430,6 +435,19 @@ def test_double_lasso_fits_only_what_its_pd_method_uses(data, monkeypatch, pd_me
     assert calls == ["select", fitted]
 
 
+def test_double_lasso_reg_takes_a_bootstrap_standard_error(data, monkeypatch):
+    # post-double reg has no analytic SE; each replicate reruns the selection
+    calls = record_fits(monkeypatch)
+    report = run(RunConfig(data=data["lin"], estimator="double_lasso", pd_method="reg",
+                           bootstrap=100))
+    got = report["result"]
+    assert got["estimate"] == GOLDEN["lin double_lasso --pd-method reg"]["estimate"]
+    assert (got["se"], got["ci_lo"], got["ci_hi"]) == (
+        0.13168537915696268, 0.7154554950195413, 1.179490042362116)
+    assert got["diagnostics"]["se_method"] == "bootstrap"
+    assert calls == ["select", (False, True)] * 101
+
+
 @pytest.mark.parametrize("pd_method", ["dml", "double_lasso"])
 def test_a_bad_pd_method_is_rejected_before_any_fit(data, tmp_path, capsys, monkeypatch,
                                                     pd_method):
@@ -489,16 +507,21 @@ def test_every_estimator_that_trims_rejects_a_trim_outside_its_range(data, est):
 
 
 def test_ingest_drops_and_counts_rows_with_a_bad_cell(tmp_path):
-    good = [f"{t},{0.5 * k},{k},{-k}" for k, t in enumerate([0, 1] * 5)]
+    good = [f"{t},{0.5 * k},{k},{-k}" for k, t in enumerate([0, 1] * 8)]
     bad = ["1,nan,1,2", "0,1.0,inf,2", "1,1.0,3,-inf", "0,1.0,,2", "1,1.0,3,abc",
-           ",1.0,3,2", "1,NaN,1,2", "0,1.0,Infinity,2", "1,1.0,3"]
+           ",1.0,3,2", "1,NaN,1,2", "0,1.0,Infinity,2", "1,1.0,3",
+           # more cells than the header; a digit separator, which float() accepts
+           "1,3,4,5,6", "1,3,4,5,", "0,1_0,3,2", "1,1.0,3,2_5"]
     path = tmp_path / "cells.csv"
     path.write_text("\n".join(["treatment,outcome,x1,x2"] + good[:5] + bad + good[5:]) + "\n")
     ds, info = ingest_csv(str(path), RunConfig(data=str(path)))
     assert info["rows_dropped"] == len(bad)
     assert ds.n == len(good)
-    assert ds.covariates.tolist() == [[k, -k] for k in range(10)]
-    assert ds.outcome.tolist() == [0.5 * k for k in range(10)]
+    assert ds.covariates.tolist() == [[k, -k] for k in range(16)]
+    assert ds.outcome.tolist() == [0.5 * k for k in range(16)]
+    # only the selected cells are read: x2 = -inf, abc or 2_5 drops no row
+    ds, info = ingest_csv(str(path), RunConfig(data=str(path), covariates=("x1",)))
+    assert (ds.n, info["rows_dropped"]) == (len(good) + 3, len(bad) - 3)
 
 
 def test_ingest_keeps_one_float_per_selected_cell(tmp_path):
@@ -786,49 +809,49 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                              'flagged_unweighted': 4},
                                  'sl_weights': None,
                                  'warnings': []},
- 'lin iptw --ps-learner sl_small': {'estimate': 0.9135225129587513,
-                                    'se': 0.255662426883321,
-                                    'balance': {'asam_iptw': 0.0582098586865936,
+ 'lin iptw --ps-learner sl_small': {'estimate': 0.9135225129715153,
+                                    'se': 0.25566242662143923,
+                                    'balance': {'asam_iptw': 0.05820985824611993,
                                                 'asam_unweighted': 0.23808687260614284,
                                                 'flagged_iptw': 2,
                                                 'flagged_unweighted': 4},
                                     'sl_weights': {'ps': {'boost': 0.0,
-                                                          'logistic': 0.48283935799998334,
-                                                          'tree': 0.5171606420000167}},
+                                                          'logistic': 0.4828393660212922,
+                                                          'tree': 0.5171606339787078}},
                                     'warnings': []},
- 'lin aiptw --ps-learner sl_small': {'estimate': 0.9696516625057058,
-                                     'se': 0.12435162872452288,
-                                     'balance': {'asam_iptw': 0.0582098586865936,
+ 'lin aiptw --ps-learner sl_small': {'estimate': 0.9696516623253632,
+                                     'se': 0.12435162862499859,
+                                     'balance': {'asam_iptw': 0.05820985824611993,
                                                  'asam_unweighted': 0.23808687260614284,
                                                  'flagged_iptw': 2,
                                                  'flagged_unweighted': 4},
                                      'sl_weights': {'ps': {'boost': 0.0,
-                                                           'logistic': 0.48283935799998334,
-                                                           'tree': 0.5171606420000167}},
+                                                           'logistic': 0.4828393660212922,
+                                                           'tree': 0.5171606339787078}},
                                      'warnings': []},
- 'lin tmle --ps-learner sl_small': {'estimate': 0.9700018684778083,
-                                    'se': 0.12433349606847222,
-                                    'balance': {'asam_iptw': 0.0582098586865936,
+ 'lin tmle --ps-learner sl_small': {'estimate': 0.9700018682718673,
+                                    'se': 0.12433349597044915,
+                                    'balance': {'asam_iptw': 0.05820985824611993,
                                                 'asam_unweighted': 0.23808687260614284,
                                                 'flagged_iptw': 2,
                                                 'flagged_unweighted': 4},
                                     'sl_weights': {'ps': {'boost': 0.0,
-                                                          'logistic': 0.48283935799998334,
-                                                          'tree': 0.5171606420000167}},
+                                                          'logistic': 0.4828393660212922,
+                                                          'tree': 0.5171606339787078}},
                                     'warnings': []},
- 'lin iptw --ps-learner sl_small --v-folds 5': {'estimate': 0.9002279342809383,
-                                                'se': 0.24493566670286052,
-                                                'balance': {'asam_iptw': 0.05608455208710861,
+ 'lin iptw --ps-learner sl_small --v-folds 5': {'estimate': 0.9002279380529995,
+                                                'se': 0.24493566795307206,
+                                                'balance': {'asam_iptw': 0.05608454979701891,
                                                             'asam_unweighted': 0.23808687260614284,
                                                             'flagged_iptw': 1,
                                                             'flagged_unweighted': 4},
-                                                'sl_weights': {'ps': {'boost': 0.06300209538385328,
-                                                                      'logistic': 0.5506623708252079,
-                                                                      'tree': 0.38633553379093893}},
+                                                'sl_weights': {'ps': {'boost': 0.06300208307460699,
+                                                                      'logistic': 0.5506624026160323,
+                                                                      'tree': 0.3863355143093607}},
                                                 'warnings': []},
- 'lin dml --ps-learner sl_small --dml-s 1': {'estimate': 0.9429247489037083,
-                                             'se': 0.17698087845103366,
-                                             'balance': {'asam_iptw': 0.03816208920319245,
+ 'lin dml --ps-learner sl_small --dml-s 1': {'estimate': 0.9429247486488594,
+                                             'se': 0.17698087838128854,
+                                             'balance': {'asam_iptw': 0.03816208923057409,
                                                          'asam_unweighted': 0.23808687260614284,
                                                          'flagged_iptw': 0,
                                                          'flagged_unweighted': 4},
@@ -955,16 +978,16 @@ GOLDEN = {'lin naive': {'estimate': 1.0164181161936257,
                                     'balance': None,
                                     'sl_weights': None,
                                     'warnings': []},
- 'bin aiptw --outcome-learner sl_small': {'estimate': 0.1836071297550935,
-                                          'se': 0.05264155999071854,
+ 'bin aiptw --outcome-learner sl_small': {'estimate': 0.18360712990681383,
+                                          'se': 0.05264155996846855,
                                           'balance': {'asam_iptw': 0.020164052047278867,
                                                       'asam_unweighted': 0.22767444403166684,
                                                       'flagged_iptw': 0,
                                                       'flagged_unweighted': 5},
                                           'sl_weights': None,
                                           'warnings': []},
- 'lin aiptw --outcome-learner sl_small': {'estimate': 0.9372641496419991,
-                                          'se': 0.12355113360453684,
+ 'lin aiptw --outcome-learner sl_small': {'estimate': 0.9372641496798182,
+                                          'se': 0.12355113359834223,
                                           'balance': {'asam_iptw': 0.01870607711152832,
                                                       'asam_unweighted': 0.23808687260614284,
                                                       'flagged_iptw': 0,

@@ -1,9 +1,9 @@
 """What a fresh ``ateml`` process imports.
 
-``scipy.optimize`` serves only the Super Learner's meta-weights, and
-importing it costs every process about 0.3 s and 22 MB, so it loads on the
-first ``superlearner.meta_weights`` call. Each case runs in a fresh
-interpreter, since this test process may have imported it already.
+No ``ateml`` command loads ``scipy.optimize``, Super Learner runs included:
+the meta-weights come from a numpy active-set solver, and importing the
+module would cost every process about 0.3 s and 22 MB. Each case runs in a
+fresh interpreter, since this test process may have imported it already.
 """
 
 import os
@@ -55,7 +55,22 @@ def test_parametric_run_leaves_scipy_optimize_unloaded(lin_csv, tmp_path):
     assert not loads_scipy_optimize(call, tmp_path)
 
 
-def test_super_learner_run_loads_scipy_optimize(lin_csv, tmp_path):
+def test_super_learner_run_leaves_scipy_optimize_unloaded(lin_csv, tmp_path):
     call = main_call("run", "--data", lin_csv, "--out", "r.json", "--estimator", "iptw",
                      "--ps-learner", "sl_small", "--v-folds", "3")
-    assert loads_scipy_optimize(call, tmp_path)
+    assert not loads_scipy_optimize(call, tmp_path)
+
+
+def test_super_learner_balance_leaves_scipy_optimize_unloaded(tmp_path):
+    # the 15-candidate sl library: 80 rows and 2 folds keep it to seconds
+    export = main_call("export-dgp", "--spec", "confounded_linear", "--n", "80", "--out", "s.csv")
+    balance = main_call("balance", "--data", "s.csv", "--adjust", "iptw_sl", "--v-folds", "2",
+                        "--out", "b.csv")
+    assert not loads_scipy_optimize(f"{export}\n{balance}", tmp_path)
+
+
+def test_super_learner_simulate_leaves_scipy_optimize_unloaded(tmp_path):
+    (tmp_path / "sl.cfg").write_text("ps_learner = sl_small\nv_folds = 3\n")
+    call = main_call("simulate", "--spec", "confounded_linear", "--estimators", "iptw",
+                     "-R", "2", "--config", "sl.cfg", "--out", "sim.csv")
+    assert not loads_scipy_optimize(call, tmp_path)
