@@ -7,11 +7,15 @@ bounded (Bernoulli) covariate columns, and any specification whose implied
 score can leave [0.05, 0.95] anywhere on the covariate support is rejected.
 This keeps a plain logistic propensity model exactly correctly specified,
 which the coverage checks rely on.
+
+The true ATE is exact: a sum over Bernoulli cells of 1-D Gauss-Hermite
+integrals for a logit outcome (``true_ate``); a binary-outcome spec that such
+a sum cannot express is rejected at construction (``DgpSpec``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -30,8 +34,6 @@ __all__ = [
 ]
 
 PS_LO, PS_HI = 0.05, 0.95
-_POP_MC_DRAWS = 1_000_000
-_POP_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,11 @@ class DgpSpec:
     column x^2 = x, and a normal column never enters the treatment score, so
     its square is independent of treatment (arm-wise OLS ``reg`` stays
     unbiased on ``confounded_linear`` with quadratics on x1..x4).
+
+    A binary-outcome spec is rejected (``ValueError``) with a non-zero
+    quadratic entry on a normal column, whose square would make the truth's
+    integral 2-D, or with more than 16 Bernoulli columns with an outcome term
+    (2^16 cells); on a Bernoulli column a quadratic folds into the linear term.
     """
 
     name: str
@@ -78,6 +85,12 @@ class DgpSpec:
             raise ValueError("outcome_quadratic must be empty or length d")
         if self.outcome_kind not in ("continuous", "binary"):
             raise ValueError(f"unknown outcome kind {self.outcome_kind!r}")
+        if self.outcome_kind == "binary":
+            quad = self.outcome_quadratic or (0.0,) * d
+            if any(q for k, q in zip(self.covariate_kinds, quad) if k == "normal"):
+                raise ValueError("a binary outcome takes no quadratic term on a normal column")
+            if len(_cell_coefficients(self)) > 16:
+                raise ValueError("a binary outcome takes at most 16 bernoulli outcome columns")
         for k, p, g in zip(self.covariate_kinds, self.bernoulli_p, self.ps_coefficients):
             if k == "bernoulli" and not 0.0 < p < 1.0:
                 raise ValueError("bernoulli probabilities must lie in (0, 1)")
@@ -105,82 +118,59 @@ class DgpDraw:
 
     dataset: Dataset
     true_ate: float
-    true_ate_se: float
     y0: np.ndarray
     y1: np.ndarray
 
 
-def _draw_column(spec: DgpSpec, rng: np.random.Generator, j: int, n: int) -> np.ndarray:
-    """n draws of covariate j: bool for a Bernoulli column, else float64."""
-    if spec.covariate_kinds[j] == "bernoulli":
-        return rng.random(n) < spec.bernoulli_p[j]
-    return rng.standard_normal(n)
-
-
-def _draw_covariates(spec: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    X = np.empty((n, spec.d))
-    for j in range(spec.d):
-        X[:, j] = _draw_column(spec, rng, j, n)
-    return X
-
-
-def _outcome_signal(spec: DgpSpec, X: np.ndarray) -> np.ndarray:
-    beta = np.asarray(spec.outcome_coefficients, dtype=float)
-    g = spec.outcome_intercept + X @ beta
-    if spec.outcome_quadratic:
-        g += (X * X) @ np.asarray(spec.outcome_quadratic, dtype=float)
-    return g
+def _cell_coefficients(spec: DgpSpec) -> dict[int, float]:
+    """Outcome coefficient of each Bernoulli column with an outcome term, by
+    column index; a quadratic entry folds in, since x^2 = x."""
+    quad = spec.outcome_quadratic or (0.0,) * spec.d
+    terms = zip(spec.covariate_kinds, spec.outcome_coefficients, quad)
+    return {j: b + q for j, (k, b, q) in enumerate(terms) if k == "bernoulli" and b + q != 0.0}
 
 
 @lru_cache(maxsize=64)
-def _binary_true_ate(spec: DgpSpec) -> tuple[float, float]:
-    """Population Monte Carlo oracle for the logit-outcome effect.
+def true_ate(spec: DgpSpec) -> float:
+    """Population ATE of ``spec``, exact up to quadrature error; cached.
 
-    Draws the ``_POP_MC_DRAWS`` rows column by column in spec order, as
-    ``_draw_covariates`` would, without holding the population matrix. Only
-    columns with an outcome term (non-zero coefficient or quadratic entry)
-    are kept: Bernoulli as bool, normal as float64. The last of them is drawn
-    in blocks of ``_POP_BLOCK`` rows as each block is evaluated; later columns
-    are never drawn. Unused columns are 0.0 in a block and add exactly zero to
-    each row's signal, so the result equals the whole-matrix computation bit
-    for bit. Memory: the 8-byte-a-row difference vector, twice while its SD
-    is taken, plus the kept columns; about 20 MB for ``confounded_binary``.
+    A continuous outcome carries the constant effect. For a logit outcome,
+    E[expit(g + tau) - expit(g)] is summed over the 2^k cells of the k
+    Bernoulli columns with an outcome term, each weighted by its probability.
+    Within a cell g is a constant plus s*z, with z standard normal and s the
+    root sum of squares of the normal columns' coefficients; 80-point
+    Gauss-Hermite quadrature integrates over z, one node at a time.
     """
-    rng = rng_from(spec.seed ^ 0x5EED_0DD5)
-    n, quad = _POP_MC_DRAWS, spec.outcome_quadratic or (0.0,) * spec.d
-    used = [j for j in range(spec.d) if spec.outcome_coefficients[j] or quad[j]]
-    blocks = [(s, min(_POP_BLOCK, n - s)) for s in range(0, n, _POP_BLOCK)]
-    kept, diff = {}, np.empty(n)
-    for j in range(used[-1] if used else 0):
-        if j in used:
-            kept[j] = _draw_column(spec, rng, j, n)
-        else:  # drawn only to advance the generator
-            for _, m in blocks:
-                _draw_column(spec, rng, j, m)
-    for s, m in blocks:
-        X = np.zeros((m, spec.d))
-        for j in used:
-            X[:, j] = kept[j][s : s + m] if j in kept else _draw_column(spec, rng, j, m)
-        g = _outcome_signal(spec, X)
-        diff[s : s + m] = expit(g + spec.treatment_effect) - expit(g)
-    return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(n))
-
-
-def true_ate(spec: DgpSpec) -> tuple[float, float]:
-    """(true ATE, simulation SE); the SE is zero for the closed-form case."""
     if spec.outcome_kind == "continuous":
-        return float(spec.treatment_effect), 0.0
-    return _binary_true_ate(spec)
+        return float(spec.treatment_effect)
+    from numpy.polynomial.hermite_e import hermegauss
+
+    g, prob = np.array([spec.outcome_intercept]), np.ones(1)
+    for j, c in _cell_coefficients(spec).items():
+        p = spec.bernoulli_p[j]
+        g, prob = np.concatenate([g, g + c]), np.concatenate([prob * (1.0 - p), prob * p])
+    normal = [b for k, b in zip(spec.covariate_kinds, spec.outcome_coefficients) if k == "normal"]
+    sd = float(np.sqrt(np.dot(normal, normal)))
+    z, w = hermegauss(80)
+    total = 0.0
+    for zi, wi in zip(z, w / np.sqrt(2.0 * np.pi)):
+        gz = g + sd * zi
+        total += float(wi * (prob @ (expit(gz + spec.treatment_effect) - expit(gz))))
+    return total
 
 
 def gen_dataset(spec: DgpSpec, seed: int | None = None) -> DgpDraw:
     """Generate potential outcomes, draw treatment, reveal Y = Y0(1-A) + Y1*A."""
     rng = rng_from(spec.seed if seed is None else seed)
-    X = _draw_covariates(spec, rng, spec.n)
+    X = np.empty((spec.n, spec.d))
+    for j, (kind, p) in enumerate(zip(spec.covariate_kinds, spec.bernoulli_p)):
+        X[:, j] = rng.random(spec.n) < p if kind == "bernoulli" else rng.standard_normal(spec.n)
     gamma = np.asarray(spec.ps_coefficients, dtype=float)
     ps = expit(spec.ps_intercept + X @ gamma)
     A = (rng.random(spec.n) < ps).astype(int)
-    g = _outcome_signal(spec, X)
+    g = spec.outcome_intercept + X @ np.asarray(spec.outcome_coefficients, dtype=float)
+    if spec.outcome_quadratic:
+        g += (X * X) @ np.asarray(spec.outcome_quadratic, dtype=float)
     if spec.outcome_kind == "continuous":
         noise = spec.noise_scale * rng.standard_normal(spec.n)
         y0 = g + noise
@@ -193,9 +183,7 @@ def gen_dataset(spec: DgpSpec, seed: int | None = None) -> DgpDraw:
         y1 = (u < expit(g + spec.treatment_effect)).astype(float)
         y = np.where(A == 1, y1, y0)
         kind = OutcomeKind.binary()
-    ate, ate_se = true_ate(spec)
-    dataset = Dataset(X, A, y, kind)
-    return DgpDraw(dataset, ate, ate_se, y0, y1)
+    return DgpDraw(Dataset(X, A, y, kind), true_ate(spec), y0, y1)
 
 
 @dataclass(frozen=True)
@@ -262,7 +250,7 @@ def mc_eval(
             failures.append(str(exc))
     if not estimates:
         raise RuntimeError(f"all {R} replications failed; first: {failures[0]}")
-    truth, _ = true_ate(spec)
+    truth = true_ate(spec)
     arr = np.asarray(estimates)
     bias = float(arr.mean() - truth)
     mc_se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else float("nan")

@@ -259,9 +259,12 @@ def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
         # an accepted step keeps its eta and log-likelihood
         cand = beta + step
         eta_c, ll_c = _penalised_loglik(M, y, pen, cand)
-        ok = ll_c >= ll - 1e-12
+        # the acceptance slack is four float spacings of |ll| where that is
+        # above 1e-12 (large n): else rounding rejects the steps near the optimum
+        floor = ll - np.maximum(1e-12, 4.0 * np.spacing(np.abs(ll)))
+        ok = ll_c >= floor
         if not ok.all():
-            _halve(M, y, pen, beta, step, ll, ok, cand, eta_c, ll_c)
+            _halve(M, y, pen, beta, step, floor, ok, cand, eta_c, ll_c)
         beta, eta, ll = cand, eta_c, ll_c
         if ridge == 0.0:
             norm = np.sqrt(np.matmul(beta[:, None, 1:], beta[:, 1:, None])[:, 0, 0])
@@ -276,25 +279,25 @@ def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
     return out, separated
 
 
-def _halve(M, y, pen, beta, step, ll, ok, cand, eta_c, ll_c):
+def _halve(M, y, pen, beta, step, floor, ok, cand, eta_c, ll_c):
     """Step halving, which keeps IRLS monotone on awkward designs: each
-    problem whose full step was rejected (``ok`` false) tries up to 29
-    halved steps; if all fail, it moves by the step halved a 30th time
+    problem whose full step fell below ``floor`` (``ok`` false) tries up to
+    29 halved steps; if all fail, it moves by the step halved a 30th time
     without testing it. Writes the results into the rows of ``cand``,
     ``eta_c`` and ``ll_c``."""
     todo = np.flatnonzero(~ok)
-    M, beta, step, ll = M[todo], beta[todo], step[todo], ll[todo]
+    M, beta, step, floor = M[todo], beta[todo], step[todo], floor[todo]
     for _ in range(29):
         step = step / 2.0
         c = beta + step
         e, lc = _penalised_loglik(M, y, pen, c)
-        acc = lc >= ll - 1e-12
+        acc = lc >= floor
         cand[todo[acc]], eta_c[todo[acc]], ll_c[todo[acc]] = c[acc], e[acc], lc[acc]
         if acc.all():
             return
         if acc.any():
             keep = ~acc
-            todo, M, beta, step, ll = todo[keep], M[keep], beta[keep], step[keep], ll[keep]
+            todo, M, beta, step, floor = todo[keep], M[keep], beta[keep], step[keep], floor[keep]
     c = beta + step / 2.0
     cand[todo] = c
     eta_c[todo], ll_c[todo] = _penalised_loglik(M, y, pen, c)

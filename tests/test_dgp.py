@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ateml.dgp import builtin_specs, gen_dataset, mc_eval
+from ateml.dgp import DgpSpec, builtin_specs, gen_dataset, mc_eval
 from ateml.estimators import naive_ate
 
 
@@ -49,8 +49,32 @@ def test_binary_true_ate_matches_a_large_draw():
     draw = gen_dataset(spec, seed=11)
     diff = draw.y1 - draw.y0
     se = diff.std(ddof=1) / np.sqrt(diff.size)
-    # the truth is itself a population Monte Carlo mean with its own SE
-    assert abs(diff.mean() - draw.true_ate) < 4 * np.hypot(se, draw.true_ate_se)
+    assert abs(diff.mean() - draw.true_ate) < 4 * se
+
+
+def test_binary_outcome_rejects_a_quadratic_on_a_normal_column():
+    spec = builtin_specs()["confounded_binary"]
+    with pytest.raises(ValueError, match="quadratic term on a normal column"):
+        replace(spec, outcome_quadratic=(0.0, 0.0, 0.0, 0.3, 0.0, 0.0))
+    # on a Bernoulli column x^2 = x, and a continuous outcome takes either
+    replace(spec, outcome_quadratic=(0.3, 0.0, 0.0, 0.0, 0.0, 0.0))
+    replace(spec, outcome_kind="continuous", outcome_quadratic=(0.0, 0.0, 0.0, 0.3, 0.0, 0.0))
+
+
+def test_binary_outcome_rejects_more_than_16_bernoulli_outcome_columns():
+    def spec(k, outcome_kind="binary", outcome_quadratic=()):
+        return DgpSpec(name="many", n=50, covariate_kinds=("bernoulli",) * 20,
+                       bernoulli_p=(0.5,) * 20, ps_intercept=0.0, ps_coefficients=(0.0,) * 20,
+                       outcome_intercept=0.0, outcome_coefficients=(0.1,) * k + (0.0,) * (20 - k),
+                       treatment_effect=0.5, outcome_kind=outcome_kind,
+                       outcome_quadratic=outcome_quadratic)
+
+    spec(16)
+    with pytest.raises(ValueError, match="at most 16"):
+        spec(17)
+    # a quadratic entry that cancels its linear term leaves no outcome term
+    spec(17, outcome_quadratic=(-0.1,) + (0.0,) * 19)
+    spec(17, outcome_kind="continuous")
 
 
 def test_outcome_quadratic_adds_its_term():

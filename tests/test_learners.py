@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from ateml import learners
 from ateml.core import LearnerSpec, child_seeds, make_folds, rng_from
+from ateml.dgp import builtin_specs, gen_dataset
 from ateml.learners import (
     BoostModel,
     _cv_penalty,
@@ -108,6 +112,21 @@ class TestLogistic:
         assert m.flags == ()
         assert m.coef[0] == pytest.approx(44.43, abs=0.01)
         assert fit_logistic(1e-3 * x[:, None], y).flags == ("separation_ridge",)
+
+    def test_large_n_fit_converges_in_a_few_evaluations(self, monkeypatch):
+        # |log-likelihood| is near 1.2e5 here, where one float spacing
+        # (1.5e-11) is wider than an absolute 1e-12 acceptance slack: near
+        # the optimum rounding alone rejected each step, and this fit made
+        # 2,029 log-likelihood evaluations before the iteration cap
+        spec = replace(builtin_specs()["confounded_linear"], n=200_000)
+        ds = gen_dataset(spec, seed=1).dataset
+        evals = []
+        loglik = learners._penalised_loglik
+        monkeypatch.setattr(learners, "_penalised_loglik",
+                            lambda *args: evals.append(1) or loglik(*args))
+        m = fit_logistic(ds.covariates, ds.treatment.astype(float))
+        assert len(evals) <= 10
+        assert m.flags == ()
 
     def test_all_zero_covariate_intercept_only(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
