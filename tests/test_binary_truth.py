@@ -1,10 +1,12 @@
-"""The exact binary-outcome truth, against a cell-by-cell adaptive quadrature
-and against the benchmark's own implementation."""
+"""The exact binary-outcome truth, against a cell-by-cell adaptive quadrature,
+against the mean effect over a whole covariate matrix, and against the
+benchmark's own implementation."""
 
 import importlib.util
 import itertools
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from ateml import dgp
+from ateml.core import rng_from
 from ateml.dgp import DgpSpec, builtin_specs, true_ate
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
@@ -82,6 +85,60 @@ def test_truth_equals_cellwise_adaptive_quadrature(n_cells, n_normal):
     assert abs(true_ate(spec) - _adaptive_truth(spec)) < 1e-10
 
 
+def _whole_matrix_truth(spec: DgpSpec, n: int) -> tuple[float, float]:
+    """Mean effect and its SE over one (n, d) covariate matrix drawn from ``spec``."""
+    rng = rng_from(spec.seed ^ 0x5EED_0DD5)
+    X = np.empty((n, spec.d))
+    for j, kind in enumerate(spec.covariate_kinds):
+        if kind == "bernoulli":
+            X[:, j] = (rng.random(n) < spec.bernoulli_p[j]).astype(float)
+        else:
+            X[:, j] = rng.standard_normal(n)
+    g = spec.outcome_intercept + X @ np.asarray(spec.outcome_coefficients, dtype=float)
+    if spec.outcome_quadratic:
+        g += (X * X) @ np.asarray(spec.outcome_quadratic, dtype=float)
+    diff = expit(g + spec.treatment_effect) - expit(g)
+    return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(n))
+
+
+_BINARY = builtin_specs()["confounded_binary"]
+_CASES = {
+    "confounded_binary": _BINARY,
+    # column 1's quadratic cancels its linear term, column 2's folds into it
+    "quadratic": replace(_BINARY, outcome_quadratic=(0.0, -0.7, 0.3, 0.0, 0.0, 0.0)),
+    "every_column_used": replace(_BINARY, outcome_coefficients=(0.9, 0.7, -0.8, 0.4, -0.3, 0.2)),
+    # unused normal columns 1 and 4 and unused Bernoulli column 3 come before
+    # the last used column 5 (Bernoulli); normal column 6 comes after it
+    "mixed_order": DgpSpec(
+        name="mixed_order",
+        n=100,
+        covariate_kinds=("bernoulli", "normal", "normal", "bernoulli", "normal", "bernoulli",
+                         "normal"),
+        bernoulli_p=(0.3, 0.5, 0.5, 0.6, 0.5, 0.4, 0.5),
+        ps_intercept=0.0,
+        ps_coefficients=(0.8, 0.0, 0.0, -0.6, 0.0, 0.5, 0.0),
+        outcome_intercept=0.2,
+        outcome_coefficients=(0.6, 0.0, -0.7, 0.0, 0.0, 0.9, 0.0),
+        treatment_effect=-0.5,
+        outcome_kind="binary",
+        seed=7,
+    ),
+    "no_outcome_terms": replace(_BINARY, outcome_coefficients=(0.0,) * 6,
+                                outcome_quadratic=(0.0,) * 6),
+}
+
+
+@pytest.mark.parametrize("block", [1000, 4096, 7919, 65536])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_streamed_truth_equals_whole_matrix_truth(case, block):
+    # ``true_ate`` streams its cell sum one quadrature node at a time; the
+    # mean effect over a whole ``block``-row covariate matrix, which reads
+    # every column as the generator does, must agree within its own SE
+    spec = _CASES[case]
+    mean, se = _whole_matrix_truth(spec, block)
+    assert abs(true_ate(spec) - mean) < 4.0 * se + 1e-12
+
+
 def test_truth_agrees_with_the_benchmark_oracle(monkeypatch):
     spec = builtin_specs()["confounded_binary"]
     assert abs(true_ate(spec) - _load_oracle(monkeypatch).true_ate(spec)) < 1e-12
@@ -95,7 +152,7 @@ def test_continuous_truth_is_the_effect():
     assert true_ate(builtin_specs()["confounded_linear"]) == 1.0
 
 
-def test_truth_stays_small_in_memory():
+def test_truth_never_holds_the_population_matrix():
     spec = builtin_specs()["confounded_binary"]
     true_ate.__wrapped__(spec)  # module imports happen outside the trace
     tracemalloc.start()
