@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import sys
@@ -599,6 +600,13 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("--out", default="dgp.csv")
 
     args = parser.parse_args(argv)
+    if sys.platform == "linux":
+        # glibc's malloc thresholds follow the largest block freed so far; fixed,
+        # the 4 MB arrays of a stacked IRLS iteration (learners._STACK) stay in the heap
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD: four such arrays alive at once
+        mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: twice one such array
     try:
         if args.command == "export-dgp":
             print(export_dgp(args.spec, args.n, args.seed, args.out))

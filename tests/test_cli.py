@@ -25,12 +25,18 @@ by at most 1.5e-8 and 5.1e-9 times the SE).
 """
 
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ateml
 from ateml.cli import ESTIMATORS, RunConfig, ingest_csv, main, parse_learner, run
 from ateml.core import LearnerSpec
 
@@ -1246,3 +1252,32 @@ CTMLE_GOLDEN = {
         ],
     },
 }
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_a_command_keeps_stacked_fit_arrays_in_the_heap(tmp_path):
+    """After one command, three live 3 MB arrays (a stacked IRLS iteration's
+    worth) are freed and allocated again without page faults. Under glibc's
+    moving thresholds their 9 MB outgrew the trim threshold of twice the
+    largest block freed, 6 MB, and were faulted in afresh each time. A fresh
+    interpreter, since this one's allocator has a history."""
+    script = f"""
+import resource
+import numpy as np
+from ateml.cli import main
+main(["export-dgp", "--spec", "confounded_linear", "--n", "50", "--out", {str(tmp_path / "d.csv")!r}])
+def churn():
+    arrays = [np.ones(3 << 17) for _ in range(3)]
+    del arrays
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(ateml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 100
