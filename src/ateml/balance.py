@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .core import Dataset
+from .core import Dataset, expit, logit
 from .learners import BoostModel, fit_boost
 
 __all__ = [

@@ -29,6 +29,8 @@ __all__ = [
     "FittedModel",
     "loss_mse",
     "loss_logloss",
+    "expit",
+    "logit",
 ]
 
 # Two-sided 95% normal quantile used for every influence-function interval.
@@ -45,6 +47,24 @@ class FitError(RuntimeError):
 def rng_from(seed: int) -> np.random.Generator:
     """Counter-based generator for an explicit 64-bit seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+
+
+def expit(x):
+    """Logistic function 1 / (1 + e^-x); 0 and 1 at -inf and +inf, silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def logit(p):
+    """Log-odds log(p / (1 - p)), in scipy's piecewise form: on [0.3, 0.65]
+    it is log1p(s) - log1p(-s) with s = 2(p - 1/2), since the plain quotient
+    loses up to tens of thousands of ulp near 1/2. -inf at 0, +inf at 1 and
+    nan outside [0, 1], without warnings."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * (p - 0.5)
+        return np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                        np.log1p(s) - np.log1p(-s))[()]
 
 
 def child_seeds(seed: int, n: int) -> list[int]:

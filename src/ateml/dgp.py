@@ -20,9 +20,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
-from .core import Dataset, OutcomeKind, child_seeds, rng_from
+from .core import Dataset, OutcomeKind, child_seeds, expit, rng_from
 
 __all__ = [
     "DgpSpec",

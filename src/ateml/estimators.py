@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .core import (
     Dataset,
@@ -24,6 +23,8 @@ from .core import (
     LearnerSpec,
     Z95,
     child_seeds,
+    expit,
+    logit,
     make_stratified_folds,
     rng_from,
 )

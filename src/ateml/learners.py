@@ -27,6 +27,10 @@ that keep them so, checked by ``tests/test_numeric_stack.py``:
   ``np.linalg.solve`` and ``np.sum(axis=1)`` over a C-contiguous (K, n)
   block give each slice what the 2-D call gives it, provided every slice
   has the memory layout the per-problem design would have.
+- ``expit`` and ``logit`` (``ateml.core``) are numpy's elementwise ufuncs
+  (``exp``, ``log``, ``log1p``), which give each row of a C-contiguous
+  (K, n) block, and a 0-d input, what they give that row or value alone.
+  The references in the tests call the same two functions.
 - Whatever changes what is summed, or in which order, breaks exactness and
   is not used: ``einsum``, BLAS ``daxpy`` (fused multiply-add), covariance
   updates, active-set cycling, and warm starts for fits that start from
@@ -73,10 +77,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, loss_logloss,
-                   make_folds, rng_from)
+from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, expit, logit,
+                   loss_logloss, make_folds, rng_from)
 
 __all__ = [
     "LinearModel",
@@ -98,6 +101,10 @@ __all__ = [
 ]
 
 KKT_TOL = 1e-7  # inner tolerance; the documented contract is 1e-6
+# Iteration caps of the logistic IRLS and of the l1-logistic outer passes; a
+# fit that reaches its cap unconverged is flagged ``iteration_cap``.
+_IRLS_CAP = 100
+_LOGIT_LASSO_CAP = 50
 # Largest number of design entries in one stack of logistic fits; the scratch
 # memory of the stacked IRLS is a few times this.
 _STACK = 1 << 19
@@ -167,15 +174,17 @@ def fit_logistic(
     ridge=0, a fit whose slope norm passes 1e3 is refitted with ridge=1e-6
     and flagged ``separation_ridge``. That is the only separation test: a
     separated design whose score falls below 1e-8 first converges unflagged,
-    with large but finite slopes.
+    with large but finite slopes. A fit still above that score after
+    ``_IRLS_CAP`` Newton steps keeps its last iterate and is flagged
+    ``iteration_cap``.
     """
     X, y = _check_matrix(features, target)
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     _check_binary(y)
     M = np.column_stack([np.ones(X.shape[0]), X])
-    beta, separated = _irls(M[None], y, float(ridge))
-    return _logistic_model(beta[0], separated[0])
+    beta, flags = _irls(M[None], y, float(ridge))
+    return _logistic_model(beta[0], flags[0])
 
 
 def _fit_logistic_candidates(features: np.ndarray, target: np.ndarray, base, extra) -> list[LinearModel]:
@@ -197,13 +206,13 @@ def _fit_logistic_candidates(features: np.ndarray, target: np.ndarray, base, ext
         MT[:, 1:-1] = X[:, list(base)].T
         MT[:, -1] = X[:, cols].T
         M = MT.transpose(0, 2, 1)
-        beta, separated = _irls(np.ascontiguousarray(M) if c_order else M, y, 0.0)
-        models += [_logistic_model(b, s) for b, s in zip(beta, separated)]
+        beta, flags = _irls(np.ascontiguousarray(M) if c_order else M, y, 0.0)
+        models += [_logistic_model(b, f) for b, f in zip(beta, flags)]
     return models
 
 
-def _logistic_model(beta: np.ndarray, separated: bool) -> LinearModel:
-    return LinearModel(float(beta[0]), beta[1:], ("separation_ridge",) if separated else ())
+def _logistic_model(beta: np.ndarray, flags: tuple[str, ...]) -> LinearModel:
+    return LinearModel(float(beta[0]), beta[1:], flags)
 
 
 def _penalised_loglik(M, y, pen, beta):
@@ -214,21 +223,23 @@ def _penalised_loglik(M, y, pen, beta):
     return eta, ll - 0.5 * np.matmul((beta * beta)[:, None, :], pen[:, None])[:, 0, 0]
 
 
-def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, list]:
     """IRLS for each design of a (K, n, p) stack against one 0/1 target.
 
     Every problem follows its own sequence: convergence test, step halvings,
     the least-squares step when its Hessian is singular, separation and the
     iteration cap. Finished problems leave the stack. Returns the (K, p)
-    coefficients (intercept first) and which problems separated at ridge 0;
-    those are refitted with ridge 1e-6.
+    coefficients (intercept first) and each problem's flags: a problem that
+    separates at ridge 0 is refitted with ridge 1e-6 and gets the refit's
+    flags and ``separation_ridge``; one still running at the cap gets
+    ``iteration_cap``.
     """
     K, n, p = M.shape
     pen = np.full(p, ridge)
     pen[0] = 0.0
     pen_diag = np.diag(pen)
     out = np.empty((K, p))
-    separated = np.zeros(K, bool)
+    flags = [()] * K
     live = np.arange(K)
     beta = np.zeros((K, p))
     beta[:, 0] = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
@@ -239,7 +250,7 @@ def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
         keep = ~gone
         M, live, beta, eta, ll = M[keep], live[keep], beta[keep], eta[keep], ll[keep]
 
-    for _ in range(100):
+    for _ in range(_IRLS_CAP):
         p_hat = expit(eta)
         MT = M.transpose(0, 2, 1)
         score = np.matmul(MT, (y - p_hat)[:, :, None])[:, :, 0] - pen * beta
@@ -248,7 +259,7 @@ def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
             out[live[done]] = beta[done]
             drop(done)
             if not live.size:
-                return out, separated
+                return out, flags
             p_hat, score, MT = p_hat[~done], score[~done], M.transpose(0, 2, 1)
         w = np.maximum(p_hat * (1.0 - p_hat), 1e-10)
         H = np.matmul(MT, M * w[:, :, None]) + pen_diag
@@ -270,13 +281,16 @@ def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.nd
             norm = np.sqrt(np.matmul(beta[:, None, 1:], beta[:, 1:, None])[:, 0, 0])
             gone = norm > 1e3
             if gone.any():
-                separated[live[gone]] = True
-                out[live[gone]] = _irls(M[gone], y, 1e-6)[0]
+                out[live[gone]], refit_flags = _irls(M[gone], y, 1e-6)
+                for k, f in zip(live[gone], refit_flags):
+                    flags[k] = f + ("separation_ridge",)
                 drop(gone)
                 if not live.size:
-                    return out, separated
+                    return out, flags
     out[live] = beta
-    return out, separated
+    for k in live:
+        flags[k] = ("iteration_cap",)
+    return out, flags
 
 
 def _halve(M, y, pen, beta, step, floor, ok, cand, eta_c, ll_c):
@@ -494,14 +508,15 @@ def fit_logistic_lasso(
 ) -> LinearModel:
     """l1-penalised logistic regression via proximal coordinate descent.
 
-    Each of at most 50 outer passes forms the usual quadratic
+    Each of at most ``_LOGIT_LASSO_CAP`` outer passes forms the usual quadratic
     (working-response) approximation; the inner loop soft-thresholds one
     standardized coordinate at a time. The objective is the mean negative
     Bernoulli log-likelihood, (1/n) sum_i [log(1 + exp(eta_i)) - y_i eta_i]
     with eta_i = b0 + z_i @ b, plus ``lam`` * ||b||_1, where z_i is row i on
     columns standardised to mean 0 and population sd 1 (constant columns
     dropped) and the intercept b0 is unpenalised. The returned coefficients
-    are mapped back to the original columns.
+    are mapped back to the original columns. A fit that ends its last pass
+    unconverged is flagged ``iteration_cap``.
     """
     X, y = _check_matrix(features, target)
     lam = float(lam)
@@ -516,7 +531,8 @@ def fit_logistic_lasso(
     cols = [XsF[:, j] for j in idx]
     b0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
     beta = np.zeros(X.shape[1])
-    for _ in range(50):
+    flags: tuple[str, ...] = ()
+    for _ in range(_LOGIT_LASSO_CAP):
         b0_old, beta_old = b0, beta
         lin = Xs @ beta
         p = np.clip(expit(b0 + lin), 1e-8, 1 - 1e-8)
@@ -546,9 +562,11 @@ def fit_logistic_lasso(
         beta = np.array(b)
         if abs(b0 - b0_old) + float(np.max(np.abs(beta - beta_old), initial=0.0)) < 1e-8:
             break
+    else:
+        flags = ("iteration_cap",)
     coef = np.zeros(X.shape[1])
     coef[ok] = beta[ok] / sd[ok]
-    return LinearModel(b0 - float(mu @ coef), coef)
+    return LinearModel(b0 - float(mu @ coef), coef, flags)
 
 
 def _logistic_lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams):
@@ -1136,6 +1154,8 @@ def fit_forest(
         grower = _Grower(nodes, XT, ys, src, order, len(rngs), max_depth, min_leaf)
         roots.extend(grower.grow(rngs, mtry).tolist())
         grower.set_leaves([ys], lambda s, c: s[0] / c)
+        # free this group's buffers before the next group draws its own
+        del grower, order, ys, src
     nodes.trim()
     return ForestModel(tuple(TreeNode(nodes, r) for r in roots))
 

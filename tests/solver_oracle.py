@@ -1,11 +1,12 @@
 """The logistic and lasso solvers as they were before the stacked IRLS and
 the scalar coordinate descent, and ``fit_lasso`` as it was before it became
 the one-point penalty path, kept verbatim as the reference the current
-solvers must equal bit for bit (``tests/test_solvers.py``)."""
+solvers must equal bit for bit (``tests/test_solvers.py``). The one addition
+is the ``iteration_cap`` flag of a fit that uses up its iterations."""
 
 import numpy as np
-from scipy.special import expit, logit
 
+from ateml.core import expit, logit
 from ateml.learners import LassoFit, LinearModel
 
 KKT_TOL = 1e-7  # inner tolerance; the documented contract is 1e-6
@@ -78,6 +79,8 @@ def fit_logistic(
         if ridge == 0.0 and float(np.linalg.norm(beta[1:])) > 1e3:
             refit = fit_logistic(X, y, ridge=1e-6)
             return LinearModel(refit.intercept, refit.coef, refit.flags + ("separation_ridge",))
+    else:
+        return LinearModel(float(beta[0]), beta[1:], ("iteration_cap",))
     return LinearModel(float(beta[0]), beta[1:])
 
 
@@ -199,6 +202,7 @@ def fit_logistic_lasso(
     else:
         b0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
         beta = np.zeros(X.shape[1])
+    flags = ()
     for _ in range(max_outer):
         b0_old, beta_old = b0, beta.copy()
         p = np.clip(expit(b0 + Xs @ beta), 1e-8, 1 - 1e-8)
@@ -225,6 +229,8 @@ def fit_logistic_lasso(
                 break
         if abs(b0 - b0_old) + float(np.max(np.abs(beta - beta_old), initial=0.0)) < 1e-8:
             break
+    else:
+        flags = ("iteration_cap",)
     coef = np.zeros(X.shape[1])
     coef[ok] = beta[ok] / sd[ok]
-    return LinearModel(b0 - float(mu @ coef), coef)
+    return LinearModel(b0 - float(mu @ coef), coef, flags)

@@ -128,6 +128,21 @@ class TestLogistic:
         assert len(evals) <= 10
         assert m.flags == ()
 
+    def test_a_fit_stopped_at_the_iteration_cap_is_flagged(self, monkeypatch):
+        rng = rng_from(21)
+        X = rng.standard_normal((150, 3))
+        y = (rng.random(150) < expit(X @ np.array([1.0, -0.5, 0.25]))).astype(float)
+        assert fit_logistic(X, y).flags == ()
+        monkeypatch.setattr(learners, "_IRLS_CAP", 2)
+        assert fit_logistic(X, y).flags == ("iteration_cap",)
+        fits = learners._fit_logistic_candidates(X, y, (0,), [1, 2])
+        assert [m.flags for m in fits] == [("iteration_cap",)] * 2
+        # a separated problem's ridge refit keeps the refit's own flag
+        x = np.repeat([-1e-3, 1e-3], 20)
+        monkeypatch.setattr(learners, "_IRLS_CAP", 5)
+        assert fit_logistic(x[:, None], (x > 0).astype(float)).flags == (
+            "iteration_cap", "separation_ridge")
+
     def test_all_zero_covariate_intercept_only(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         m = fit_logistic(np.zeros((5, 1)), y)
@@ -473,6 +488,14 @@ class TestLogisticLasso:
         grid = default_lambda_grid(X, y, 10, ratio=1e-3)
         lam = _cv_penalty(X, y, grid, make_folds(150, 3, seed=1), _logistic_lasso_fold_losses)
         assert lam > 0 and fit_logistic_lasso(X, y, lam).coef[0] != 0.0
+
+    def test_a_fit_stopped_at_the_pass_cap_is_flagged(self, monkeypatch):
+        rng = rng_from(27)
+        X = rng.standard_normal((120, 3))
+        y = (rng.random(120) < expit(X[:, 0])).astype(float)
+        assert fit_logistic_lasso(X, y, 0.01).flags == ()
+        monkeypatch.setattr(learners, "_LOGIT_LASSO_CAP", 1)
+        assert fit_logistic_lasso(X, y, 0.01).flags == ("iteration_cap",)
 
     @pytest.mark.parametrize("grid,message", [([], "non-empty"), ([0.01, 0.1], "descending")])
     def test_cv_rejects_an_empty_or_ascending_grid(self, grid, message):

@@ -1,15 +1,22 @@
 """Properties of the installed numpy and BLAS that the exact solvers rely on.
 
 The stacked IRLS in ``ateml.learners`` reproduces ``fit_logistic`` bit for
-bit only because a stacked ``np.matmul``, ``np.linalg.solve`` or row sum
-gives each slice exactly what the 2-D call gives it, and the scalar
-coordinate descent only because Python floats round like numpy float64
-scalars. A numpy or BLAS upgrade that breaks one of these fails here, by
-name, instead of as a stray golden-value mismatch elsewhere.
+bit only because a stacked ``np.matmul``, ``np.linalg.solve``, row sum or
+``expit`` gives each slice exactly what the call on that slice alone gives
+it, and the scalar coordinate descent only because Python floats round like
+numpy float64 scalars. A numpy or BLAS upgrade that breaks one of these
+fails here, by name, instead of as a stray golden-value mismatch elsewhere.
+``ateml.core``'s ``expit`` and ``logit`` are numpy's ``exp``, ``log`` and
+``log1p``; they are also held to scipy's within a few ulp.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
+
+from ateml.core import expit, logit
 
 SHAPES = [(1, 2, 2), (3, 1, 4), (5, 7, 1), (4, 50, 3), (18, 200, 5), (7, 2000, 4),
           (2, 1600, 21), (9, 333, 12), (20, 40, 30), (1, 2500, 51)]
@@ -22,7 +29,7 @@ def layouts(rng, K, n, p):
 
 
 def require(ok, what):
-    assert ok, (f"{what} no longer equals the per-slice 2-D result with numpy "
+    assert ok, (f"{what} no longer equals the per-slice result with numpy "
                 f"{np.__version__}; the stacked IRLS in ateml.learners relies on it "
                 "to reproduce fit_logistic bit for bit")
 
@@ -79,3 +86,45 @@ def test_python_floats_round_like_numpy_scalars():
             assert got == want, "Python float arithmetic differs from numpy float64"
     for z in (0.0, -0.0):
         assert not np.signbit(np.sign(z)), "np.sign of a zero is no longer +0.0"
+
+
+@pytest.mark.parametrize("K,n", sorted({(K, n) for K, n, _ in SHAPES}))
+def test_expit_and_logit_give_a_block_what_they_give_its_rows_and_scalars(K, n):
+    rng = np.random.default_rng(K * 1000 + n)
+    cases = {"expit": (expit, 10.0 * rng.standard_normal((K, n))),
+             "logit": (logit, rng.random((K, n)))}
+    for name, (fn, block) in cases.items():
+        got = fn(block)
+        require(np.array_equal(got, [fn(row) for row in block]),
+                f"{name} of a C-contiguous (K, n) block")
+        step = max(1, block.size // 300)
+        values = block.ravel()[::step]
+        want = got.ravel()[::step]
+        require(np.array_equal([fn(np.array(v)) for v in values], want), f"{name} of 0-d arrays")
+        require(np.array_equal([fn(float(v)) for v in values], want), f"{name} of Python floats")
+
+
+def ulps(a, b):
+    """Largest distance in units of the last place over the finite entries."""
+    both = np.isfinite(a) & np.isfinite(b)
+    a, b = a[both], b[both]
+    return float(np.max(np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))))
+
+
+def test_expit_and_logit_agree_with_scipy_without_warnings():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(-750.0, 750.0, 300_001), 40.0 * rng.standard_normal(100_000)])
+    p = np.concatenate([np.linspace(0.0, 1.0, 300_001), rng.random(100_000),
+                        10.0 ** -rng.uniform(0.0, 300.0, 10_000),
+                        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10_000)])
+    edges = np.array([0.0, -0.0, 1.0, 0.5, np.inf, -np.inf, np.nan, -1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = {"expit": (expit(x), expit(edges)), "logit": (logit(p), logit(edges))}
+    theirs = {"expit": (special.expit(x), special.expit(edges)),
+              "logit": (special.logit(p), special.logit(edges))}
+    for name in ours:
+        (grid, at_edges), (want, want_edges) = ours[name], theirs[name]
+        assert ulps(grid, want) <= 4.0, f"{name} is more than 4 ulp from scipy's"
+        assert np.array_equal(np.isfinite(grid), np.isfinite(want))
+        assert np.array_equal(at_edges, want_edges, equal_nan=True), f"{name} at 0, 1, +-inf, nan"

@@ -61,7 +61,7 @@ def binary_problem(draw, n_min=2, d_min=1):
 
 def near_duplicate_design(seed, n=50, d=3):
     """Columns of very different scales, the last one a near copy of the
-    first: IRLS exhausts its step halvings on these (seeds 48, 220, 345)."""
+    first: IRLS exhausts its step halvings on some (seeds 48, 220 and 249)."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=d)
     X[:, -1] = X[:, 0] + 10.0 ** rng.integers(-16, -8) * rng.standard_normal(n)
@@ -116,14 +116,15 @@ def _events(monkeypatch):
     return events
 
 
-@pytest.mark.parametrize("seed", [48, 220, 345])
+@pytest.mark.parametrize("seed", [48, 220, 249, 345])
 def test_exhausted_halvings_match_reference(seed, monkeypatch):
     X, y = near_duplicate_design(seed)
     want = oracle.fit_logistic(X, y)
     events = _events(monkeypatch)
     assert same_model(fit_logistic(X, y), want)
-    # 30 rejected candidates and the fresh evaluation of the halved step
-    assert "S" + "L" * 31 in "".join(events)
+    if seed != 345:  # 345 stops short of the 30th halving under numpy's exp
+        # 30 rejected candidates and the fresh evaluation of the halved step
+        assert "S" + "L" * 31 in "".join(events)
 
 
 def test_problems_of_one_stack_halve_independently(monkeypatch):
@@ -131,10 +132,10 @@ def test_problems_of_one_stack_halve_independently(monkeypatch):
     Xs = [near_duplicate_design(seed)[0] for seed in (48, 220, 345, 249, 356, 364)]
     M = np.stack([np.column_stack([np.ones(50), X]) for X in Xs])
     events = _events(monkeypatch)
-    beta, separated = learners._irls(M, y, 0.0)
+    beta, flags = learners._irls(M, y, 0.0)
     assert "L" * 3 in "".join(events)  # some halving in the stack
-    for X, b, s in zip(Xs, beta, separated):
-        assert same_model(learners._logistic_model(b, s), oracle.fit_logistic(X, y))
+    for X, b, f in zip(Xs, beta, flags):
+        assert same_model(learners._logistic_model(b, f), oracle.fit_logistic(X, y))
 
 
 def test_singular_hessian_takes_the_least_squares_step(monkeypatch):

@@ -234,3 +234,22 @@ def test_one_large_node_is_scored_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 25e6
+
+
+def test_forest_groups_do_not_hold_each_others_buffers(monkeypatch):
+    # one group's presort, bootstrap ids and targets take (d + 1) * 4 + 4 + 8
+    # = 40 bytes a sample, 0.8 MB here; a second group may add only a
+    # margin of 64 KiB (its trees' nodes) to the peak of a one-group fit
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((20_000, 6))
+    y = (rng.random(20_000) < 0.5).astype(float)
+    monkeypatch.setattr(learners, "_FOREST_SAMPLES", 20_000)
+    peaks = []
+    for n_trees in (1, 2):  # one group, then two groups of one tree
+        tracemalloc.start()
+        try:
+            fit_forest(X, y, n_trees=n_trees, max_depth=3, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (64 << 10)

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
-from ateml.core import child_seeds, rng_from
+from ateml.core import child_seeds, expit, logit, rng_from
 
 
 @dataclass
