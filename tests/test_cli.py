@@ -23,10 +23,10 @@ it: per case, the estimate and the SE each move by at most 1e-6 times the
 SE, and the set of zero weights and the warnings stay the same (they moved
 by at most 1.5e-8 and 5.1e-9 times the SE).
 
-Every float of these goldens, of ``CTMLE_GOLDEN`` and of the balance and
-simulate tables was rewritten again when ``expit`` and ``logit`` moved from
-scipy to numpy (``ateml.core``), whose ``exp`` and ``log`` round differently
-on about 2 % of inputs. The bound, fixed before the rewrite: the estimate and
+The floats of these goldens, of ``CTMLE_GOLDEN`` and of the balance and
+simulate tables that moved were rewritten when ``expit`` and ``logit`` moved
+from scipy to numpy (``ateml.core``), whose ``exp`` and ``log`` round
+differently on about 2 % of inputs. The bound, fixed before the rewrite: the estimate and
 the SE each move by at most 1e-12 times the SE in a case without a
 Bernoulli boosting stage, and by at most 1e-3 times the SE in one whose
 learner grows such stages (``boost`` on a 0/1 target, ``twang``, the boost
