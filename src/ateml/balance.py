@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, expit, logit
-from .learners import BoostModel, fit_boost
+from .core import Dataset, expit
+from .learners import BoostModel, _base_logit, fit_boost
 
 __all__ = [
     "PsFit",
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 SMD_FLAG_THRESHOLD = 0.1
+# BalanceBoostedPS's ASAM schedule (every 10 stages) and rows per leaf
+_ASAM_EVERY, _BOOST_MIN_LEAF = 10, 10
 
 
 def _check_trim(trim: float) -> None:
@@ -170,42 +172,38 @@ class BalanceBoostedPS:
 
     ``fit(X, A)`` boosts ``max_trees`` Bernoulli stages, records the ASAM of
     the covariates under IPTW weights (scores clipped at ``trim``, which must
-    lie in (0, 0.5)) at stage 0, every ``stride`` stages and the last, and
-    returns the model truncated at the ASAM-minimising stage, ties toward
-    fewer trees. Its ``meta`` holds that stage and the (stage, ASAM) trace.
-    When every covariate has constant arms no weighting changes an SMD, so
-    ``fit`` boosts nothing: it returns the stage-0 model with an empty trace
-    and the flag ``balance_undefined``.
+    lie in (0, 0.5)) at stage 0, every 10 stages and the last, and returns
+    the model truncated at the ASAM-minimising stage, ties toward fewer
+    trees. Stage trees keep at least 10 rows in each leaf. Its ``meta``
+    holds the chosen stage and the (stage, ASAM) trace. When every
+    covariate has constant arms no weighting changes an SMD, so ``fit``
+    boosts nothing: it returns the stage-0 model with an empty trace and the
+    flag ``balance_undefined``.
     """
 
     max_trees: int = 5000
     max_depth: int = 2
     shrinkage: float = 0.005
     trim: float = 0.01
-    stride: int = 10
-    min_leaf: int = 10
 
     def __post_init__(self) -> None:
         _check_trim(self.trim)
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
     def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "probability",
             seed: int = 0) -> BoostModel:
         X = np.asarray(X, dtype=float)
         if all(smd(x, y) is None for x in X.T):
-            f0 = float(logit(np.clip(np.mean(y), 1e-12, 1 - 1e-12)))
-            return BoostModel(f0, (), float(self.shrinkage), "bernoulli", ("balance_undefined",),
-                              {"chosen_iteration": 0, "asam_trace": ()})
+            return BoostModel(_base_logit(y), (), float(self.shrinkage), "bernoulli",
+                              ("balance_undefined",), {"chosen_iteration": 0, "asam_trace": ()})
         trace = []
 
         def record(t, F):
-            if t % self.stride == 0 or t == self.max_trees:
+            if t % _ASAM_EVERY == 0 or t == self.max_trees:
                 p = np.clip(expit(F), self.trim, 1.0 - self.trim)
                 trace.append((t, asam(X, y, iptw_weights(p, y))))
 
         model = fit_boost(X, y, self.max_trees, self.max_depth, self.shrinkage, "bernoulli",
-                          min_leaf=self.min_leaf, callback=record)
+                          min_leaf=_BOOST_MIN_LEAF, callback=record)
         best = trace[int(np.argmin([a for _, a in trace]))][0]
         meta = {"chosen_iteration": best, "asam_trace": tuple(trace)}
         return replace(model, trees=model.trees[:best], meta=meta)

@@ -57,23 +57,19 @@ class NuisanceFits:
     full-sample or cross-fitted, whose scores are ``ps`` (both None when no
     propensity was fitted), and the outcomes mu(a, X).
 
-    Cross-fitted fits carry the fold map ``fold_of`` proving unit i's
-    predictions came from models that never saw i's fold; ``provenance``
-    follows from it: "cross_fitted" with a fold map, "full_sample" without.
+    ``provenance`` is "cross_fitted" when unit i's predictions came from
+    models that never saw i's fold, and "full_sample" when every model saw
+    every unit.
     """
 
     ps_fit: PsFit | None
     mu1: np.ndarray | None
     mu0: np.ndarray | None
-    fold_of: np.ndarray | None = None
+    provenance: str = "full_sample"
 
     @property
     def ps(self) -> np.ndarray | None:
         return None if self.ps_fit is None else self.ps_fit.ps
-
-    @property
-    def provenance(self) -> str:
-        return "full_sample" if self.fold_of is None else "cross_fitted"
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def fit_nuisances(
                                  lo, hi)
     ps_fit = None if raw is None else PsFit(raw, float(trim), tuple(flags),
                                             dict(meta) if folds is None else {})
-    return NuisanceFits(ps_fit, mu1, mu0, None if folds is None else folds.fold_of.copy())
+    return NuisanceFits(ps_fit, mu1, mu0, "full_sample" if folds is None else "cross_fitted")
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, expit, logit,
-                   loss_logloss, make_folds, rng_from)
+from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, expit, loss_logloss,
+                   make_folds, rng_from)
 
 __all__ = [
     "LinearModel",
@@ -163,6 +163,14 @@ def _check_binary(y: np.ndarray) -> None:
         raise ValueError("logistic target must contain both classes")
 
 
+def _base_logit(y: np.ndarray) -> float:
+    """``core.logit`` of mean(y) clipped into [1e-12, 1 - 1e-12], bit for bit,
+    in its piecewise form on one Python float: where Bernoulli fits start."""
+    p = min(max(float(np.mean(y)), 1e-12), 1 - 1e-12)
+    s = 2.0 * (p - 0.5)
+    return float(np.log(p / (1.0 - p)) if p < 0.3 or p > 0.65 else np.log1p(s) - np.log1p(-s))
+
+
 def fit_logistic(
     features: np.ndarray,
     target: np.ndarray,
@@ -242,7 +250,7 @@ def _irls(M: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, list]
     flags = [()] * K
     live = np.arange(K)
     beta = np.zeros((K, p))
-    beta[:, 0] = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
+    beta[:, 0] = _base_logit(y)
     eta, ll = _penalised_loglik(M, y, pen, beta)
 
     def drop(gone):
@@ -529,7 +537,7 @@ def fit_logistic_lasso(
     XsF = np.asfortranarray(Xs)
     idx = np.flatnonzero(ok).tolist()
     cols = [XsF[:, j] for j in idx]
-    b0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
+    b0 = _base_logit(y)
     beta = np.zeros(X.shape[1])
     flags: tuple[str, ...] = ()
     for _ in range(_LOGIT_LASSO_CAP):
@@ -1228,7 +1236,7 @@ def fit_boost(
         raise ValueError("bernoulli boosting needs a binary 0/1 target")
 
     bernoulli = loss == "bernoulli"
-    f0 = float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12))) if bernoulli else float(y.mean())
+    f0 = _base_logit(y) if bernoulli else float(y.mean())
     F = np.full(X.shape[0], f0)
     XT, order = np.ascontiguousarray(X.T), _presort(X)
     nodes = _Nodes()
@@ -1266,11 +1274,11 @@ def _pairwise_products(X: np.ndarray) -> np.ndarray:
 
 _ALLOWED_PARAMS = {
     "ols": {"interactions"},
-    "logistic": {"ridge", "interactions"},
-    "lasso": {"lam", "n_lambda", "v", "seed"},
+    "logistic": {"interactions"},
+    "lasso": {"lam"},
     "tree": {"max_depth", "min_leaf"},
-    "forest": {"n_trees", "mtry", "min_leaf", "max_depth", "seed"},
-    "boost": {"n_trees", "max_depth", "nu", "min_leaf"},
+    "forest": {"n_trees", "mtry", "seed"},
+    "boost": {"n_trees", "max_depth", "nu"},
 }
 
 
@@ -1295,7 +1303,6 @@ def fit_learner(
         raise ValueError(f"unknown {spec.family} hyperparameters: {sorted(unknown)}")
     d = X.shape[1]
     flags: tuple[str, ...] = ()
-    seed = p.get("seed", 0)
 
     if spec.family in ("ols", "logistic") and p.get("interactions", False):
         def design(M):
@@ -1310,15 +1317,14 @@ def fit_learner(
         model = fit_ols(Xd, y)
         predict = lambda M: model.predict(design(M))  # noqa: E731
     elif spec.family == "logistic":
-        model = fit_logistic(Xd, y, ridge=p.get("ridge", 0.0))
+        model = fit_logistic(Xd, y)
         flags = model.flags
         predict = lambda M: model.predict_proba(design(M))  # noqa: E731
         target_kind = "probability"
     elif spec.family == "lasso":
         lam = p.get("lam")
         if lam is None:
-            model = lasso_cv(X, y, make_folds(X.shape[0], p.get("v", 5), seed),
-                             default_lambda_grid(X, y, p.get("n_lambda", 100)))
+            model = lasso_cv(X, y, make_folds(X.shape[0], 5, 0), default_lambda_grid(X, y))
         else:
             model = fit_lasso(X, y, lam)
         predict = model.predict
@@ -1330,9 +1336,7 @@ def fit_learner(
             X, y,
             n_trees=p.get("n_trees", 100),
             mtry=min(p["mtry"], d) if "mtry" in p and p["mtry"] is not None else None,
-            min_leaf=p.get("min_leaf", 5),
-            seed=seed,
-            max_depth=p.get("max_depth"),
+            seed=p.get("seed", 0),
         )
         predict = model.predict
     else:  # boost
@@ -1342,7 +1346,6 @@ def fit_learner(
             max_depth=p.get("max_depth", 3),
             shrinkage=p.get("nu", 0.1),
             loss="bernoulli" if target_kind == "probability" else "squared",
-            min_leaf=p.get("min_leaf", 1),
         )
         predict = model.predict
 

@@ -58,20 +58,18 @@ def double_lasso_select(
     A: np.ndarray,
     Y: np.ndarray,
     folds: FoldAssignment,
-    *,
-    n_lambda: int = 100,
 ) -> SelectionResult:
     """Union of the l1-active sets from a Y-on-X and an A-on-X regression.
 
     Both penalties are chosen by ``lasso_cv`` on the same ``folds``, each
-    from its own ``n_lambda``-point default grid; the treatment step is a
-    linear fit (the partially-linear convention).
+    from its own 100-point default grid; the treatment step is a linear fit
+    (the partially-linear convention).
     """
     X = np.asarray(X, dtype=float)
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    fit_y = lasso_cv(X, Y, folds, default_lambda_grid(X, Y, n_lambda))
-    fit_a = lasso_cv(X, A, folds, default_lambda_grid(X, A, n_lambda))
+    fit_y = lasso_cv(X, Y, folds, default_lambda_grid(X, Y))
+    fit_a = lasso_cv(X, A, folds, default_lambda_grid(X, A))
     return SelectionResult(fit_y.active_set, fit_a.active_set)
 
 
@@ -97,7 +95,8 @@ class CtmleCandidate:
 @dataclass(frozen=True)
 class CtmleTrace:
     """Ordered candidate sequence; the cross-validated choice
-    ``chosen_index`` is the first candidate with the smallest cv loss."""
+    ``chosen_index`` is the first candidate with the smallest cv loss.
+    ``flags`` lists the sequence's own flags, then its propensity fits'."""
 
     candidates: tuple[CtmleCandidate, ...]
     candidate_evals_per_round: tuple[int, ...] = ()
@@ -106,6 +105,9 @@ class CtmleTrace:
     @property
     def chosen_index(self) -> int:
         return int(np.argmin([c.cv_loss for c in self.candidates]))
+
+
+_ALL = slice(None)  # the full sample as a block of rows: views, as in fit_nuisances
 
 
 class _TargetingEngine:
@@ -117,6 +119,8 @@ class _TargetingEngine:
     per-unit arrays (matching the convention of treating it as an external
     input), and the propensity fits depend only on the covariates and the
     rows, so a caller that replaces ``q`` rescores the same fitted models.
+    ``flags`` collects the flags of every propensity fit made, each once in
+    first-seen order, as ``fit_nuisances`` does.
     """
 
     def __init__(self, dataset: Dataset, initial: NuisanceFits, V: int, trim: float, seed: int):
@@ -130,7 +134,7 @@ class _TargetingEngine:
         self.q = (mu1s, mu0s)
         self.trim = float(trim)
         self.folds = make_stratified_folds(dataset.treatment, V, seed)
-        self.all_rows = np.ones(dataset.n, dtype=bool)
+        self.flags: dict = {}  # an ordered set
         self.n_scorings = 0
 
     # -- fit step --------------------------------------------------------------
@@ -140,31 +144,34 @@ class _TargetingEngine:
         the full sample first: one list per block, one function per
         candidate. The set is ``base + (j,)`` for each j in ``extra``, the l1
         logit at ``lam``, or, given neither, the intercept alone."""
-        blocks = [self.all_rows] + [tr for tr, _ in self.folds.blocks]
+        blocks = [_ALL] + [tr for tr, _ in self.folds.blocks]
         return [self.fit_block(rows, base, extra, lam) for rows in blocks]
 
     def fit_block(self, rows, base, extra, lam):
         """``fit`` on one block of training rows."""
         X, A = self.X[rows], self.A[rows]
         if lam is not None:
-            return [self._clipped(fit_logistic_lasso(X, A, lam).predict_proba)]
-        if extra is None:
+            fits, cols = [fit_logistic_lasso(X, A, lam)], [_ALL]
+        elif extra is None:
             mean = A.mean()
             return [self._clipped(lambda M: np.full(M.shape[0], mean))]
-        fits = _fit_logistic_candidates(X, A, base, extra)
-        return [self._clipped(fit.predict_proba, list(base) + [j]) for fit, j in zip(fits, extra)]
+        else:
+            fits, cols = _fit_logistic_candidates(X, A, base, extra), [list(base) + [j] for j in extra]
+        for fit in fits:
+            self.flags.update(dict.fromkeys(fit.flags))
+        return [self._clipped(fit.predict_proba, c) for fit, c in zip(fits, cols)]
 
-    def _clipped(self, predict, cols=slice(None)):
+    def _clipped(self, predict, cols=_ALL):
         return lambda M: np.clip(predict(M[:, cols]), self.trim, 1.0 - self.trim)
 
     # -- score step ------------------------------------------------------------
 
     def _update(self, p, rows, eps=None):
         """Targeted update of the working initial fit on ``rows`` given
-        propensity p (all rows); solves the fluctuation there unless ``eps``
-        is given."""
+        propensity p on those rows; solves the fluctuation there unless
+        ``eps`` is given."""
         mu1s, mu0s = self.q
-        return _Targeted(self.A[rows], self.ys[rows], mu1s[rows], mu0s[rows], p[rows], eps)
+        return _Targeted(self.A[rows], self.ys[rows], mu1s[rows], mu0s[rows], p, eps)
 
     def _loss(self, targeted, rows):
         return float(np.mean((self.ys[rows] - targeted.muA) ** 2))
@@ -173,20 +180,16 @@ class _TargetingEngine:
         """(cv loss, full-sample loss, epsilon, full-sample targeted fit) of
         each candidate of ``fits`` (the output of ``fit``) under the working
         initial fit; one scoring per candidate for the instrumented count."""
-        n = self.dataset.n
         full_models, *fold_models = fits
-        fulls = [self._update(model(self.X), self.all_rows) for model in full_models]
+        fulls = [self._update(model(self.X), _ALL) for model in full_models]
         self.n_scorings += len(fulls)
         cv_losses = [[] for _ in fulls]
         for models, (tr, te) in zip(fold_models, self.folds.blocks):
             X_tr, X_te = self.X[tr], self.X[te]
             for losses, model in zip(cv_losses, models):
-                p = np.empty(n)
-                p[tr] = model(X_tr)
-                p[te] = model(X_te)
-                eps_v = self._update(p, tr).eps
-                losses.append(self._loss(self._update(p, te, eps_v), te))
-        return [(float(np.mean(cv)), self._loss(full, self.all_rows), full.eps, full)
+                eps_v = self._update(model(X_tr), tr).eps
+                losses.append(self._loss(self._update(model(X_te), te, eps_v), te))
+        return [(float(np.mean(cv)), self._loss(full, _ALL), full.eps, full)
                 for cv, full in zip(cv_losses, fulls)]
 
     def q_loss(self):
@@ -205,7 +208,7 @@ class _TargetingEngine:
         ``diag`` gains the chosen covariates (or penalty), cv loss and
         epsilon.
         """
-        trace = CtmleTrace(tuple(candidates), tuple(evals), tuple(flags))
+        trace = CtmleTrace(tuple(candidates), tuple(evals), tuple(dict.fromkeys([*flags, *self.flags])))
         c = candidates[trace.chosen_index]
         if c.lam is None:
             diag["chosen_covariates"] = [self.dataset.names[j] for j in c.covariates]
@@ -243,12 +246,10 @@ def ctmle_greedy(
 
     current: tuple[int, ...] = ()
     remaining = list(range(dataset.d))
-    round_evals = 1  # the intercept-only scoring opens the first round
     while remaining:
         fits = eng.fit(current, remaining)
         for restarted in (False, True):
             stage = eng.score(fits)
-            round_evals += len(stage)
             k = min(range(len(stage)), key=lambda i: stage[i][0])  # first cv-loss argmin
             improved = stage[k][1] < eng.q_loss()
             if improved or restarted:
@@ -259,11 +260,11 @@ def ctmle_greedy(
             # fit, close the round, and rescore the stage once
             last = candidates[-1].fit
             eng.q = tuple(np.clip(m, Q_BOUND, 1.0 - Q_BOUND) for m in (last.mu1, last.mu0))
-            evals_per_round.append(round_evals)
-            round_evals = 0
+            # the first round also holds the intercept-only scoring
+            evals_per_round.append(eng.n_scorings - sum(evals_per_round))
         current = current + (remaining.pop(k),)
         candidates.append(CtmleCandidate(current, None, *stage[k]))
-    evals_per_round.append(round_evals)
+    evals_per_round.append(eng.n_scorings - sum(evals_per_round))
     return eng.report(candidates, "ctmle_greedy", {}, evals_per_round, flags)
 
 
@@ -303,8 +304,8 @@ def ctmle_preorder_logistic(
     ascending-loss order (ties keep column order).
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
-    models = eng.fit_block(eng.all_rows, (), range(dataset.d), None)
-    losses = [eng._loss(eng._update(model(eng.X), eng.all_rows), eng.all_rows) for model in models]
+    models = eng.fit_block(_ALL, (), range(dataset.d), None)
+    losses = [eng._loss(eng._update(model(eng.X), _ALL), _ALL) for model in models]
     return _ctmle_from_order(eng, np.argsort(losses, kind="stable"), "ctmle_logistic")
 
 
@@ -335,7 +336,6 @@ def ctmle_preorder_correlation(
 def ctmle_lasso(
     dataset: Dataset,
     initial: NuisanceFits,
-    lambda_path=None,
     V: int = 5,
     *,
     trim: float = 0.01,
@@ -343,21 +343,15 @@ def ctmle_lasso(
 ) -> tuple[AteResult, CtmleTrace]:
     """Candidate propensity models along a decreasing l1 penalty path.
 
-    By default the path starts at the penalty, from a 20-point grid, whose
-    l1 logit for the treatment has the smallest held-out log-loss over the
-    engine's folds, and shrinks geometrically (ratio 0.75, ten points). Each
-    penalty yields one targeted fit; cross-validated loss picks the winner.
+    The path starts at the penalty lam1, from a 20-point grid, whose l1
+    logit for the treatment has the smallest held-out log-loss over the
+    engine's folds (floored at 1e-8), and shrinks geometrically: ten points
+    lam1 * 0.75^k. Each penalty yields one targeted fit; cross-validated
+    loss picks the winner.
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
-    if lambda_path is None:
-        grid = default_lambda_grid(eng.X, eng.A, 20, ratio=1e-3)
-        lam1 = max(_cv_penalty(eng.X, eng.A, grid, eng.folds, _logistic_lasso_fold_losses), 1e-8)
-        lambda_path = lam1 * (0.75 ** np.arange(10))
-    path = np.asarray(lambda_path, dtype=float)
-    if path.size < 1:
-        raise ValueError("lambda path must be non-empty")
-    if path.size > 1 and not (np.diff(path) < 0).all():
-        raise ValueError("lambda path must be strictly decreasing")
-    lams = [float(lam) for lam in path]
+    grid = default_lambda_grid(eng.X, eng.A, 20, ratio=1e-3)
+    lam1 = max(_cv_penalty(eng.X, eng.A, grid, eng.folds, _logistic_lasso_fold_losses), 1e-8)
+    lams = [float(lam) for lam in lam1 * (0.75 ** np.arange(10))]
     candidates = [CtmleCandidate(None, lam, *eng.score(eng.fit(lam=lam))[0]) for lam in lams]
     return eng.report(candidates, "ctmle_lasso", {"lambda_path": lams}, (eng.n_scorings,))

@@ -186,7 +186,7 @@ class TestAsam:
 
 
 class TestBoostedBalance:
-    """Propensity fits of the balance-stopped learner (stride 10, trim 0.01)."""
+    """Propensity fits of the balance-stopped learner (ASAM every 10 stages, trim 0.01)."""
 
     def test_schedule_includes_baseline_and_strides(self):
         ds, _ = make_confounded(n=200, seed=1)
@@ -232,7 +232,7 @@ class TestBoostedBalance:
         assert wins >= 19
 
     def test_bad_settings_are_rejected_at_construction(self):
-        for bad in ({"trim": 0.7}, {"trim": 0.0}, {"stride": 0}):
+        for bad in ({"trim": 0.7}, {"trim": 0.0}):
             with pytest.raises(ValueError):
                 BalanceBoostedPS(max_trees=20, shrinkage=0.1, **bad)
 

@@ -407,15 +407,24 @@ def test_report_writes_json_booleans(data, tmp_path):
     assert '"chosen": 0' not in text and '"chosen": 1' not in text
 
 
-@pytest.mark.parametrize("est,flags,warning", [
-    *(pytest.param(est, (), "separation_ridge", id=est) for est in ("iptw", "aiptw", "tmle", "dml")),
-    pytest.param("iptw", ("--ps-learner", "twang"), "balance_undefined", id="iptw-twang"),
+NULL_BALANCE = {"asam_unweighted": None, "asam_iptw": None, "flagged_unweighted": 0,
+                "flagged_iptw": 0}
+
+
+@pytest.mark.parametrize("est,flags,warning,balance", [
+    *(pytest.param(est, (), "separation_ridge", NULL_BALANCE, id=est)
+      for est in ("iptw", "aiptw", "tmle", "dml")),
+    pytest.param("iptw", ("--ps-learner", "twang"), "balance_undefined", NULL_BALANCE,
+                 id="iptw-twang"),
+    *(pytest.param(est, (), "separation_ridge", None, id=est)
+      for est in ("ctmle_greedy", "ctmle_logistic", "ctmle_correlation")),
 ])
-def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning):
+def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning, balance):
     # x1 = +-1e-3 separates the arms: the logistic propensity fit, cross-fitted
-    # or not, is refitted with a ridge and says so. Both arms are constant, so
-    # every SMD is degenerate whatever the weights: twang keeps its stage-0
-    # model and says so, and each ASAM is written as null.
+    # or not, and every CTMLE candidate on x1 is refitted with a ridge and says
+    # so. Both arms are constant, so every SMD is degenerate whatever the
+    # weights: twang keeps its stage-0 model and says so, and each ASAM is
+    # written as null. CTMLE reports no balance.
     path = tmp_path / "separated.csv"
     rows = [f"{x},{int(x > 0)},{k}" for k, x in enumerate([-1e-3] * 20 + [1e-3] * 20)]
     path.write_text("\n".join(["x1,treatment,outcome"] + rows) + "\n", encoding="utf-8")
@@ -424,17 +433,24 @@ def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning):
     text = out.read_text(encoding="utf-8")
     report = json.loads(text)
     assert report["warnings"] == [warning]
-    assert report["balance"] == {"asam_unweighted": None, "asam_iptw": None,
-                                 "flagged_unweighted": 0, "flagged_iptw": 0}
+    assert report["balance"] == balance
     assert "NaN" not in text
 
 
-@pytest.mark.parametrize("est", ["iptw", "dml"])
-def test_iteration_cap_reaches_the_warnings(data, tmp_path, monkeypatch, est):
-    # two IRLS steps leave the logistic propensity fit unconverged
-    monkeypatch.setattr(ateml.learners, "_IRLS_CAP", 2)
-    report = cli_report(data["lin"], tmp_path / "r.json", est, DML1 if est == "dml" else ())
-    assert report["warnings"] == ["iteration_cap"]
+@pytest.mark.parametrize("est,cap", [
+    *(pytest.param(est, "_IRLS_CAP", id=est)
+      for est in ("iptw", "dml", "ctmle_logistic", "ctmle_correlation")),
+    pytest.param("ctmle_greedy", "_IRLS_CAP", id="ctmle_greedy"),
+    pytest.param("ctmle_lasso", "_LOGIT_LASSO_CAP", id="ctmle_lasso"),
+])
+def test_iteration_cap_reaches_the_warnings(data, tmp_path, monkeypatch, est, cap):
+    # two IRLS steps, or two l1-logistic passes, leave the propensity fits
+    # unconverged; CTMLE lists its own forced acceptances first
+    monkeypatch.setattr(ateml.learners, cap, 2)
+    flags = {"dml": DML1, "ctmle_greedy": ("--covariates", "x1,x2,x3")}.get(est, ())
+    report = cli_report(data["lin"], tmp_path / "r.json", est, flags)
+    forced = [w for w in report["warnings"] if w.startswith("forced_accept_stage_")]
+    assert report["warnings"] == forced + ["iteration_cap"]
 
 
 def record_fits(monkeypatch):

@@ -512,6 +512,15 @@ class TestFitLearnerDispatch:
         with pytest.raises(ValueError, match="hyperparameters"):
             fit_learner(LearnerSpec("tree", {"depth": 3}), np.zeros((4, 1)), np.zeros(4))
 
+    @pytest.mark.parametrize("family,key", [
+        ("logistic", "ridge"), ("lasso", "n_lambda"), ("lasso", "v"), ("lasso", "seed"),
+        ("forest", "min_leaf"), ("forest", "max_depth"), ("boost", "min_leaf"),
+    ])
+    def test_keys_no_spec_sets_are_rejected(self, family, key):
+        # the fits behind these keys always take their defaults
+        with pytest.raises(ValueError, match=rf"unknown {family} hyperparameters: \['{key}'\]"):
+            fit_learner(LearnerSpec(family, {key: 1}), np.zeros((4, 1)), np.zeros(4))
+
     def test_probability_clipped(self):
         rng = rng_from(26)
         X = rng.standard_normal((30, 2))
