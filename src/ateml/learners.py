@@ -30,7 +30,8 @@ that keep them so, checked by ``tests/test_numeric_stack.py``:
 - ``expit`` and ``logit`` (``ateml.core``) are numpy's elementwise ufuncs
   (``exp``, ``log``, ``log1p``), which give each row of a C-contiguous
   (K, n) block, and a 0-d input, what they give that row or value alone.
-  The references in the tests call the same two functions.
+  The references in the tests call the same two functions; ``_base_logit``,
+  where every Bernoulli fit starts, gives what ``logit`` gives its 0-d input.
 - Whatever changes what is summed, or in which order, breaks exactness and
   is not used: ``einsum``, BLAS ``daxpy`` (fused multiply-add), covariance
   updates, active-set cycling, and warm starts for fits that start from

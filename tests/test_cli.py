@@ -439,8 +439,7 @@ def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning, balance
 
 @pytest.mark.parametrize("est,cap", [
     *(pytest.param(est, "_IRLS_CAP", id=est)
-      for est in ("iptw", "dml", "ctmle_logistic", "ctmle_correlation")),
-    pytest.param("ctmle_greedy", "_IRLS_CAP", id="ctmle_greedy"),
+      for est in ("iptw", "dml", "ctmle_logistic", "ctmle_correlation", "ctmle_greedy")),
     pytest.param("ctmle_lasso", "_LOGIT_LASSO_CAP", id="ctmle_lasso"),
 ])
 def test_iteration_cap_reaches_the_warnings(data, tmp_path, monkeypatch, est, cap):
