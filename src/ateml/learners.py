@@ -30,8 +30,7 @@ that keep them so, checked by ``tests/test_numeric_stack.py``:
 - ``expit`` and ``logit`` (``ateml.core``) are numpy's elementwise ufuncs
   (``exp``, ``log``, ``log1p``), which give each row of a C-contiguous
   (K, n) block, and a 0-d input, what they give that row or value alone.
-  The references in the tests call the same two functions; ``_base_logit``,
-  where every Bernoulli fit starts, gives what ``logit`` gives its 0-d input.
+  The references in the tests call the same two functions.
 - Whatever changes what is summed, or in which order, breaks exactness and
   is not used: ``einsum``, BLAS ``daxpy`` (fused multiply-add), covariance
   updates, active-set cycling, and warm starts for fits that start from
@@ -79,8 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, expit, loss_logloss,
-                   make_folds, rng_from)
+from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, expit, logit,
+                   loss_logloss, make_folds, rng_from)
 
 __all__ = [
     "LinearModel",
@@ -165,11 +164,9 @@ def _check_binary(y: np.ndarray) -> None:
 
 
 def _base_logit(y: np.ndarray) -> float:
-    """``core.logit`` of mean(y) clipped into [1e-12, 1 - 1e-12], bit for bit,
-    in its piecewise form on one Python float: where Bernoulli fits start."""
-    p = min(max(float(np.mean(y)), 1e-12), 1 - 1e-12)
-    s = 2.0 * (p - 0.5)
-    return float(np.log(p / (1.0 - p)) if p < 0.3 or p > 0.65 else np.log1p(s) - np.log1p(-s))
+    """The log-odds of mean(y), clipped into [1e-12, 1 - 1e-12]: where
+    Bernoulli fits start."""
+    return float(logit(np.clip(np.mean(y), 1e-12, 1 - 1e-12)))
 
 
 def fit_logistic(
@@ -578,9 +575,13 @@ def fit_logistic_lasso(
     return LinearModel(b0 - float(mu @ coef), coef, flags)
 
 
-def _logistic_lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams):
-    return [loss_logloss(fit_logistic_lasso(X_tr, y_tr, float(lam)).predict_proba(X_te), y_te)
-            for lam in lams]
+def _logistic_lasso_fold_losses(X_tr, y_tr, X_te, y_te, lams, flags=None):
+    """Held-out log-loss of the l1 logit at each penalty; the fits' flags go
+    into the ordered set ``flags``, if given."""
+    fits = [fit_logistic_lasso(X_tr, y_tr, float(lam)) for lam in lams]
+    if flags is not None:
+        flags.update(dict.fromkeys(f for fit in fits for f in fit.flags))
+    return [loss_logloss(fit.predict_proba(X_te), y_te) for fit in fits]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ whose targeted fit cross-validates best.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -119,8 +120,9 @@ class _TargetingEngine:
     per-unit arrays (matching the convention of treating it as an external
     input), and the propensity fits depend only on the covariates and the
     rows, so a caller that replaces ``q`` rescores the same fitted models.
-    ``flags`` collects the flags of every propensity fit made, each once in
-    first-seen order, as ``fit_nuisances`` does.
+    ``flags`` collects the flags of every propensity fit made (``ctmle_lasso``
+    adds its penalty search's), each once in first-seen order, as
+    ``fit_nuisances`` does.
     """
 
     def __init__(self, dataset: Dataset, initial: NuisanceFits, V: int, trim: float, seed: int):
@@ -351,7 +353,8 @@ def ctmle_lasso(
     """
     eng = _TargetingEngine(dataset, initial, V, trim, seed)
     grid = default_lambda_grid(eng.X, eng.A, 20, ratio=1e-3)
-    lam1 = max(_cv_penalty(eng.X, eng.A, grid, eng.folds, _logistic_lasso_fold_losses), 1e-8)
+    losses = partial(_logistic_lasso_fold_losses, flags=eng.flags)
+    lam1 = max(_cv_penalty(eng.X, eng.A, grid, eng.folds, losses), 1e-8)
     lams = [float(lam) for lam in lam1 * (0.75 ** np.arange(10))]
     candidates = [CtmleCandidate(None, lam, *eng.score(eng.fit(lam=lam))[0]) for lam in lams]
     return eng.report(candidates, "ctmle_lasso", {"lambda_path": lams}, (eng.n_scorings,))

@@ -17,7 +17,6 @@ import pytest
 from scipy import special
 
 from ateml.core import expit, logit
-from ateml.learners import _base_logit
 
 SHAPES = [(1, 2, 2), (3, 1, 4), (5, 7, 1), (4, 50, 3), (18, 200, 5), (7, 2000, 4),
           (2, 1600, 21), (9, 333, 12), (20, 40, 30), (1, 2500, 51)]
@@ -103,16 +102,6 @@ def test_expit_and_logit_give_a_block_what_they_give_its_rows_and_scalars(K, n):
         want = got.ravel()[::step]
         require(np.array_equal([fn(np.array(v)) for v in values], want), f"{name} of 0-d arrays")
         require(np.array_equal([fn(float(v)) for v in values], want), f"{name} of Python floats")
-
-
-def test_base_logit_is_logit_of_the_clipped_mean():
-    # every Bernoulli fit starts from it; the grid crosses both branch points
-    near = [np.nextafter(c, side) for c in (0.3, 0.65) for side in (0.0, 1.0)]
-    p = np.concatenate([np.linspace(0.0, 1.0, 40_001), [0.3, 0.65, 1e-13, 1.0 - 1e-13], near])
-    got = [_base_logit(np.array([v])) for v in p]
-    assert np.array_equal(got, logit(np.clip(p, 1e-12, 1 - 1e-12))), "_base_logit differs from logit"
-    y = (np.arange(1000) % 7 < 3).astype(float)
-    assert _base_logit(y) == float(logit(np.clip(y.mean(), 1e-12, 1 - 1e-12)))
 
 
 def ulps(a, b):

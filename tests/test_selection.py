@@ -126,6 +126,25 @@ def test_ctmle_lasso_fits_only_the_penalty_search_and_the_candidates(monkeypatch
     assert len(calls) == 5 * 20 + (5 + 1) * 10
 
 
+def test_ctmle_lasso_reports_capped_penalty_search_fits(monkeypatch):
+    # two l1-logistic passes for the fits that choose the path's first
+    # penalty only; the candidate fits keep the full cap and converge
+    ds, initial = _greedy_data(4)
+    _, trace = selection.ctmle_lasso(ds, initial, V=5, seed=0)
+    assert trace.flags == ()
+    fit_block, cap = selection._TargetingEngine.fit_block, learners._LOGIT_LASSO_CAP
+
+    def uncapped(self, *args):
+        with monkeypatch.context() as m:
+            m.setattr(learners, "_LOGIT_LASSO_CAP", cap)
+            return fit_block(self, *args)
+
+    monkeypatch.setattr(learners, "_LOGIT_LASSO_CAP", 2)
+    monkeypatch.setattr(selection._TargetingEngine, "fit_block", uncapped)
+    _, trace = selection.ctmle_lasso(ds, initial, V=5, seed=0)
+    assert trace.flags == ("iteration_cap",)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_double_lasso_keeps_the_confounders(seed):
     # x1..x3 enter both the propensity and the outcome of sparse_highdim; at
