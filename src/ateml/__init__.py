@@ -24,7 +24,6 @@ from .balance import (
     BalanceReport,
     MatchResult,
     PsFit,
-    WeightVector,
     asam,
     balance_table,
     iptw_weights,

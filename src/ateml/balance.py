@@ -19,7 +19,6 @@ from .learners import BoostModel, _base_logit, fit_boost
 
 __all__ = [
     "PsFit",
-    "WeightVector",
     "MatchResult",
     "BalanceReport",
     "BalanceBoostedPS",
@@ -70,23 +69,6 @@ class PsFit:
         return positivity + self.learner_flags
 
 
-def _as_ps(ps) -> np.ndarray:
-    return np.asarray(ps.ps if isinstance(ps, PsFit) else ps, dtype=float)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Positive per-unit weights."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
-        if (w <= 0).any():
-            raise ValueError("weights must be strictly positive")
-        object.__setattr__(self, "w", w)
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """1:1 nearest-neighbour matching on the propensity score, with
@@ -108,61 +90,69 @@ class MatchResult:
         return 1.0 + self.match_counts.astype(float)
 
 
-def iptw_weights(ps, A: np.ndarray) -> WeightVector:
-    """w_i = A_i / ps_i + (1 - A_i) / (1 - ps_i)."""
-    p = _as_ps(ps)
-    A = np.asarray(A, dtype=float)
-    return WeightVector(A / p + (1.0 - A) / (1.0 - p))
+def iptw_weights(ps: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """w_i = A_i / ps_i + (1 - A_i) / (1 - ps_i) for the scores ``ps``."""
+    p, A = np.asarray(ps, dtype=float), np.asarray(A, dtype=float)
+    return A / p + (1.0 - A) / (1.0 - p)
 
 
-def smd(x: np.ndarray, A: np.ndarray, w: WeightVector | np.ndarray | None = None):
-    """Standardised mean difference, treated minus control.
+def _smds(X: np.ndarray, A: np.ndarray, w: np.ndarray | None = None):
+    """(SMD of each column of ``X``, treated minus control; degenerate mask).
 
-    Means may be weighted; the pooled denominator always uses the unweighted
-    per-arm sample variances so adjustments are compared on one scale.
-    Returns None (an explicit degenerate marker) when both arms are constant
-    but their values differ; 0.0 when they are constant and equal. Constancy
-    is tested exactly, since rounding can leave a constant arm a tiny
-    non-zero variance.
+    Means are weighted by ``w`` (default all ones), which must be strictly
+    positive; the pooled denominator always uses the unweighted per-arm
+    sample variances. A column whose arms are both constant has SMD 0.0 when
+    their values are equal, and is degenerate (SMD nan) when they differ.
+    Constancy is tested exactly, since rounding can leave a constant arm a
+    tiny non-zero variance.
     """
-    x = np.asarray(x, dtype=float)
-    A = np.asarray(A)
+    X, A = np.asarray(X, dtype=float), np.asarray(A)
     t, c = A == 1, A == 0
     if not (t.any() and c.any()):
         raise ValueError("both treatment arms must be non-empty")
-    xt, xc = x[t], x[c]
-    if xt.min() == xt.max() and xc.min() == xc.max():
-        return 0.0 if xt[0] == xc[0] else None
-    if w is None:
-        wt = np.ones_like(x)
-    else:
-        wt = np.asarray(w.w if isinstance(w, WeightVector) else w, dtype=float)
-    mean_t = float(np.sum(wt[t] * xt) / np.sum(wt[t]))
-    mean_c = float(np.sum(wt[c] * xc) / np.sum(wt[c]))
-    var_t = float(np.var(xt, ddof=1)) if xt.size > 1 else 0.0
-    var_c = float(np.var(xc, ddof=1)) if xc.size > 1 else 0.0
-    return (mean_t - mean_c) / float(np.sqrt((var_t + var_c) / 2.0))
+    wt = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=float)
+    if (wt <= 0).any():
+        raise ValueError("weights must be strictly positive")
+    wt_t, wt_c = wt[t], wt[c]
+    sum_t, sum_c = np.sum(wt_t), np.sum(wt_c)
+    out, degenerate = np.empty(X.shape[1]), np.zeros(X.shape[1], dtype=bool)
+    for j in range(X.shape[1]):
+        xt, xc = X[t, j], X[c, j]
+        if xt.min() == xt.max() and xc.min() == xc.max():
+            degenerate[j] = xt[0] != xc[0]
+            out[j] = np.nan if degenerate[j] else 0.0
+            continue
+        mean_t = float(np.sum(wt_t * xt) / sum_t)
+        mean_c = float(np.sum(wt_c * xc) / sum_c)
+        var_t = float(np.var(xt, ddof=1)) if xt.size > 1 else 0.0
+        var_c = float(np.var(xc, ddof=1)) if xc.size > 1 else 0.0
+        out[j] = (mean_t - mean_c) / float(np.sqrt((var_t + var_c) / 2.0))
+    return out, degenerate
 
 
-def asam(X: np.ndarray, A: np.ndarray, w=None) -> float:
-    """Average absolute standardised mean difference over covariate columns.
+def smd(x: np.ndarray, A: np.ndarray, w: np.ndarray | None = None) -> float | None:
+    """Standardised mean difference of one covariate ``x``, treated minus
+    control, under the strictly positive weights ``w`` (default none), as
+    ``_smds`` computes it; None marks a degenerate column."""
+    s, degenerate = _smds(np.asarray(x, dtype=float)[:, None], A, w)
+    return None if degenerate[0] else float(s[0])
+
+
+def asam(X: np.ndarray, A: np.ndarray, w: np.ndarray | None = None) -> float:
+    """Average absolute standardised mean difference over the columns of
+    ``X`` under the strictly positive weights ``w`` (default none).
 
     Degenerate columns (constant arms, unequal values) are excluded from the
-    average and reported through a warning.
+    average and reported through a warning; ValueError when every column is
+    degenerate.
     """
-    X = np.asarray(X, dtype=float)
-    vals, degenerate = [], []
-    for j in range(X.shape[1]):
-        s = smd(X[:, j], A, w)
-        if s is None:
-            degenerate.append(j)
-        else:
-            vals.append(abs(s))
-    if degenerate:
-        warnings.warn(f"degenerate covariate columns excluded from ASAM: {degenerate}")
-    if not vals:
+    s, degenerate = _smds(X, A, w)
+    if degenerate.any():
+        warnings.warn("degenerate covariate columns excluded from ASAM: "
+                      f"{np.flatnonzero(degenerate).tolist()}")
+    if degenerate.all():
         raise ValueError("every covariate column is degenerate")
-    return float(np.mean(vals))
+    return float(np.mean(np.abs(s[~degenerate])))
 
 
 @dataclass(frozen=True)
@@ -192,7 +182,7 @@ class BalanceBoostedPS:
     def fit(self, X: np.ndarray, y: np.ndarray, target_kind: str = "probability",
             seed: int = 0) -> BoostModel:
         X = np.asarray(X, dtype=float)
-        if all(smd(x, y) is None for x in X.T):
+        if _smds(X, y)[1].all():
             return BoostModel(_base_logit(y), (), float(self.shrinkage), "bernoulli",
                               ("balance_undefined",), {"chosen_iteration": 0, "asam_trace": ()})
         trace = []
@@ -238,17 +228,14 @@ def _nearest(query: np.ndarray, pool: np.ndarray, pool_idx: np.ndarray) -> np.nd
     return out
 
 
-def ps_match(ps, A: np.ndarray) -> MatchResult:
-    """Nearest opposite-arm unit by |ps difference|; ties take the lowest
-    index; matching is with replacement and uses no caliper."""
-    p = _as_ps(ps)
-    A = np.asarray(A)
-    n = p.shape[0]
-    t_idx = np.flatnonzero(A == 1)
-    c_idx = np.flatnonzero(A == 0)
+def ps_match(ps: np.ndarray, A: np.ndarray) -> MatchResult:
+    """Nearest opposite-arm unit by |difference| of the scores ``ps``; ties
+    take the lowest index; matching is with replacement and uses no caliper."""
+    p, A = np.asarray(ps, dtype=float), np.asarray(A)
+    t_idx, c_idx = np.flatnonzero(A == 1), np.flatnonzero(A == 0)
     if t_idx.size == 0 or c_idx.size == 0:
         raise ValueError("both treatment arms must be non-empty")
-    match = np.empty(n, dtype=np.int64)
+    match = np.empty(p.shape[0], dtype=np.int64)
     match[t_idx] = _nearest(p[t_idx], p[c_idx], c_idx)
     match[c_idx] = _nearest(p[c_idx], p[t_idx], t_idx)
     return MatchResult(match)
@@ -284,29 +271,20 @@ class BalanceReport:
 def balance_table(dataset: Dataset, adjustments) -> BalanceReport:
     """SMD table: unweighted column plus one column per adjustment.
 
-    ``adjustments`` is a list of (label, WeightVector | MatchResult) pairs;
-    matched data contributes through its frequency weights.
+    ``adjustments`` is a list of (label, weights) pairs, each weight array
+    strictly positive; matched data contributes through its frequency
+    weights, ``MatchResult.balance_weights``. When every covariate is
+    degenerate the ASAMs are nan.
     """
     X, A = dataset.covariates, dataset.treatment
-    labels = ["unweighted"]
-    weight_cols: list[np.ndarray | None] = [None]
-    for label, adj in adjustments:
-        if label == "unweighted":
-            raise ValueError("'unweighted' is reserved for the raw column")
-        if isinstance(adj, MatchResult):
-            weight_cols.append(adj.balance_weights)
-        elif isinstance(adj, WeightVector):
-            weight_cols.append(adj.w)
-        else:
-            raise ValueError(f"adjustment {label!r} must be WeightVector or MatchResult")
-        labels.append(label)
-    smds: dict = {}
-    asam_by: dict = {}
-    flagged: dict = {}
-    for lab, wcol in zip(labels, weight_cols):
-        col_vals = [smd(X[:, j], A, wcol) for j in range(dataset.d)]
-        smds[lab] = col_vals
-        finite = [abs(v) for v in col_vals if v is not None]
-        asam_by[lab] = float(np.mean(finite)) if finite else float("nan")
-        flagged[lab] = int(sum(1 for v in col_vals if v is not None and abs(v) > SMD_FLAG_THRESHOLD))
-    return BalanceReport(dataset.names, tuple(labels), smds, asam_by, flagged)
+    columns = [("unweighted", None), *adjustments]
+    if any(label == "unweighted" for label, _ in adjustments):
+        raise ValueError("'unweighted' is reserved for the raw column")
+    smds, asam_by, flagged = {}, {}, {}
+    for label, w in columns:
+        s, degenerate = _smds(X, A, w)
+        finite = np.abs(s[~degenerate])
+        smds[label] = [None if deg else float(v) for v, deg in zip(s, degenerate)]
+        asam_by[label] = float(np.mean(finite)) if finite.size else float("nan")
+        flagged[label] = int(np.count_nonzero(finite > SMD_FLAG_THRESHOLD))
+    return BalanceReport(dataset.names, tuple(label for label, _ in columns), smds, asam_by, flagged)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import json
 import math
 import sys
@@ -297,9 +296,9 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
     shared by ``run``, its bootstrap replicates and ``simulate``.
 
     Returns (result, fit), where ``fit`` is what a report describes: the
-    propensity ``PsFit`` from ``fit_nuisances`` (iptw, aiptw, tmle, and for
-    dml that of its first repetition), the ``(PsFit, MatchResult)`` pair
-    (match), the ``CtmleTrace`` (ctmle_*), or None. ``double_lasso`` returns
+    ``NuisanceFits`` from ``fit_nuisances`` (reg, iptw, aiptw, tmle, and for
+    dml that of its first repetition), the ``(NuisanceFits, MatchResult)``
+    pair (match), the ``CtmleTrace`` (ctmle_*), or None. ``double_lasso`` returns
     its ``pd_method``'s pair on the selected covariates, renamed
     ``post_double_<pd_method>`` with the selected names in its diagnostics;
     an empty selection gives the naive contrast, flagged there.
@@ -308,20 +307,20 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
     if est == "naive":
         return naive_ate(ds), None
     if est == "reg":
-        return reg_ate(ds, fit_nuisances(ds, None, outcome_learner, trim=trim, seed=seed)), None
+        nuis = fit_nuisances(ds, None, outcome_learner, trim=trim, seed=seed)
+        return reg_ate(ds, nuis), nuis
     if est in ("iptw", "match", "aiptw", "tmle", "dml"):
         if est == "dml":
-            res, nuis = dml_ate(ds, ps_learner, outcome_learner, k=config.dml_k,
-                                s=config.dml_s, trim=trim, seed=seed)
-            return res, nuis.ps_fit
+            return dml_ate(ds, ps_learner, outcome_learner, k=config.dml_k, s=config.dml_s,
+                           trim=trim, seed=seed)
         outcome = outcome_learner if est in ("aiptw", "tmle") else None
         nuis = fit_nuisances(ds, ps_learner, outcome, trim=trim, seed=seed)
         if est == "iptw":
-            return iptw_ate(ds, nuis.ps_fit), nuis.ps_fit
+            return iptw_ate(ds, nuis.ps), nuis
         if est == "match":
-            matches = ps_match(nuis.ps_fit, ds.treatment)
-            return match_ate(ds, matches), (nuis.ps_fit, matches)
-        return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis.ps_fit
+            matches = ps_match(nuis.ps, ds.treatment)
+            return match_ate(ds, matches), (nuis, matches)
+        return (aiptw_ate if est == "aiptw" else tmle_ate)(ds, nuis), nuis
     if est == "double_lasso":
         _check_pd_method(config)
         cols = double_lasso_select(ds.covariates, ds.treatment.astype(float), ds.outcome,
@@ -362,19 +361,21 @@ def _report_extras(ds: Dataset, fit) -> dict:
         ]
         extras["warnings"] = list(fit.flags)
     elif fit is not None:
-        ps_fit, matches = fit if isinstance(fit, tuple) else (fit, None)
-        label = "iptw" if matches is None else "match"
-        adjustment = iptw_weights(ps_fit, ds.treatment) if matches is None else matches
-        table = balance_table(ds, [(label, adjustment)])
-        extras["balance"] = {
-            "asam_unweighted": table.asam["unweighted"],
-            f"asam_{label}": table.asam[label],
-            "flagged_unweighted": table.n_flagged["unweighted"],
-            f"flagged_{label}": table.n_flagged[label],
-        }
-        if "sl_weights" in ps_fit.meta:
-            extras["sl_weights"] = {"ps": ps_fit.meta["sl_weights"]}
-        extras["warnings"] = list(ps_fit.flags)
+        nuis, matches = fit if isinstance(fit, tuple) else (fit, None)
+        ps_fit = nuis.ps_fit
+        if ps_fit is not None:
+            label, weights = (("iptw", iptw_weights(ps_fit.ps, ds.treatment)) if matches is None
+                              else ("match", matches.balance_weights))
+            table = balance_table(ds, [(label, weights)])
+            extras["balance"] = {
+                "asam_unweighted": table.asam["unweighted"],
+                f"asam_{label}": table.asam[label],
+                "flagged_unweighted": table.n_flagged["unweighted"],
+                f"flagged_{label}": table.n_flagged[label],
+            }
+            if "sl_weights" in ps_fit.meta:
+                extras["sl_weights"] = {"ps": ps_fit.meta["sl_weights"]}
+        extras["warnings"] = list(nuis.flags)
     return extras
 
 
@@ -467,8 +468,9 @@ def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 50
             if name == "boosted":
                 learner = replace(learner, max_trees=boost_trees)
             fits[name] = fit_nuisances(ds, learner, trim=config.trim, seed=config.seed).ps_fit
-        adjust = iptw_weights if method == "iptw" else ps_match
-        pairs.append((adj, adjust(fits[name], ds.treatment)))
+        ps = fits[name].ps
+        pairs.append((adj, iptw_weights(ps, ds.treatment) if method == "iptw"
+                      else ps_match(ps, ds.treatment).balance_weights))
     report = balance_table(ds, pairs)
     return report.to_csv()
 
@@ -600,13 +602,6 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("--out", default="dgp.csv")
 
     args = parser.parse_args(argv)
-    if sys.platform == "linux":
-        # glibc's malloc thresholds follow the largest block freed so far; fixed,
-        # the 4 MB arrays of a stacked IRLS iteration (learners._STACK) stay in the heap
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD: four such arrays alive at once
-        mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: twice one such array
     try:
         if args.command == "export-dgp":
             print(export_dgp(args.spec, args.n, args.seed, args.out))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "FitError",
     "rng_from",
     "child_seeds",
+    "run_replicates",
     "OutcomeKind",
     "Dataset",
     "FoldAssignment",
@@ -75,6 +76,28 @@ def child_seeds(seed: int, n: int) -> list[int]:
     """
     state = np.random.SeedSequence(int(seed)).generate_state(n, np.uint64)
     return [int(s) for s in state]
+
+
+def run_replicates(estimator: Callable, cases: Iterable[tuple], nonfinite: str):
+    """``estimator(*case)`` for each of ``cases`` in order: the replicate loop
+    of the bootstrap and the Monte Carlo. Cases may be made lazily; an error
+    in making one propagates. A replicate fails when it raises ValueError or
+    RuntimeError, or when its estimate (the output's ``estimate``, or the
+    output itself) is not finite, with the message ``nonfinite``; any other
+    exception propagates. Returns the (estimate, output) pairs of the
+    replicates that succeeded and the failure messages.
+    """
+    done, failures = [], []
+    for case in cases:
+        try:
+            out = estimator(*case)
+            est = float(getattr(out, "estimate", out))
+            if not np.isfinite(est):
+                raise ValueError(nonfinite)
+            done.append((est, out))
+        except (ValueError, RuntimeError) as exc:
+            failures.append(str(exc))
+    return done, failures
 
 
 @dataclass(frozen=True)

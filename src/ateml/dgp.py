@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, OutcomeKind, child_seeds, expit, rng_from
+from .core import Dataset, OutcomeKind, child_seeds, expit, rng_from, run_replicates
 
 __all__ = [
     "DgpSpec",
@@ -233,28 +233,16 @@ def mc_eval(
     """
     if R < 2:
         raise ValueError("need R >= 2 replications")
-    seeds = child_seeds(seed, R)
-    estimates, cis = [], []
-    failures: list[str] = []
-    for s in seeds:
-        draw = gen_dataset(spec, s)
-        try:
-            res = estimator(draw, s)
-            est = float(res.estimate)
-            if not np.isfinite(est):
-                raise ValueError("non-finite estimate")
-            estimates.append(est)
-            cis.append(getattr(res, "ci95", None))
-        except (ValueError, RuntimeError) as exc:
-            failures.append(str(exc))
-    if not estimates:
+    draws = ((gen_dataset(spec, s), s) for s in child_seeds(seed, R))
+    done, failures = run_replicates(estimator, draws, "non-finite estimate")
+    if not done:
         raise RuntimeError(f"all {R} replications failed; first: {failures[0]}")
     truth = true_ate(spec)
-    arr = np.asarray(estimates)
+    arr = np.asarray([est for est, _ in done])
     bias = float(arr.mean() - truth)
     mc_se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else float("nan")
     rmse = float(np.sqrt(np.mean((arr - truth) ** 2)))
-    have_ci = [ci for ci in cis if ci is not None]
+    have_ci = [res.ci95 for _, res in done if getattr(res, "ci95", None) is not None]
     coverage = mean_width = None
     if have_ci:
         hits = [1.0 if lo <= truth <= hi else 0.0 for lo, hi in have_ci]

@@ -27,8 +27,9 @@ from .core import (
     logit,
     make_stratified_folds,
     rng_from,
+    run_replicates,
 )
-from .balance import MatchResult, PsFit, _as_ps, _check_trim
+from .balance import MatchResult, PsFit, _check_trim
 
 __all__ = [
     "NuisanceFits",
@@ -55,21 +56,29 @@ SCORE_TOL = 1e-6
 class NuisanceFits:
     """Per-unit nuisance predictions: the propensity record ``ps_fit``,
     full-sample or cross-fitted, whose scores are ``ps`` (both None when no
-    propensity was fitted), and the outcomes mu(a, X).
+    propensity was fitted), and the outcomes mu(a, X), whose models' flags
+    are ``outcome_flags``.
 
     ``provenance`` is "cross_fitted" when unit i's predictions came from
     models that never saw i's fold, and "full_sample" when every model saw
-    every unit.
+    every unit. ``flags`` lists the propensity's flags, then the outcome
+    models', each once.
     """
 
     ps_fit: PsFit | None
     mu1: np.ndarray | None
     mu0: np.ndarray | None
     provenance: str = "full_sample"
+    outcome_flags: tuple[str, ...] = ()
 
     @property
     def ps(self) -> np.ndarray | None:
         return None if self.ps_fit is None else self.ps_fit.ps
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        ps_flags = () if self.ps_fit is None else self.ps_fit.flags
+        return tuple(dict.fromkeys(ps_flags + self.outcome_flags))
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,9 @@ def fit_nuisances(
     for ``folds`` of another length, or for a single-arm training block. The
     propensity record is one ``PsFit``: the pooled raw scores, ``trim``, the
     union of the block models' flags in first-seen order, and the model's
-    meta ({} when cross-fitted).
+    meta ({} when cross-fitted). ``outcome_flags`` is the union, in the same
+    order, of the flags of every outcome model: block by block, treated arm
+    first.
     """
     X, A, y = dataset.covariates, dataset.treatment.astype(float), dataset.outcome
     kind = "probability" if dataset.outcome_kind.is_binary else "regression"
@@ -150,7 +161,7 @@ def fit_nuisances(
     raw = np.empty(dataset.n) if ps_spec is not None else None
     mu1 = np.empty(dataset.n) if outcome_spec is not None else None
     mu0 = np.empty(dataset.n) if outcome_spec is not None else None
-    flags: dict = {}  # an ordered set
+    flags, outcome_flags = {}, {}  # ordered sets
     for tr, te in blocks:
         X_tr, A_tr, y_tr, X_te = X[tr], A[tr], y[tr], X[te]
         if raw is not None:
@@ -158,11 +169,13 @@ def fit_nuisances(
             flags.update(dict.fromkeys(ps_flags))
         if mu1 is not None:
             for mu, arm in ((mu1, A_tr == 1), (mu0, A_tr == 0)):
-                mu[te] = np.clip(fit_predict(outcome_spec, X_tr[arm], y_tr[arm], kind, X_te)[0],
-                                 lo, hi)
+                pred, mu_flags, _ = fit_predict(outcome_spec, X_tr[arm], y_tr[arm], kind, X_te)
+                mu[te] = np.clip(pred, lo, hi)
+                outcome_flags.update(dict.fromkeys(mu_flags))
     ps_fit = None if raw is None else PsFit(raw, float(trim), tuple(flags),
                                             dict(meta) if folds is None else {})
-    return NuisanceFits(ps_fit, mu1, mu0, "full_sample" if folds is None else "cross_fitted")
+    return NuisanceFits(ps_fit, mu1, mu0, "full_sample" if folds is None else "cross_fitted",
+                        tuple(outcome_flags))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +207,13 @@ def reg_ate(dataset: Dataset, nuisance: NuisanceFits) -> AteResult:
     return AteResult(est, None, None, None, "reg", {"provenance": nuisance.provenance})
 
 
-def iptw_ate(dataset: Dataset, ps) -> AteResult:
-    """Horvitz-Thompson weighted mean difference.
+def iptw_ate(dataset: Dataset, ps: np.ndarray) -> AteResult:
+    """Horvitz-Thompson weighted mean difference under the scores ``ps``.
 
     The influence-function variance treats the propensity score as known,
     which leans conservative when the score was in fact estimated.
     """
-    p = _as_ps(ps)
+    p = np.asarray(ps, dtype=float)
     y, A = dataset.outcome, dataset.treatment.astype(float)
     contrib = A * y / p - (1.0 - A) * y / (1.0 - p)
     est = float(contrib.mean())
@@ -429,26 +442,15 @@ def bootstrap_ci(
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
     n = dataset.n
-    seeds = child_seeds(seed, B)
-    estimates = []
-    failures: list[str] = []
-    for rep_seed in seeds:
-        idx = rng_from(rep_seed).integers(0, n, size=n)
-        try:
-            ds_b = dataset.take(idx)
-            out = estimator(ds_b, rep_seed)
-            est = out.estimate if isinstance(out, AteResult) else float(out)
-            if not np.isfinite(est):
-                raise ValueError("non-finite replicate estimate")
-            estimates.append(est)
-        except (ValueError, RuntimeError) as exc:
-            failures.append(str(exc))
+    resamples = ((rng_from(s).integers(0, n, size=n), s) for s in child_seeds(seed, B))
+    done, failures = run_replicates(lambda idx, s: estimator(dataset.take(idx), s), resamples,
+                                    "non-finite replicate estimate")
     if len(failures) > 0.1 * B:
         sample = "; ".join(sorted(set(failures))[:3])
         raise RuntimeError(f"{len(failures)}/{B} bootstrap replicates failed: {sample}")
     if failures:
         warnings.warn(f"{len(failures)}/{B} bootstrap replicates failed and were dropped")
-    arr = np.asarray(estimates)
+    arr = np.asarray([est for est, _ in done])
     se = float(np.std(arr, ddof=1))
     ci = (float(np.percentile(arr, 2.5)), float(np.percentile(arr, 97.5)))
     return se, ci

@@ -74,6 +74,8 @@ forest grows at most ``_FOREST_SAMPLES`` samples per group of trees.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +110,13 @@ _LOGIT_LASSO_CAP = 50
 # Largest number of design entries in one stack of logistic fits; the scratch
 # memory of the stacked IRLS is a few times this.
 _STACK = 1 << 19
+if sys.platform == "linux":
+    # glibc's malloc thresholds follow the largest block freed so far; fixed at
+    # import, a stacked IRLS iteration's arrays (_STACK float64s each) stay in the heap
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-1, 4 * 8 * _STACK)  # M_TRIM_THRESHOLD: four such arrays alive at once
+    _mallopt(-3, 2 * 8 * _STACK)  # M_MMAP_THRESHOLD: twice one such array
 
 
 def _check_matrix(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

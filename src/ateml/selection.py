@@ -97,7 +97,8 @@ class CtmleCandidate:
 class CtmleTrace:
     """Ordered candidate sequence; the cross-validated choice
     ``chosen_index`` is the first candidate with the smallest cv loss.
-    ``flags`` lists the sequence's own flags, then its propensity fits'."""
+    ``flags`` lists the sequence's own flags, then its propensity fits', then
+    its initial outcome fit's, each once."""
 
     candidates: tuple[CtmleCandidate, ...]
     candidate_evals_per_round: tuple[int, ...] = ()
@@ -134,6 +135,7 @@ class _TargetingEngine:
         self.A = dataset.treatment.astype(float)
         self.span, self.ys, mu1s, mu0s = _scaled(dataset, initial.mu1, initial.mu0)
         self.q = (mu1s, mu0s)
+        self.outcome_flags = initial.outcome_flags
         self.trim = float(trim)
         self.folds = make_stratified_folds(dataset.treatment, V, seed)
         self.flags: dict = {}  # an ordered set
@@ -210,7 +212,8 @@ class _TargetingEngine:
         ``diag`` gains the chosen covariates (or penalty), cv loss and
         epsilon.
         """
-        trace = CtmleTrace(tuple(candidates), tuple(evals), tuple(dict.fromkeys([*flags, *self.flags])))
+        flags = dict.fromkeys([*flags, *self.flags, *self.outcome_flags])
+        trace = CtmleTrace(tuple(candidates), tuple(evals), tuple(flags))
         c = candidates[trace.chosen_index]
         if c.lam is None:
             diag["chosen_covariates"] = [self.dataset.names[j] for j in c.covariates]

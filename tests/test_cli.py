@@ -52,7 +52,7 @@ import pytest
 
 import ateml
 from ateml.cli import ESTIMATORS, RunConfig, ingest_csv, main, parse_learner, run
-from ateml.core import LearnerSpec
+from ateml.core import LearnerSpec, rng_from
 
 EXPORTS = {
     "lin": ("confounded_linear", 300, 7),
@@ -281,6 +281,27 @@ def test_run_reports_each_distinct_warning_once(data, tmp_path):
     report = cli_report(path, tmp_path / "r.json", "iptw", ("--ps-learner", "twang"))
     assert report["warnings"] == ["positivity_warning",
                                   "degenerate covariate columns excluded from ASAM: [0]"]
+
+
+def outcome_separated_by_x1(tmp_path):
+    """A CSV whose binary outcome is separated by x1 within each arm, while
+    the treatment is not: each arm's outcome fit is flagged, the propensity
+    fit is not."""
+    x1 = np.tile(np.repeat([-1e-3, 1e-3], 20), 2)
+    x2 = rng_from(0).permutation(np.linspace(-1.0, 1.0, 80))
+    A = np.repeat([1, 0], 40)
+    lines = ["x1,x2,treatment,outcome"] + [f"{a!r},{b!r},{t},{int(a > 0)}"
+                                           for a, b, t in zip(x1.tolist(), x2.tolist(), A)]
+    path = tmp_path / "separated.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("est", ["reg", "aiptw", "tmle", "dml", "ctmle_logistic",
+                                 "ctmle_correlation", "ctmle_lasso"])
+def test_outcome_model_flags_reach_the_report(tmp_path, est):
+    report = cli_report(outcome_separated_by_x1(tmp_path), tmp_path / "r.json", est, ())
+    assert report["warnings"] == ["separation_ridge"]
 
 
 def test_one_balance_table_and_no_learner_parse_per_replicate(data, tmp_path, monkeypatch):
@@ -1305,6 +1326,32 @@ import resource
 import numpy as np
 from ateml.cli import main
 main(["export-dgp", "--spec", "confounded_linear", "--n", "50", "--out", {str(tmp_path / "d.csv")!r}])
+def churn():
+    arrays = [np.ones(3 << 17) for _ in range(3)]
+    del arrays
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(ateml.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 100
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_importing_the_package_keeps_stacked_fit_arrays_in_the_heap():
+    """The thresholds are set when ``ateml`` is imported, so a program that
+    only calls the library keeps the arrays of a stacked IRLS iteration in
+    the heap too: the churn above, with no command run."""
+    script = """
+import resource
+import numpy as np
+import ateml
 def churn():
     arrays = [np.ones(3 << 17) for _ in range(3)]
     del arrays

@@ -16,6 +16,7 @@ from ateml.core import (
     make_folds,
     make_stratified_folds,
     rng_from,
+    run_replicates,
 )
 from ateml import learners, superlearner
 from ateml.estimators import fit_nuisances
@@ -209,3 +210,28 @@ def test_rng_streams_are_independent_of_global_state():
     np.random.seed(99)
     second = rng_from(9).standard_normal(3)
     assert np.array_equal(first, second)
+
+
+def test_replicates_fail_by_one_rule():
+    class Result:
+        estimate = 2.0
+
+    def estimator(value):
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    cases = [(1.0,), (ValueError("lost an arm"),), (np.nan,), (RuntimeError("diverged"),),
+             (Result(),)]
+    done, failures = run_replicates(estimator, cases, "non-finite")
+    assert [est for est, _ in done] == [1.0, 2.0] and isinstance(done[1][1], Result)
+    assert failures == ["lost an arm", "non-finite", "diverged"]
+    with pytest.raises(TypeError):
+        run_replicates(estimator, [(TypeError("a bug"),)], "non-finite")
+
+    def unmade():
+        raise ValueError("bad case")
+        yield
+
+    with pytest.raises(ValueError, match="bad case"):
+        run_replicates(estimator, unmade(), "non-finite")

@@ -541,3 +541,10 @@ def test_nuisance_bounds_respected_for_binary_outcome():
     for arr in (nuis.mu1, nuis.mu0):
         assert arr.min() >= 0.0 and arr.max() <= 1.0
     assert nuis.ps.min() >= 0.01 and nuis.ps.max() <= 0.99
+
+
+def test_nuisance_flags_list_the_propensity_first_and_each_once():
+    ps_fit = PsFit(np.array([0.5, 0.5]), 0.01, ("separation_ridge",))
+    nuis = NuisanceFits(ps_fit, None, None, outcome_flags=("iteration_cap", "separation_ridge"))
+    assert nuis.flags == ("separation_ridge", "iteration_cap")
+    assert NuisanceFits(None, None, None, outcome_flags=("iteration_cap",)).flags == ("iteration_cap",)
