@@ -50,8 +50,10 @@ def design(seed):
 
 
 def same(got, want):
-    return want is None if got is None else (want is not None and np.float64(got).tobytes()
-                                             == np.float64(want).tobytes())
+    """Both None, or the same double bit for bit."""
+    if got is None or want is None:
+        return got is want
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(40))
