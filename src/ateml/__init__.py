@@ -22,11 +22,10 @@ from .core import (
 from .balance import (
     BalanceBoostedPS,
     BalanceReport,
-    MatchResult,
-    PsFit,
     asam,
     balance_table,
     iptw_weights,
+    match_weights,
     ps_match,
     smd,
 )

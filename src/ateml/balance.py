@@ -9,8 +9,7 @@ adjustment methods.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,11 +17,10 @@ from .core import Dataset, expit
 from .learners import BoostModel, _base_logit, fit_boost
 
 __all__ = [
-    "PsFit",
-    "MatchResult",
     "BalanceReport",
     "BalanceBoostedPS",
     "iptw_weights",
+    "match_weights",
     "smd",
     "asam",
     "ps_match",
@@ -39,71 +37,26 @@ def _check_trim(trim: float) -> None:
         raise ValueError("trim must be in (0, 0.5)")
 
 
-@dataclass(frozen=True)
-class PsFit:
-    """A propensity fit, full-sample or cross-fitted: the learner's
-    ``raw_ps``, ``flags`` and ``meta``, and the ``trim``, which must lie in
-    (0, 0.5). The scores ``ps`` are ``raw_ps`` clipped into [trim, 1 - trim];
-    ``flags`` leads with ``positivity_warning`` when more than 10% of them
-    were clipped, then lists the learner's flags."""
-
-    raw_ps: np.ndarray
-    trim: float
-    learner_flags: tuple[str, ...] = ()
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _check_trim(self.trim)
-
-    @cached_property
-    def ps(self) -> np.ndarray:
-        return np.clip(self.raw_ps, self.trim, 1.0 - self.trim)
-
-    @cached_property
-    def clipped_fraction(self) -> float:
-        return float(np.mean((self.raw_ps < self.trim) | (self.raw_ps > 1.0 - self.trim)))
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        positivity = ("positivity_warning",) if self.clipped_fraction > 0.1 else ()
-        return positivity + self.learner_flags
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """1:1 nearest-neighbour matching on the propensity score, with
-    replacement, for the ATE.
-
-    ``match_index[i]`` is the opposite-arm unit imputing i's missing potential
-    outcome; ``match_counts[j]``, derived from it, counts how often j was used
-    as a match. For balance purposes each unit weighs 1 + its match count.
-    """
-
-    match_index: np.ndarray
-
-    @cached_property
-    def match_counts(self) -> np.ndarray:
-        return np.bincount(self.match_index, minlength=self.match_index.shape[0])
-
-    @property
-    def balance_weights(self) -> np.ndarray:
-        return 1.0 + self.match_counts.astype(float)
-
-
 def iptw_weights(ps: np.ndarray, A: np.ndarray) -> np.ndarray:
     """w_i = A_i / ps_i + (1 - A_i) / (1 - ps_i) for the scores ``ps``."""
     p, A = np.asarray(ps, dtype=float), np.asarray(A, dtype=float)
     return A / p + (1.0 - A) / (1.0 - p)
 
 
+def match_weights(match_index: np.ndarray) -> np.ndarray:
+    """Frequency weights of matched data: w_j = 1 + the number of units
+    whose match is j, for the index array of ``ps_match``."""
+    return 1.0 + np.bincount(match_index, minlength=match_index.shape[0])
+
+
 def _smds(X: np.ndarray, A: np.ndarray, w: np.ndarray | None = None):
     """(SMD of each column of ``X``, treated minus control; degenerate mask).
 
-    Means are weighted by ``w`` (default all ones), which must be strictly
-    positive; the pooled denominator always uses the unweighted per-arm
-    sample variances. A column whose arms are both constant has SMD 0.0 when
-    their values are equal, and is degenerate (SMD nan) when they differ.
-    Constancy is tested exactly, since rounding can leave a constant arm a
+    Means are weighted by ``w`` (default all ones), which must be finite and
+    strictly positive; the pooled denominator always uses the unweighted
+    per-arm sample variances. A column whose arms are both constant has SMD
+    0.0 when their values are equal, and is degenerate (SMD nan) when they
+    differ. Constancy is tested exactly, since rounding can leave a constant arm a
     tiny non-zero variance.
     """
     X, A = np.asarray(X, dtype=float), np.asarray(A)
@@ -111,8 +64,8 @@ def _smds(X: np.ndarray, A: np.ndarray, w: np.ndarray | None = None):
     if not (t.any() and c.any()):
         raise ValueError("both treatment arms must be non-empty")
     wt = np.ones(X.shape[0]) if w is None else np.asarray(w, dtype=float)
-    if (wt <= 0).any():
-        raise ValueError("weights must be strictly positive")
+    if not (np.isfinite(wt).all() and (wt > 0).all()):
+        raise ValueError("weights must be finite and strictly positive")
     wt_t, wt_c = wt[t], wt[c]
     sum_t, sum_c = np.sum(wt_t), np.sum(wt_c)
     out, degenerate = np.empty(X.shape[1]), np.zeros(X.shape[1], dtype=bool)
@@ -132,15 +85,15 @@ def _smds(X: np.ndarray, A: np.ndarray, w: np.ndarray | None = None):
 
 def smd(x: np.ndarray, A: np.ndarray, w: np.ndarray | None = None) -> float | None:
     """Standardised mean difference of one covariate ``x``, treated minus
-    control, under the strictly positive weights ``w`` (default none), as
-    ``_smds`` computes it; None marks a degenerate column."""
+    control, under the finite, strictly positive weights ``w`` (default
+    none), as ``_smds`` computes it; None marks a degenerate column."""
     s, degenerate = _smds(np.asarray(x, dtype=float)[:, None], A, w)
     return None if degenerate[0] else float(s[0])
 
 
 def asam(X: np.ndarray, A: np.ndarray, w: np.ndarray | None = None) -> float:
     """Average absolute standardised mean difference over the columns of
-    ``X`` under the strictly positive weights ``w`` (default none).
+    ``X`` under the finite, strictly positive weights ``w`` (default none).
 
     Degenerate columns (constant arms, unequal values) are excluded from the
     average and reported through a warning; ValueError when every column is
@@ -228,9 +181,12 @@ def _nearest(query: np.ndarray, pool: np.ndarray, pool_idx: np.ndarray) -> np.nd
     return out
 
 
-def ps_match(ps: np.ndarray, A: np.ndarray) -> MatchResult:
-    """Nearest opposite-arm unit by |difference| of the scores ``ps``; ties
-    take the lowest index; matching is with replacement and uses no caliper."""
+def ps_match(ps: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """1:1 nearest-neighbour matching on the scores ``ps`` for the ATE: the
+    int64 array whose entry i is the opposite-arm unit at the smallest
+    |difference| of scores, which imputes i's missing potential outcome.
+    Ties take the lowest index; matching is with replacement and uses no
+    caliper."""
     p, A = np.asarray(ps, dtype=float), np.asarray(A)
     t_idx, c_idx = np.flatnonzero(A == 1), np.flatnonzero(A == 0)
     if t_idx.size == 0 or c_idx.size == 0:
@@ -238,7 +194,7 @@ def ps_match(ps: np.ndarray, A: np.ndarray) -> MatchResult:
     match = np.empty(p.shape[0], dtype=np.int64)
     match[t_idx] = _nearest(p[t_idx], p[c_idx], c_idx)
     match[c_idx] = _nearest(p[c_idx], p[t_idx], t_idx)
-    return MatchResult(match)
+    return match
 
 
 @dataclass(frozen=True)
@@ -272,8 +228,8 @@ def balance_table(dataset: Dataset, adjustments) -> BalanceReport:
     """SMD table: unweighted column plus one column per adjustment.
 
     ``adjustments`` is a list of (label, weights) pairs, each weight array
-    strictly positive; matched data contributes through its frequency
-    weights, ``MatchResult.balance_weights``. When every covariate is
+    finite and strictly positive; matched data contributes through its
+    frequency weights, ``match_weights``. When every covariate is
     degenerate the ASAMs are nan.
     """
     X, A = dataset.covariates, dataset.treatment

@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import Dataset, Learner, LearnerSpec, OutcomeKind, make_folds
-from .balance import BalanceBoostedPS, balance_table, iptw_weights, ps_match
+from .balance import BalanceBoostedPS, balance_table, iptw_weights, match_weights, ps_match
 from .dgp import DgpSpec, McReport, builtin_specs, gen_dataset, mc_eval
 from .estimators import (
     AteResult,
@@ -297,11 +297,12 @@ def _estimate(config: RunConfig, ds: Dataset, ps_learner: Learner,
 
     Returns (result, fit), where ``fit`` is what a report describes: the
     ``NuisanceFits`` from ``fit_nuisances`` (reg, iptw, aiptw, tmle, and for
-    dml that of its first repetition), the ``(NuisanceFits, MatchResult)``
-    pair (match), the ``CtmleTrace`` (ctmle_*), or None. ``double_lasso`` returns
-    its ``pd_method``'s pair on the selected covariates, renamed
-    ``post_double_<pd_method>`` with the selected names in its diagnostics;
-    an empty selection gives the naive contrast, flagged there.
+    dml that of its first repetition), the pair of that ``NuisanceFits``
+    and the match index of ``ps_match`` (match), the ``CtmleTrace``
+    (ctmle_*), or None. ``double_lasso`` returns its ``pd_method``'s pair on
+    the selected covariates, renamed ``post_double_<pd_method>`` with the
+    selected names in its diagnostics; an empty selection gives the naive
+    contrast, flagged there.
     """
     est, trim, seed = config.estimator, config.trim, config.seed
     if est == "naive":
@@ -362,10 +363,9 @@ def _report_extras(ds: Dataset, fit) -> dict:
         extras["warnings"] = list(fit.flags)
     elif fit is not None:
         nuis, matches = fit if isinstance(fit, tuple) else (fit, None)
-        ps_fit = nuis.ps_fit
-        if ps_fit is not None:
-            label, weights = (("iptw", iptw_weights(ps_fit.ps, ds.treatment)) if matches is None
-                              else ("match", matches.balance_weights))
+        if nuis.ps is not None:
+            label, weights = (("iptw", iptw_weights(nuis.ps, ds.treatment)) if matches is None
+                              else ("match", match_weights(matches)))
             table = balance_table(ds, [(label, weights)])
             extras["balance"] = {
                 "asam_unweighted": table.asam["unweighted"],
@@ -373,8 +373,8 @@ def _report_extras(ds: Dataset, fit) -> dict:
                 "flagged_unweighted": table.n_flagged["unweighted"],
                 f"flagged_{label}": table.n_flagged[label],
             }
-            if "sl_weights" in ps_fit.meta:
-                extras["sl_weights"] = {"ps": ps_fit.meta["sl_weights"]}
+            if "sl_weights" in nuis.ps_meta:
+                extras["sl_weights"] = {"ps": nuis.ps_meta["sl_weights"]}
         extras["warnings"] = list(nuis.flags)
     return extras
 
@@ -449,8 +449,10 @@ def summary_line(report: dict) -> str:
 BALANCE_ADJUSTMENTS = ("iptw_logistic", "iptw_boosted", "iptw_sl", "match_logistic", "match_boosted")
 
 
-def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 500) -> str:
-    """Balance table CSV for the requested adjustments (may be empty).
+def balance_cmd(config: RunConfig, adjustments: list[str],
+                boost_trees: int = 500) -> tuple[str, tuple[str, ...]]:
+    """Balance table CSV for the requested adjustments (may be empty), and
+    the flags of the propensity fits, each once in first-seen order.
 
     The propensity models are the ``logistic``, ``twang`` ("boosted", with
     ``boost_trees`` trees at most) and ``sl`` learners of ``run``.
@@ -467,12 +469,12 @@ def balance_cmd(config: RunConfig, adjustments: list[str], boost_trees: int = 50
                 replace(config, ps_learner="twang" if name == "boosted" else name), ds.d, "ps")
             if name == "boosted":
                 learner = replace(learner, max_trees=boost_trees)
-            fits[name] = fit_nuisances(ds, learner, trim=config.trim, seed=config.seed).ps_fit
+            fits[name] = fit_nuisances(ds, learner, trim=config.trim, seed=config.seed)
         ps = fits[name].ps
         pairs.append((adj, iptw_weights(ps, ds.treatment) if method == "iptw"
-                      else ps_match(ps, ds.treatment).balance_weights))
-    report = balance_table(ds, pairs)
-    return report.to_csv()
+                      else match_weights(ps_match(ps, ds.treatment))))
+    flags = tuple(dict.fromkeys(f for nuis in fits.values() for f in nuis.flags))
+    return balance_table(ds, pairs).to_csv(), flags
 
 
 def _builtin_spec(name: str) -> DgpSpec:
@@ -615,7 +617,9 @@ def main(argv: list[str] | None = None) -> int:
             message = summary_line(report)
         elif args.command == "balance":
             adjustments = [a for a in args.adjust.split(",") if a.strip()]
-            text = balance_cmd(config, adjustments, boost_trees=args.boost_trees)
+            text, flags = balance_cmd(config, adjustments, boost_trees=args.boost_trees)
+            if flags:
+                print(json.dumps({"warnings": list(flags)}), file=sys.stderr)
             message = f"wrote balance table to {config.out}"
         else:
             estimators = [e for e in args.estimators.split(",") if e.strip()]

@@ -29,7 +29,7 @@ from .core import (
     rng_from,
     run_replicates,
 )
-from .balance import MatchResult, PsFit, _check_trim
+from .balance import _check_trim
 
 __all__ = [
     "NuisanceFits",
@@ -54,31 +54,49 @@ SCORE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class NuisanceFits:
-    """Per-unit nuisance predictions: the propensity record ``ps_fit``,
-    full-sample or cross-fitted, whose scores are ``ps`` (both None when no
-    propensity was fitted), and the outcomes mu(a, X), whose models' flags
-    are ``outcome_flags``.
+    """One nuisance fit, full-sample or cross-fitted: per-unit predictions
+    and what their models reported.
 
+    ``raw_ps`` are the propensity model's scores (None when no propensity
+    was fitted), ``ps_flags`` and ``ps_meta`` its flags and meta, and
+    ``trim``, which must lie in (0, 0.5) when there are scores, their clip:
+    ``ps`` is ``raw_ps`` clipped into [trim, 1 - trim]. ``mu1`` and ``mu0``
+    are the outcomes mu(a, X), whose models' flags are ``outcome_flags``.
     ``provenance`` is "cross_fitted" when unit i's predictions came from
     models that never saw i's fold, and "full_sample" when every model saw
-    every unit. ``flags`` lists the propensity's flags, then the outcome
-    models', each once.
+    every unit. ``flags`` leads with ``positivity_warning`` when more than
+    10% of the scores were clipped, then lists ``ps_flags`` and
+    ``outcome_flags``, each once.
     """
 
-    ps_fit: PsFit | None
+    raw_ps: np.ndarray | None
     mu1: np.ndarray | None
     mu0: np.ndarray | None
+    trim: float = 0.01
     provenance: str = "full_sample"
+    ps_flags: tuple[str, ...] = ()
     outcome_flags: tuple[str, ...] = ()
+    ps_meta: dict = field(default_factory=dict)
 
-    @property
+    def __post_init__(self) -> None:
+        if self.raw_ps is not None:
+            _check_trim(self.trim)
+
+    @cached_property
     def ps(self) -> np.ndarray | None:
-        return None if self.ps_fit is None else self.ps_fit.ps
+        return None if self.raw_ps is None else np.clip(self.raw_ps, self.trim, 1.0 - self.trim)
+
+    @cached_property
+    def clipped_fraction(self) -> float:
+        """The share of ``raw_ps`` outside [trim, 1 - trim]; 0.0 without scores."""
+        if self.raw_ps is None:
+            return 0.0
+        return float(np.mean((self.raw_ps < self.trim) | (self.raw_ps > 1.0 - self.trim)))
 
     @property
     def flags(self) -> tuple[str, ...]:
-        ps_flags = () if self.ps_fit is None else self.ps_fit.flags
-        return tuple(dict.fromkeys(ps_flags + self.outcome_flags))
+        positivity = ("positivity_warning",) if self.clipped_fraction > 0.1 else ()
+        return tuple(dict.fromkeys(positivity + self.ps_flags + self.outcome_flags))
 
 
 @dataclass(frozen=True)
@@ -133,11 +151,11 @@ def fit_nuisances(
     itself; cross-fitting has the blocks of ``folds``. Before any fit,
     ValueError is raised for a bad ``trim`` when a propensity is requested,
     for ``folds`` of another length, or for a single-arm training block. The
-    propensity record is one ``PsFit``: the pooled raw scores, ``trim``, the
-    union of the block models' flags in first-seen order, and the model's
-    meta ({} when cross-fitted). ``outcome_flags`` is the union, in the same
-    order, of the flags of every outcome model: block by block, treated arm
-    first.
+    one record holds the pooled raw scores, ``trim``, the union of the block
+    propensity models' flags in first-seen order as ``ps_flags``, and the
+    model's meta as ``ps_meta`` ({} when cross-fitted). ``outcome_flags`` is
+    the union, in the same order, of the flags of every outcome model: block
+    by block, treated arm first.
     """
     X, A, y = dataset.covariates, dataset.treatment.astype(float), dataset.outcome
     kind = "probability" if dataset.outcome_kind.is_binary else "regression"
@@ -161,7 +179,7 @@ def fit_nuisances(
     raw = np.empty(dataset.n) if ps_spec is not None else None
     mu1 = np.empty(dataset.n) if outcome_spec is not None else None
     mu0 = np.empty(dataset.n) if outcome_spec is not None else None
-    flags, outcome_flags = {}, {}  # ordered sets
+    flags, outcome_flags, meta = {}, {}, {}  # flags: ordered sets
     for tr, te in blocks:
         X_tr, A_tr, y_tr, X_te = X[tr], A[tr], y[tr], X[te]
         if raw is not None:
@@ -172,10 +190,9 @@ def fit_nuisances(
                 pred, mu_flags, _ = fit_predict(outcome_spec, X_tr[arm], y_tr[arm], kind, X_te)
                 mu[te] = np.clip(pred, lo, hi)
                 outcome_flags.update(dict.fromkeys(mu_flags))
-    ps_fit = None if raw is None else PsFit(raw, float(trim), tuple(flags),
-                                            dict(meta) if folds is None else {})
-    return NuisanceFits(ps_fit, mu1, mu0, "full_sample" if folds is None else "cross_fitted",
-                        tuple(outcome_flags))
+    return NuisanceFits(raw, mu1, mu0, float(trim),
+                        "full_sample" if folds is None else "cross_fitted", tuple(flags),
+                        tuple(outcome_flags), dict(meta) if folds is None else {})
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +238,16 @@ def iptw_ate(dataset: Dataset, ps: np.ndarray) -> AteResult:
     return _if_result(est, phi, "iptw", {"ps_known_se": True})
 
 
-def match_ate(dataset: Dataset, matches: MatchResult) -> AteResult:
-    """Impute each unit's missing potential outcome from its match.
+def match_ate(dataset: Dataset, match_index: np.ndarray) -> AteResult:
+    """Impute each unit's missing potential outcome from its match, unit
+    ``match_index[i]`` for unit i, as ``ps_match`` returns them.
 
     Standard errors require the bootstrap, re-matching inside every resample.
     """
     y, A = dataset.outcome, dataset.treatment
-    if matches.match_index.shape[0] != dataset.n:
-        raise ValueError("match result does not cover the dataset")
-    y_match = y[matches.match_index]
+    if match_index.shape[0] != dataset.n:
+        raise ValueError("match index does not cover the dataset")
+    y_match = y[match_index]
     y1 = np.where(A == 1, y, y_match)
     y0 = np.where(A == 0, y, y_match)
     est = float(np.mean(y1 - y0))

@@ -9,6 +9,7 @@ from ateml.balance import (
     asam,
     balance_table,
     iptw_weights,
+    match_weights,
     ps_match,
     smd,
 )
@@ -37,7 +38,7 @@ class TestEstimatePs:
         X = rng.uniform(-1.0, 1.0, size=(2000, 2))  # bounded so slope noise stays small
         A = (rng.random(2000) < 0.4).astype(int)
         ds = Dataset(X, A, np.zeros(2000), OutcomeKind.binary())
-        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.01).ps_fit
+        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.01)
         assert np.allclose(fit.ps, ds.treatment.mean(), atol=0.06)
         assert fit.clipped_fraction == 0.0
 
@@ -45,27 +46,27 @@ class TestEstimatePs:
         x = np.linspace(-3, 3, 100)
         A = (x > 0).astype(int)
         ds = Dataset(x[:, None], A, np.zeros(100), OutcomeKind.binary())
-        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.01).ps_fit
+        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.01)
         assert set(np.round(fit.ps, 6)) <= {0.01, 0.99}
         assert "positivity_warning" in fit.flags
 
     def test_trim_quarter_restricts_range(self):
         ds = _binary_dataset(300, 1, informative=True)
-        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.25).ps_fit
+        fit = fit_nuisances(ds, LearnerSpec("logistic"), trim=0.25)
         assert fit.ps.min() >= 0.25 and fit.ps.max() <= 0.75
 
     def test_trim_validated(self):
         ds = _binary_dataset(50, 2)
         with pytest.raises(ValueError):
-            fit_nuisances(ds, LearnerSpec("logistic"), trim=0.7).ps_fit
+            fit_nuisances(ds, LearnerSpec("logistic"), trim=0.7)
 
     def test_learner_flags_follow_the_positivity_flag(self):
         # x = +-1e-3 separates the arms, so the logistic fit is refitted with
         # a ridge; its scores stay inside the trim bounds
         ds = Dataset(SEPARATED_X[:, None], (SEPARATED_X > 0).astype(int), np.arange(40.0),
                      OutcomeKind.bounded(0.0, 39.0))
-        fit = fit_nuisances(ds, LearnerSpec("logistic")).ps_fit
-        assert fit.learner_flags == fit.flags == ("separation_ridge",)
+        fit = fit_nuisances(ds, LearnerSpec("logistic"))
+        assert fit.ps_flags == fit.flags == ("separation_ridge",)
         assert np.array_equal(fit.ps, np.clip(fit.raw_ps, 0.01, 0.99))
 
 
@@ -190,32 +191,32 @@ class TestBoostedBalance:
     def test_schedule_includes_baseline_and_strides(self):
         ds, _ = make_confounded(n=200, seed=1)
         learner = BalanceBoostedPS(max_trees=10, max_depth=2, shrinkage=0.1)
-        fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
-        assert [it for it, _ in fit.meta["asam_trace"]] == [0, 10]
+        fit = fit_nuisances(ds, learner, trim=0.01)
+        assert [it for it, _ in fit.ps_meta["asam_trace"]] == [0, 10]
 
     def test_chosen_iteration_minimises_trace(self):
         ds, _ = make_confounded(n=300, seed=2)
         learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
-        fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
-        trace = fit.meta["asam_trace"]
-        chosen_asam = dict(trace)[fit.meta["chosen_iteration"]]
+        fit = fit_nuisances(ds, learner, trim=0.01)
+        trace = fit.ps_meta["asam_trace"]
+        chosen_asam = dict(trace)[fit.ps_meta["chosen_iteration"]]
         assert all(chosen_asam <= a for _, a in trace)
 
     def test_randomized_treatment_keeps_low_iterations(self):
         for seed in range(10):
             ds = _binary_dataset(250, 100 + seed)
             learner = BalanceBoostedPS(max_trees=50, max_depth=2, shrinkage=0.1)
-            fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
-            trace = fit.meta["asam_trace"]
+            fit = fit_nuisances(ds, learner, trim=0.01)
+            trace = fit.ps_meta["asam_trace"]
             baseline = trace[0][1]
-            assert dict(trace)[fit.meta["chosen_iteration"]] <= baseline + 0.01
+            assert dict(trace)[fit.ps_meta["chosen_iteration"]] <= baseline + 0.01
 
     def test_kept_model_is_truncated_at_the_chosen_iteration(self):
         ds, _ = make_confounded(n=300, seed=3)
         learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
-        fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
+        fit = fit_nuisances(ds, learner, trim=0.01)
         model = learner.fit(ds.covariates, ds.treatment.astype(float))
-        assert len(model.trees) == fit.meta["chosen_iteration"] == model.meta["chosen_iteration"]
+        assert len(model.trees) == fit.ps_meta["chosen_iteration"] == model.meta["chosen_iteration"]
         assert np.array_equal(model.predict(ds.covariates), fit.raw_ps)
         held_out = model.predict(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, -2.0]]))
         assert ((held_out > 0) & (held_out < 1)).all()
@@ -225,7 +226,7 @@ class TestBoostedBalance:
         for seed in range(20):
             ds, _ = make_confounded(n=300, seed=300 + seed)
             learner = BalanceBoostedPS(max_trees=80, max_depth=2, shrinkage=0.1)
-            fit = fit_nuisances(ds, learner, trim=0.01).ps_fit
+            fit = fit_nuisances(ds, learner, trim=0.01)
             w = iptw_weights(fit.ps, ds.treatment)
             wins += asam(ds.covariates, ds.treatment, w) < asam(ds.covariates, ds.treatment)
         assert wins >= 19
@@ -250,20 +251,20 @@ class TestPsMatch:
         ps = np.array([0.6, 0.59, 0.2])
         A = np.array([1, 0, 0])
         m = ps_match(ps, A)
-        assert m.match_index[0] == 1
+        assert m[0] == 1
 
     def test_twins_tie_lowest_index(self):
         ps = np.array([0.3, 0.7, 0.3, 0.7])
         A = np.array([1, 1, 0, 0])
         m = ps_match(ps, A)
-        assert m.match_index[0] == 2 and m.match_index[1] == 3
-        assert m.match_index[2] == 0 and m.match_index[3] == 1
+        assert m[0] == 2 and m[1] == 3
+        assert m[2] == 0 and m[3] == 1
 
     def test_single_control_takes_all(self):
         ps = np.array([0.5, 0.6, 0.7, 0.4])
         A = np.array([1, 1, 1, 0])
         m = ps_match(ps, A)
-        assert all(m.match_index[i] == 3 for i in range(3))
+        assert all(m[i] == 3 for i in range(3))
 
     def test_opposite_arm_and_count_sums(self):
         rng = rng_from(6)
@@ -272,11 +273,12 @@ class TestPsMatch:
         if A.min() == A.max():
             A[0] = 1 - A[0]
         m = ps_match(ps, A)
-        assert np.all(A[m.match_index] == 1 - A)
+        assert np.all(A[m] == 1 - A)
         n1, n0 = int(A.sum()), int((1 - A).sum())
-        assert m.match_counts[A == 0].sum() == n1  # controls absorb the treated matches
-        assert m.match_counts[A == 1].sum() == n0
-        assert np.all(m.match_counts >= 0)
+        # controls absorb the treated matches
+        assert np.bincount(m, minlength=m.size)[A == 0].sum() == n1
+        assert np.bincount(m, minlength=m.size)[A == 1].sum() == n0
+        assert np.all(np.bincount(m, minlength=m.size) >= 0)
 
     @staticmethod
     def dense_match(ps, A):
@@ -295,14 +297,14 @@ class TestPsMatch:
         A = np.array([int(a) for _, a in units])
         if A.min() == A.max():
             A[0] = 1 - A[0]
-        assert np.array_equal(ps_match(ps, A).match_index, self.dense_match(ps, A))
+        assert np.array_equal(ps_match(ps, A), self.dense_match(ps, A))
 
     def test_distinct_scores_at_one_rounded_distance(self):
         # 0.5 - v rounds to the same double for all these tiny v
         ps = np.array([0.5, 0.0, 3e-20, 1e-20, 2e-20])
         A = np.array([1, 0, 0, 0, 0])
-        assert np.array_equal(ps_match(ps, A).match_index, self.dense_match(ps, A))
-        assert ps_match(ps, A).match_index[0] == 1
+        assert np.array_equal(ps_match(ps, A), self.dense_match(ps, A))
+        assert ps_match(ps, A)[0] == 1
 
 
 class TestBalanceTable:
@@ -331,8 +333,8 @@ class TestBalanceTable:
     def test_match_adjustment_uses_frequency_weights(self):
         ds, true_ps = make_confounded(n=150, seed=9)
         m = ps_match(np.clip(true_ps, 0.01, 0.99), ds.treatment)
-        rep = balance_table(ds, [("match", m.balance_weights)])
-        manual = asam(ds.covariates, ds.treatment, m.balance_weights)
+        rep = balance_table(ds, [("match", match_weights(m))])
+        manual = asam(ds.covariates, ds.treatment, match_weights(m))
         assert rep.asam["match"] == pytest.approx(manual)
 
     def test_csv_shape(self):

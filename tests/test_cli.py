@@ -458,6 +458,23 @@ def test_learner_flags_reach_the_warnings(tmp_path, est, flags, warning, balance
     assert "NaN" not in text
 
 
+def test_balance_reports_the_flags_of_its_propensity_fits(data, tmp_path, capsys):
+    # on the separated file above, the logistic fit is refitted with a ridge
+    # and twang keeps its stage-0 model: each flag once, in adjustment order,
+    # as one JSON line on stderr; a file that raises no flag prints nothing
+    path = tmp_path / "separated.csv"
+    rows = [f"{x},{int(x > 0)},{k}" for k, x in enumerate([-1e-3] * 20 + [1e-3] * 20)]
+    path.write_text("\n".join(["x1,treatment,outcome"] + rows) + "\n", encoding="utf-8")
+    out = tmp_path / "b.csv"
+    assert main(["balance", "--data", str(path), "--boost-trees", "20", "--out", str(out),
+                 "--adjust", "iptw_logistic,match_boosted,match_logistic,iptw_boosted"]) == 0
+    assert json.loads(capsys.readouterr().err) == {
+        "warnings": ["separation_ridge", "balance_undefined"]}
+    assert main(["balance", "--data", data["lin"], "--adjust", "iptw_logistic",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("est,cap", [
     *(pytest.param(est, "_IRLS_CAP", id=est)
       for est in ("iptw", "dml", "ctmle_logistic", "ctmle_correlation", "ctmle_greedy")),

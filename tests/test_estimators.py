@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ateml.core import Dataset, LearnerSpec, OutcomeKind, Z95, rng_from
-from ateml.balance import PsFit, ps_match
+from ateml.balance import ps_match
 from ateml.estimators import (
     AteResult,
     NuisanceFits,
@@ -73,7 +73,7 @@ class TestReg:
     def test_missing_nuisance_rejected(self):
         ds = _tiny([1, 0], [1.0, 0.0])
         with pytest.raises(ValueError):
-            reg_ate(ds, NuisanceFits(PsFit(np.array([0.5, 0.5]), 0.01), None, None))
+            reg_ate(ds, NuisanceFits(np.array([0.5, 0.5]), None, None))
 
 
 class TestIptw:
@@ -135,7 +135,7 @@ class TestAiptw:
             ds, true_ps = make_confounded(n=120, seed=seed)
             ps = np.clip(true_ps, 0.01, 0.99)
             zero = np.zeros(ds.n)
-            a = aiptw_ate(ds, NuisanceFits(PsFit(ps, 0.01), zero, zero))
+            a = aiptw_ate(ds, NuisanceFits(ps, zero, zero))
             b = iptw_ate(ds, ps)
             assert a.estimate == b.estimate
             assert np.array_equal(a.if_values, b.if_values)
@@ -143,7 +143,7 @@ class TestAiptw:
     def test_two_unit_hand_value(self):
         ds = _tiny([1, 0], [1.0, 0.0], OutcomeKind.binary())
         half = np.array([0.5, 0.5])
-        res = aiptw_ate(ds, NuisanceFits(PsFit(half, 0.01), half, half))
+        res = aiptw_ate(ds, NuisanceFits(half, half, half))
         # psi(1) = mean(A(y - mu1)/p + mu1) = (1.0 + 0.5)/2 = 1.0... computed below
         A, y = ds.treatment, ds.outcome
         psi1 = np.mean(A * (y - half) / half + half)
@@ -156,7 +156,7 @@ class TestAiptw:
         rng = rng_from(11)
         mu1 = np.where(ds.treatment == 1, ds.outcome, rng.standard_normal(ds.n))
         mu0 = np.where(ds.treatment == 0, ds.outcome, rng.standard_normal(ds.n))
-        nuis = NuisanceFits(PsFit(np.clip(true_ps, 0.01, 0.99), 0.01), mu1, mu0)
+        nuis = NuisanceFits(np.clip(true_ps, 0.01, 0.99), mu1, mu0)
         assert aiptw_ate(ds, nuis).estimate == pytest.approx(
             reg_ate(ds, nuis).estimate, abs=1e-12)
 
@@ -175,7 +175,7 @@ class TestTmle:
         A = (rng.random(n) < 0.5).astype(int)
         y = rng.uniform(0.3, 0.7, n)  # interior of the declared [0, 1] range
         ds = Dataset(X, A, y, OutcomeKind.bounded(0.0, 1.0))
-        nuis = NuisanceFits(PsFit(np.full(n, 0.5), 0.01), y.copy(), y.copy())
+        nuis = NuisanceFits(np.full(n, 0.5), y.copy(), y.copy())
         res = tmle_ate(ds, nuis)
         assert res.diagnostics["epsilon"] == 0.0
         assert res.estimate == pytest.approx(reg_ate(ds, nuis).estimate, abs=1e-12)
@@ -233,7 +233,7 @@ class TestTmle:
         A = np.array([1, 0] * 20)
         y = A.astype(float)
         ds = Dataset(np.zeros((n, 1)), A, y, OutcomeKind.binary())
-        nuis = NuisanceFits(PsFit(np.full(n, 0.5), 0.01), np.full(n, 0.5), np.full(n, 0.5))
+        nuis = NuisanceFits(np.full(n, 0.5), np.full(n, 0.5), np.full(n, 0.5))
         res = tmle_ate(ds, nuis)
         assert abs(res.diagnostics["score_residual"]) < 1e-6
         assert abs(res.diagnostics["epsilon"]) <= 50
@@ -370,9 +370,9 @@ class TestDml:
             model = LearnerSpec("logistic").fit(X[tr], A[tr].astype(float), "probability")
             want[te] = np.clip(model.predict(X[te]), 0.05, 0.95)
             flags += [f for f in (f"n{tr.sum()}", "shared") if f not in flags]
-        assert (nuis.ps_fit.ps == want).all() and (nuis.ps == want).all()
-        assert nuis.ps_fit.learner_flags == tuple(flags)
-        assert len(flags) == 3 and nuis.ps_fit.meta == {}
+        assert (nuis.ps == want).all()
+        assert nuis.ps_flags == tuple(flags)
+        assert len(flags) == 3 and nuis.ps_meta == {}
         assert nuis.provenance == "cross_fitted"
 
     def test_returns_the_fits_of_its_first_repetition(self):
@@ -420,7 +420,7 @@ class TestDml:
             with pytest.raises(ValueError, match=re.escape("trim must be in (0, 0.5)")):
                 fit_nuisances(ds, ps, outcome, trim=trim)
         assert ps.fits == outcome.fits == []
-        assert fit_nuisances(ds, None, outcome, trim=0.7).ps_fit is None
+        assert fit_nuisances(ds, None, outcome, trim=0.7).raw_ps is None
         assert outcome.fits == [int(ds.treatment.sum()), int(ds.n - ds.treatment.sum())]
 
 
@@ -501,8 +501,8 @@ class TestOutcomeScalingEquivariance:
         ds2 = self._scaled(ds, a, b)
         ps = np.clip(true_ps, 0.01, 0.99)
         nuis = fit_nuisances(ds, None, LearnerSpec("ols"))
-        nuis1 = NuisanceFits(PsFit(ps, 0.01), nuis.mu1, nuis.mu0)
-        nuis2 = NuisanceFits(PsFit(ps, 0.01), a + b * nuis.mu1, a + b * nuis.mu0)
+        nuis1 = NuisanceFits(ps, nuis.mu1, nuis.mu0)
+        nuis2 = NuisanceFits(ps, a + b * nuis.mu1, a + b * nuis.mu0)
         assert naive_ate(ds2).estimate == pytest.approx(b * naive_ate(ds).estimate, abs=1e-8)
         assert reg_ate(ds2, nuis2).estimate == pytest.approx(
             b * reg_ate(ds, nuis1).estimate, abs=1e-8)
@@ -544,7 +544,14 @@ def test_nuisance_bounds_respected_for_binary_outcome():
 
 
 def test_nuisance_flags_list_the_propensity_first_and_each_once():
-    ps_fit = PsFit(np.array([0.5, 0.5]), 0.01, ("separation_ridge",))
-    nuis = NuisanceFits(ps_fit, None, None, outcome_flags=("iteration_cap", "separation_ridge"))
+    nuis = NuisanceFits(np.array([0.5, 0.5]), None, None, ps_flags=("separation_ridge",),
+                        outcome_flags=("iteration_cap", "separation_ridge"))
     assert nuis.flags == ("separation_ridge", "iteration_cap")
+    # the positivity flag leads once more than 10% of the scores lie outside
+    # [trim, 1 - trim]; one score in ten is not enough
+    for outside, positivity in ((1, ()), (2, ("positivity_warning",))):
+        raw = np.r_[np.full(outside, 0.999), np.full(10 - outside, 0.5)]
+        nuis = NuisanceFits(raw, None, None, ps_flags=("separation_ridge",),
+                            outcome_flags=("iteration_cap", "separation_ridge"))
+        assert nuis.flags == positivity + ("separation_ridge", "iteration_cap")
     assert NuisanceFits(None, None, None, outcome_flags=("iteration_cap",)).flags == ("iteration_cap",)

@@ -78,7 +78,7 @@ def test_kernel_equals_the_reference_bit_for_bit(seed, weighted):
     assert same(table.asam[label], float(np.mean(finite)))
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_nonpositive_weights_are_rejected(bad):
     X, A, w = design(1)
     w = w.copy()
