@@ -1,9 +1,9 @@
 """Command-line front end: CSV in, estimates and diagnostic tables out.
 
 Subcommands: ``run`` (one estimator on one CSV, JSON report out), ``balance``
-(SMD table across weighting/matching adjustments), ``simulate`` (Monte Carlo
-over the built-in generators), and ``export-dgp`` (write a generated dataset
-as CSV). ``run`` and ``simulate`` share one estimator dispatch and accept the
+(SMD table across weighting/matching adjustments, the flags of its propensity
+fits on stderr), ``simulate`` (Monte Carlo over the built-in generators), and
+``export-dgp`` (write a generated dataset as CSV). ``run`` and ``simulate`` share one estimator dispatch and accept the
 same estimators: naive, reg, iptw, match, aiptw, tmle, dml, double_lasso,
 ctmle_greedy, ctmle_logistic, ctmle_correlation and ctmle_lasso.
 ``double_lasso`` selects covariates by post-double-selection and runs its
