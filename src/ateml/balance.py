@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 SMD_FLAG_THRESHOLD = 0.1
-# BalanceBoostedPS's ASAM schedule (every 10 stages) and rows per leaf
-_ASAM_EVERY, _BOOST_MIN_LEAF = 10, 10
+# BalanceBoostedPS's ASAM schedule (every 10 stages), stage-tree depth and rows per leaf
+_ASAM_EVERY, _BOOST_DEPTH, _BOOST_MIN_LEAF = 10, 2, 10
 
 
 def _check_trim(trim: float) -> None:
@@ -113,20 +113,20 @@ class BalanceBoostedPS:
     """Boosted treatment log-odds stopped where IPTW balance is best; a
     ``Learner`` for the propensity role.
 
-    ``fit(X, A)`` boosts ``max_trees`` Bernoulli stages, records the ASAM of
-    the covariates under IPTW weights (scores clipped at ``trim``, which must
-    lie in (0, 0.5)) at stage 0, every 10 stages and the last, and returns
-    the model truncated at the ASAM-minimising stage, ties toward fewer
-    trees. Stage trees keep at least 10 rows in each leaf. Its ``meta``
-    holds the chosen stage and the (stage, ASAM) trace. When every
-    covariate has constant arms no weighting changes an SMD, so ``fit``
-    boosts nothing: it returns the stage-0 model with an empty trace and the
-    flag ``balance_undefined``.
+    ``fit(X, A)`` boosts ``max_trees`` Bernoulli stages of step
+    ``shrinkage``, records the ASAM of the covariates under IPTW weights
+    (scores clipped at ``trim``, which must lie in (0, 0.5)) at stage 0,
+    every 10 stages and the last, and returns the model truncated at the
+    ASAM-minimising stage, ties toward fewer trees. Stage trees have depth 2
+    and keep at least 10 rows in each leaf; the defaults are the command
+    line's ``twang``, 500 stages of 0.05. Its ``meta`` holds the chosen
+    stage and the (stage, ASAM) trace. When every covariate has constant
+    arms no weighting changes an SMD, so ``fit`` boosts nothing: it returns
+    the stage-0 model with an empty trace and the flag ``balance_undefined``.
     """
 
-    max_trees: int = 5000
-    max_depth: int = 2
-    shrinkage: float = 0.005
+    max_trees: int = 500
+    shrinkage: float = 0.05
     trim: float = 0.01
 
     def __post_init__(self) -> None:
@@ -145,7 +145,7 @@ class BalanceBoostedPS:
                 p = np.clip(expit(F), self.trim, 1.0 - self.trim)
                 trace.append((t, asam(X, y, iptw_weights(p, y))))
 
-        model = fit_boost(X, y, self.max_trees, self.max_depth, self.shrinkage, "bernoulli",
+        model = fit_boost(X, y, self.max_trees, _BOOST_DEPTH, self.shrinkage, "bernoulli",
                           min_leaf=_BOOST_MIN_LEAF, callback=record)
         best = trace[int(np.argmin([a for _, a in trace]))][0]
         meta = {"chosen_iteration": best, "asam_trace": tuple(trace)}

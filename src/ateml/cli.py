@@ -3,13 +3,20 @@
 Subcommands: ``run`` (one estimator on one CSV, JSON report out), ``balance``
 (SMD table across weighting/matching adjustments, the flags of its propensity
 fits on stderr), ``simulate`` (Monte Carlo over the built-in generators), and
-``export-dgp`` (write a generated dataset as CSV). ``run`` and ``simulate`` share one estimator dispatch and accept the
-same estimators: naive, reg, iptw, match, aiptw, tmle, dml, double_lasso,
-ctmle_greedy, ctmle_logistic, ctmle_correlation and ctmle_lasso.
+``export-dgp`` (write a generated dataset as CSV). ``run`` and ``simulate``
+share one estimator dispatch and accept the same estimators: naive, reg, iptw,
+match, aiptw, tmle, dml, double_lasso, ctmle_greedy, ctmle_logistic,
+ctmle_correlation and ctmle_lasso.
 ``double_lasso`` selects covariates by post-double-selection and runs its
 ``pd_method`` (reg, iptw or aiptw) with the configured learners on the union.
 Configuration can come from a flat key = value file; any flag given on the
-command line wins over the file.
+command line wins over the file. CSVs are read as UTF-8, with or without a
+byte-order mark.
+
+A data, configuration or fit failure (``ValueError``, ``RuntimeError``, which
+includes ``FitError``, ``OSError`` or ``csv.Error``) exits 1 with one JSON
+line ``{"error": ..., "message": ...}`` on stderr; any other exception is a
+programming error and propagates.
 """
 
 from __future__ import annotations
@@ -183,7 +190,7 @@ def ingest_csv(path: str, config: RunConfig) -> tuple[Dataset, dict]:
     treatment and the outcome are one column, or if the covariates include
     either of them.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -276,7 +283,7 @@ def parse_learner(config: RunConfig, d: int, role: str, outcome_binary: bool = F
             ("logistic", "tree", "boost"),
             V=config.v_folds,
         ),
-        "twang": BalanceBoostedPS(max_trees=500, max_depth=2, shrinkage=0.05, trim=config.trim),
+        "twang": BalanceBoostedPS(trim=config.trim),
     }
     if name not in table:
         raise ValueError(f"unknown learner {name!r}")
@@ -629,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text)
         print(message)
         return 0
-    except Exception as exc:  # noqa: BLE001 - surface a machine-readable record
+    except (ValueError, RuntimeError, OSError, csv.Error) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 1

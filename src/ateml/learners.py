@@ -85,7 +85,6 @@ from .core import (FittedModel, FoldAssignment, LearnerSpec, child_seeds, expit,
 
 __all__ = [
     "LinearModel",
-    "LassoFit",
     "TreeNode",
     "ForestModel",
     "BoostModel",
@@ -136,20 +135,18 @@ def _check_matrix(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Affine predictor; probability predictions go through the logit link."""
+    """Affine predictor of every linear fit (OLS, logistic, lasso and
+    l1-logistic); probability predictions go through the logit link."""
 
     intercept: float
     coef: np.ndarray
     flags: tuple[str, ...] = ()
 
-    def linear(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         return self.intercept + np.asarray(X, dtype=float) @ self.coef
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.linear(X)
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.linear(X))
+        return expit(self.predict(X))
 
 
 def fit_ols(features: np.ndarray, target: np.ndarray) -> LinearModel:
@@ -344,19 +341,6 @@ def _newton_step(H: np.ndarray, score: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LassoFit:
-    """Solution of (1/2n)||y - b0 - Xb||^2 + lam*||b||_1, original scale."""
-
-    intercept: float
-    coef: np.ndarray
-    lam: float
-    active_set: tuple[int, ...]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.intercept + np.asarray(X, dtype=float) @ self.coef
-
-
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Center and scale to unit population sd; constant columns map to zero."""
     mu = X.mean(axis=0)
@@ -428,19 +412,19 @@ def _cd_lasso(G: np.ndarray, c: np.ndarray, lam: float, ok: np.ndarray,
     return beta
 
 
-def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LassoFit:
-    """Lasso with internal standardisation and unpenalised intercept.
+def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LinearModel:
+    """Lasso with internal standardisation and unpenalised intercept: the
+    solution of (1/2n)||y - b0 - Xb||^2 + lam*||b||_1, original scale.
 
     lam=0 falls back to the (minimum-norm) least-squares solution; at or above
-    ``lasso_lambda_max`` every coefficient is exactly zero.
+    ``lasso_lambda_max`` every coefficient is exactly zero. The active set is
+    ``np.flatnonzero(coef)``.
     """
     X, y = _check_matrix(features, target)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    intercept, coef = _lasso_path(X, y, [lam])[0]
-    active = tuple(int(j) for j in np.flatnonzero(coef != 0.0))
-    return LassoFit(intercept, coef, lam, active)
+    return LinearModel(*_lasso_path(X, y, [lam])[0])
 
 
 def _lasso_path(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -499,10 +483,10 @@ def lasso_cv(
     target: np.ndarray,
     folds: FoldAssignment,
     lambda_grid: np.ndarray,
-) -> LassoFit:
+) -> LinearModel:
     """Pick the penalty from ``lambda_grid`` by cross-validated MSE over
-    ``folds`` and refit on all rows; the refit's ``lam`` is the chosen
-    penalty.
+    ``folds``; the result is the ``fit_lasso`` refit on all rows at the
+    chosen penalty.
 
     The grid must be descending; exact risk ties resolve toward the larger
     penalty (more regularisation).

@@ -71,7 +71,7 @@ def double_lasso_select(
     Y = np.asarray(Y, dtype=float)
     fit_y = lasso_cv(X, Y, folds, default_lambda_grid(X, Y))
     fit_a = lasso_cv(X, A, folds, default_lambda_grid(X, A))
-    return SelectionResult(fit_y.active_set, fit_a.active_set)
+    return SelectionResult(*(tuple(np.flatnonzero(fit.coef).tolist()) for fit in (fit_y, fit_a)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ is the ``iteration_cap`` flag of a fit that uses up its iterations."""
 import numpy as np
 
 from ateml.core import expit, logit
-from ateml.learners import LassoFit, LinearModel
+from ateml.learners import LinearModel
 
 KKT_TOL = 1e-7  # inner tolerance; the documented contract is 1e-6
 
@@ -128,7 +128,7 @@ def _cd_lasso(G: np.ndarray, c: np.ndarray, lam: float, ok: np.ndarray,
     return beta
 
 
-def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LassoFit:
+def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LinearModel:
     """Lasso with internal standardisation and unpenalised intercept.
 
     lam=0 falls back to the (minimum-norm) least-squares solution; at or above
@@ -150,8 +150,7 @@ def fit_lasso(features: np.ndarray, target: np.ndarray, lam: float) -> LassoFit:
     coef = np.zeros(X.shape[1])
     coef[ok] = bs[ok] / sd[ok]
     intercept = ybar - float(mu @ coef)
-    active = tuple(int(j) for j in np.flatnonzero(coef != 0.0))
-    return LassoFit(intercept, coef, lam, active)
+    return LinearModel(intercept, coef)
 
 
 def _lasso_path(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[tuple[float, np.ndarray]]:

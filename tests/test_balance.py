@@ -190,13 +190,13 @@ class TestBoostedBalance:
 
     def test_schedule_includes_baseline_and_strides(self):
         ds, _ = make_confounded(n=200, seed=1)
-        learner = BalanceBoostedPS(max_trees=10, max_depth=2, shrinkage=0.1)
+        learner = BalanceBoostedPS(max_trees=10, shrinkage=0.1)
         fit = fit_nuisances(ds, learner, trim=0.01)
         assert [it for it, _ in fit.ps_meta["asam_trace"]] == [0, 10]
 
     def test_chosen_iteration_minimises_trace(self):
         ds, _ = make_confounded(n=300, seed=2)
-        learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
+        learner = BalanceBoostedPS(max_trees=60, shrinkage=0.1)
         fit = fit_nuisances(ds, learner, trim=0.01)
         trace = fit.ps_meta["asam_trace"]
         chosen_asam = dict(trace)[fit.ps_meta["chosen_iteration"]]
@@ -205,7 +205,7 @@ class TestBoostedBalance:
     def test_randomized_treatment_keeps_low_iterations(self):
         for seed in range(10):
             ds = _binary_dataset(250, 100 + seed)
-            learner = BalanceBoostedPS(max_trees=50, max_depth=2, shrinkage=0.1)
+            learner = BalanceBoostedPS(max_trees=50, shrinkage=0.1)
             fit = fit_nuisances(ds, learner, trim=0.01)
             trace = fit.ps_meta["asam_trace"]
             baseline = trace[0][1]
@@ -213,7 +213,7 @@ class TestBoostedBalance:
 
     def test_kept_model_is_truncated_at_the_chosen_iteration(self):
         ds, _ = make_confounded(n=300, seed=3)
-        learner = BalanceBoostedPS(max_trees=60, max_depth=2, shrinkage=0.1)
+        learner = BalanceBoostedPS(max_trees=60, shrinkage=0.1)
         fit = fit_nuisances(ds, learner, trim=0.01)
         model = learner.fit(ds.covariates, ds.treatment.astype(float))
         assert len(model.trees) == fit.ps_meta["chosen_iteration"] == model.meta["chosen_iteration"]
@@ -225,7 +225,7 @@ class TestBoostedBalance:
         wins = 0
         for seed in range(20):
             ds, _ = make_confounded(n=300, seed=300 + seed)
-            learner = BalanceBoostedPS(max_trees=80, max_depth=2, shrinkage=0.1)
+            learner = BalanceBoostedPS(max_trees=80, shrinkage=0.1)
             fit = fit_nuisances(ds, learner, trim=0.01)
             w = iptw_weights(fit.ps, ds.treatment)
             wins += asam(ds.covariates, ds.treatment, w) < asam(ds.covariates, ds.treatment)

@@ -38,6 +38,7 @@ stay equal. ``lin dml --ps-learner boost --dml-s 1`` moved its estimate by
 SE; the other 61 cases moved by at most 2.8e-15 times the SE.
 """
 
+import csv
 import json
 import os
 import platform
@@ -633,6 +634,42 @@ def test_ingest_rejects_a_header_that_names_a_column_twice(tmp_path):
     with pytest.raises(ValueError, match=re.escape("['x1'] named more than once in the header")):
         ingest_csv(str(path), RunConfig(data=str(path)))
 
+
+def test_ingest_reads_a_file_that_starts_with_a_byte_order_mark(data, tmp_path):
+    # as Excel's "CSV UTF-8" export writes it
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(data["lin"]).read_bytes())
+    plain, plain_info = ingest_csv(data["lin"], RunConfig(data=data["lin"]))
+    ds, info = ingest_csv(str(path), RunConfig(data=str(path)))
+    assert ds.names == plain.names and info == plain_info
+    for got, want in ((ds.covariates, plain.covariates), (ds.treatment, plain.treatment),
+                      (ds.outcome, plain.outcome)):
+        assert np.array_equal(got, want)
+
+
+def test_a_programming_error_propagates_from_main(data, tmp_path, monkeypatch):
+    import ateml.cli as cli_mod
+
+    def broken(*args):
+        raise TypeError("not a data error")
+
+    monkeypatch.setattr(cli_mod, "_estimate", broken)
+    out = tmp_path / "r.json"
+    with pytest.raises(TypeError, match="not a data error"):
+        main(["run", "--data", data["lin"], "--out", str(out)])
+    assert not out.exists()
+
+
+def test_a_cell_beyond_the_csv_field_limit_is_a_data_error(tmp_path, capsys):
+    rows = [f"{k % 2},{k},{k}" for k in range(10)]
+    rows[3] = "1,3," + "1" * (csv.field_size_limit() + 1)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(["treatment,outcome,x1"] + rows) + "\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "--data", str(path), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "Error" and "field larger than field limit" in record["message"]
+    assert not out.exists()
 
 @pytest.mark.parametrize("flags,message", [
     (("--covariates", "x1,x2,treatment"), "covariates include the treatment or outcome column"),

@@ -180,7 +180,6 @@ class TestLasso:
         fit = fit_lasso(X, y, lmax)
         assert np.all(fit.coef == 0.0)
         assert fit.intercept == pytest.approx(y.mean(), rel=1e-12)
-        assert fit.active_set == ()
 
     def test_soft_threshold_closed_form(self):
         rng = rng_from(8)
@@ -198,7 +197,7 @@ class TestLasso:
             y = X @ rng.standard_normal(d) + rng.standard_normal(n)
             lam = float(rng.uniform(0.01, 1.0)) * lasso_lambda_max(X, y)
             fit = fit_lasso(X, y, lam)
-            assert _kkt_violation(X, y, fit) < 1e-6
+            assert _kkt_violation(X, y, fit, lam) < 1e-6
 
     def test_l1_norm_monotone_in_lambda(self):
         rng = rng_from(10)
@@ -215,7 +214,7 @@ class TestLasso:
             fit_lasso(np.array([[np.nan]]), np.array([1.0]), 0.1)
 
 
-def _kkt_violation(X, y, fit):
+def _kkt_violation(X, y, fit, lam):
     """Max KKT residual on the standardized scale."""
     mu = X.mean(axis=0)
     sd = np.sqrt(np.mean((X - mu) ** 2, axis=0))
@@ -227,9 +226,9 @@ def _kkt_violation(X, y, fit):
     viol = 0.0
     inactive = beta_s == 0.0
     if inactive.any():
-        viol = max(viol, float(np.max(np.abs(g[inactive]))) - fit.lam)
+        viol = max(viol, float(np.max(np.abs(g[inactive]))) - lam)
     if (~inactive).any():
-        viol = max(viol, float(np.max(np.abs(g[~inactive] - fit.lam * np.sign(beta_s[~inactive])))))
+        viol = max(viol, float(np.max(np.abs(g[~inactive] - lam * np.sign(beta_s[~inactive])))))
     return viol
 
 
@@ -239,7 +238,8 @@ class TestLassoCv:
         X = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
         fit = lasso_cv(X, y, make_folds(30, 3, seed=0), np.array([0.123]))
-        assert fit.lam == 0.123
+        want = fit_lasso(X, y, 0.123)
+        assert fit.intercept == want.intercept and np.array_equal(fit.coef, want.coef)
 
     def test_pure_noise_selects_heavy_penalty(self):
         hits = 0
@@ -248,7 +248,7 @@ class TestLassoCv:
             X = rng.standard_normal((200, 8))
             y = rng.standard_normal(200)
             fit = lasso_cv(X, y, make_folds(200, 4, seed), default_lambda_grid(X, y))
-            hits += len(fit.active_set) <= 2
+            hits += np.count_nonzero(fit.coef) <= 2
         assert hits >= 27  # >= 90% of seeds keep at most two columns
 
     def test_strong_signal_keeps_the_signal_column(self):
@@ -258,7 +258,7 @@ class TestLassoCv:
             X = rng.standard_normal((80, 10))
             y = 3.0 * X[:, 0] + 0.1 * rng.standard_normal(80)
             fit = lasso_cv(X, y, make_folds(80, 4, seed), default_lambda_grid(X, y))
-            hits += 0 in fit.active_set
+            hits += fit.coef[0] != 0.0
         assert hits == 20
 
     def test_descending_grid_required(self):
