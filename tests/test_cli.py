@@ -671,6 +671,7 @@ def test_a_cell_beyond_the_csv_field_limit_is_a_data_error(tmp_path, capsys):
     assert record["error"] == "Error" and "field larger than field limit" in record["message"]
     assert not out.exists()
 
+
 @pytest.mark.parametrize("flags,message", [
     (("--covariates", "x1,x2,treatment"), "covariates include the treatment or outcome column"),
     (("--covariates", "x1,outcome"), "covariates include the treatment or outcome column"),

@@ -71,10 +71,8 @@ CASES = (
 
 @pytest.fixture(scope="module")
 def draws():
-    out = {}
-    for stem, name in DRAWS.items():
-        out[stem] = gen_dataset(replace(builtin_specs()[name], n=400), seed=7).dataset
-    return out
+    return {stem: gen_dataset(replace(builtin_specs()[name], n=400), seed=7).dataset
+            for stem, name in DRAWS.items()}
 
 
 def estimate(ds: Dataset, est: str) -> float:
